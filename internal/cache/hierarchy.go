@@ -21,7 +21,8 @@ type AccessResult struct {
 	// Latency is the CPU-cycle cost of the levels traversed (memory time
 	// is added by the simulator from the controller's completion).
 	Latency int
-	// MemOps lists line fills and writebacks that must go to memory.
+	// MemOps lists line fills and writebacks that must go to memory. It is
+	// the hierarchy's scratch: valid until the next Access or FillLine.
 	MemOps []MemOp
 }
 
@@ -35,6 +36,10 @@ type Hierarchy struct {
 	// hierarchy and cleared per call instead of reallocated — the access
 	// path is single-threaded per engine.
 	flushSeen map[uint64]bool
+	// ops backs every AccessResult.MemOps and FillLine result. Callers
+	// consume each op list before the next call, so one buffer serves all
+	// of them and the access path does not allocate.
+	ops []MemOp
 }
 
 // NewHierarchy builds a hierarchy from outermost private to shared last
@@ -65,7 +70,7 @@ func (h *Hierarchy) LLC() *Cache { return h.levels[len(h.levels)-1] }
 // fill whole lines; pass sectored=true for strided data, which fills only
 // the touched sectors (the sector-cache behaviour of Section 5.1).
 func (h *Hierarchy) Access(addr uint64, size int, write, sectored bool) AccessResult {
-	var res AccessResult
+	res := AccessResult{MemOps: h.ops[:0]}
 	hitAt := 0
 	for i, lvl := range h.levels {
 		res.Latency += lvl.hitLat
@@ -90,12 +95,13 @@ func (h *Hierarchy) Access(addr uint64, size int, write, sectored bool) AccessRe
 		}
 		res.MemOps = append(res.MemOps, MemOp{Addr: llc.lineAddr(addr), Sectors: sectors, Sectored: sectored})
 		h.fillAll(addr, sectored, write, size, &res)
-		return res
+	} else {
+		// Hit at a lower level: allocate upward into the missed upper levels.
+		for i := hitAt - 2; i >= 0; i-- {
+			h.fillLevel(i, addr, sectored, write, size, &res)
+		}
 	}
-	// Hit at a lower level: allocate upward into the missed upper levels.
-	for i := hitAt - 2; i >= 0; i-- {
-		h.fillLevel(i, addr, sectored, write, size, &res)
-	}
+	h.ops = res.MemOps[:0]
 	return res
 }
 
@@ -121,12 +127,14 @@ func (h *Hierarchy) fillLevel(i int, addr uint64, sectored, write bool, size int
 // FillLine installs the given sectors of a line into every level without a
 // demand access — the sibling fills of a strided fetch, which brings the
 // same-offset sector of Reach lines in one burst. It returns any memory
-// writebacks the allocations displaced.
+// writebacks the allocations displaced, in the hierarchy's scratch (valid
+// until the next Access or FillLine).
 func (h *Hierarchy) FillLine(addr uint64, sectors uint64, sectored bool) []MemOp {
-	var res AccessResult
+	res := AccessResult{MemOps: h.ops[:0]}
 	for i := len(h.levels) - 1; i >= 0; i-- {
 		h.fillLevelSectors(i, addr, sectors, false, sectored, &res)
 	}
+	h.ops = res.MemOps[:0]
 	return res.MemOps
 }
 

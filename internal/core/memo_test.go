@@ -19,7 +19,7 @@ import (
 	"sam/internal/sql"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite golden files (memo salt tripwire)")
+var updateGolden = flag.Bool("update", false, "rewrite golden files (memo salt tripwire, Fig. 12 table)")
 
 // TestMemoKeyCanonicalization is the key-schema property test: every
 // semantically meaningful single-field mutation changes the key, and
@@ -376,7 +376,7 @@ func memoProbeDigest(t *testing.T) string {
 		h.Write(b)
 		h.Write([]byte{0})
 	}
-	feed(RunOne(design.SAMEn, design.Options{}, w, Benchmark()[2]))      // strided Q read
+	feed(RunOne(design.SAMEn, design.Options{}, w, Benchmark()[2]))     // strided Q read
 	feed(RunOne(design.Baseline, design.Options{}, w, Benchmark()[13])) // row-wise Qs scan
 	feed(RunOneFaulted(design.SAMEn, design.Options{}, w, Benchmark()[2], sim.DeadChipFault(7, 42)))
 	return hex.EncodeToString(h.Sum(nil))

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -125,5 +127,34 @@ func TestProgressReporting(t *testing.T) {
 	}
 	if wantTotal := len(kinds) + 1; total != wantTotal || calls != wantTotal {
 		t.Fatalf("progress saw %d/%d runs, want %d (designs + baseline)", calls, total, wantTotal)
+	}
+}
+
+// TestFig12SmallGolden pins the rendered Fig. 12 table at SmallWorkload
+// byte for byte. Hot-path rewrites (lazy stride gathers, bank-preparation
+// passes, buffer reuse) must leave every simulated cycle where it was, so
+// any drift here is a semantic change, not a rounding artefact. Regenerate
+// with `go test ./internal/core -run Fig12SmallGolden -update` only when the
+// simulator's semantics change on purpose (and bump memo.SchemaVersion).
+func TestFig12SmallGolden(t *testing.T) {
+	fig, err := Fig12(context.Background(), SmallWorkload(), Par{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fig.Table().String()
+	golden := filepath.Join("testdata", "fig12_small.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", golden)
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden: %v (run with -update to generate)", err)
+	}
+	if got != string(want) {
+		t.Fatalf("Fig12 table at SmallWorkload changed:\n--- got ---\n%s\n--- golden ---\n%s", got, want)
 	}
 }

@@ -15,7 +15,23 @@ type Txn struct {
 	Size     int
 	Write    bool
 	Sectored bool
-	Group    *StrideGroup
+
+	// The gather coordinates: a strided field access keeps its placer,
+	// record and field, and Group builds the StrideGroup only when asked —
+	// a cache hit never reaches memory, so it never pays for the gather.
+	p          *Placer
+	rec, field int32
+}
+
+// Group returns the strided gather serving a miss of this transaction, or
+// nil when the access is a plain line fill. It is built on request into the
+// placer's scratch, so it is valid only until the next Group or field call
+// on the same Placer; callers consume it synchronously, once per miss.
+func (t Txn) Group() *StrideGroup {
+	if t.p == nil {
+		return nil
+	}
+	return t.p.strideGroup(int(t.rec), int(t.field))
 }
 
 // LineFill names one cacheline (partially) filled by a strided fetch.
@@ -50,6 +66,10 @@ type Placer struct {
 	base      uint64
 	lineBytes int
 	rowBytes  int
+	// Bank divisors of encodeBankRow, cached so the per-access path neither
+	// copies the geometry nor recomputes them.
+	banksPerRank int
+	bankGroups   int
 
 	// Hybrid layout state (nil unless built with NewPlacerHybrid).
 	hotFields       []int
@@ -65,12 +85,20 @@ type Placer struct {
 	stripeRowBase    int // row-wise rows, per-bank, where this table starts
 	colRowBase       int // synthetic column-direction row space
 
-	// Gather scratch. The Txn a ReadField/WriteField returns points at
-	// scratchGroup, so the group is valid only until the next field call on
-	// this Placer — the engine consumes each Txn synchronously, which is the
-	// contract that lets field access be allocation-free.
+	// live, when bound (BindTable), supplies the table's current record
+	// count. Gathers are bounded by it rather than by Schema.Records, so a
+	// record appended by INSERT still belongs to a (partial) group; the
+	// layouts themselves stay sized by the construction-time Schema.
+	live *imdb.Table
+
+	// Gather and transaction scratch. Txn.Group builds into scratchGroup and
+	// ReadRecord/WriteRecord return scratchTxns, so both are valid only until
+	// the next call on this Placer — the engine consumes each Txn
+	// synchronously, which is the contract that lets field and record access
+	// be allocation-free.
 	scratchGroup   StrideGroup
 	scratchMembers []int
+	scratchTxns    []Txn
 }
 
 // slotBytes is the address-space stride between table slots.
@@ -88,6 +116,9 @@ func NewPlacer(d *Design, schema imdb.Schema, slot int, colStore bool) *Placer {
 		base:      uint64(slot) * slotBytes,
 		lineBytes: d.Mem.Geometry.LineBytes,
 		rowBytes:  d.Mem.Geometry.RowBytes,
+
+		banksPerRank: d.Mem.Geometry.Banks(),
+		bankGroups:   d.Mem.Geometry.BankGroups,
 	}
 	if schema.RecordBytes() > p.rowBytes {
 		panic(fmt.Sprintf("design: record %dB exceeds row %dB", schema.RecordBytes(), p.rowBytes))
@@ -105,6 +136,19 @@ func NewPlacer(d *Design, schema imdb.Schema, slot int, colStore bool) *Placer {
 		p.colRowBase = p.rowsPerBank/2 + slot*region
 	}
 	return p
+}
+
+// BindTable bounds every later gather by t's live record count. The
+// simulator binds each placer to the table it lays out, so inserted records
+// gather with their neighbours instead of falling outside every group.
+func (p *Placer) BindTable(t *imdb.Table) { p.live = t }
+
+// records is the record count gathers are bounded by.
+func (p *Placer) records() int {
+	if p.live != nil {
+		return p.live.Records()
+	}
+	return p.Schema.Records
 }
 
 // fieldOffset returns the byte offset of a field within its record.
@@ -186,11 +230,11 @@ func (p *Placer) stripeColAddr(rec, field int) uint64 {
 }
 
 func (p *Placer) encodeBankRow(bank, row, byteInRow int) uint64 {
-	g := p.D.Mem.Geometry
+	inRank := bank % p.banksPerRank
 	co := mc.Coord{
-		Rank:   bank / g.Banks(),
-		Group:  (bank % g.Banks()) % g.BankGroups,
-		Bank:   (bank % g.Banks()) / g.BankGroups,
+		Rank:   bank / p.banksPerRank,
+		Group:  inRank % p.bankGroups,
+		Bank:   inRank / p.bankGroups,
 		Row:    row,
 		Col:    byteInRow / p.lineBytes,
 		Offset: byteInRow % p.lineBytes,
@@ -235,9 +279,10 @@ func (p *Placer) groupMembers(rec int) []int {
 // path reuse the placer's member scratch instead of allocating per access.
 func (p *Placer) appendGroupMembers(members []int, rec int) []int {
 	n := p.D.Gran.Reach
+	records := p.records()
 	if !p.D.ColumnEngine {
 		first := (rec / n) * n
-		for r := first; r < first+n && r < p.Schema.Records; r++ {
+		for r := first; r < first+n && r < records; r++ {
 			members = append(members, r)
 		}
 		return members
@@ -248,7 +293,7 @@ func (p *Placer) appendGroupMembers(members []int, rec int) []int {
 	for row := 0; row < n; row++ {
 		chunk := slot*n + row
 		r := stripe*p.recordsPerStripe + chunk*c + off
-		if r < p.Schema.Records {
+		if r < records {
 			members = append(members, r)
 		}
 	}
@@ -302,7 +347,7 @@ func (p *Placer) fieldTxn(rec, field int, write bool) Txn {
 	}
 	if p.D.SupportsStride() && !p.ColStore && p.hotIdx == nil {
 		t.Sectored = true
-		t.Group = p.strideGroup(rec, field)
+		t.p, t.rec, t.field = p, int32(rec), int32(field)
 	}
 	return t
 }
@@ -316,41 +361,35 @@ func (p *Placer) WriteField(rec, field int) Txn { return p.fieldTxn(rec, field, 
 
 // recordTxns covers a whole record line by line (row-wise access).
 func (p *Placer) recordTxns(rec int, write bool) []Txn {
-	rb := p.Schema.RecordBytes()
-	if p.hotIdx != nil {
+	txns := p.scratchTxns[:0]
+	switch {
+	case p.hotIdx != nil:
 		// Hybrid: hot fields scattered across their columns, cold fields in
 		// one contiguous shrunken record.
-		var txns []Txn
 		for _, f := range p.hotFields {
 			txns = append(txns, Txn{Addr: p.hybridAddr(rec, f), Size: imdb.FieldBytes, Write: write})
 		}
-		start := p.coldBase + uint64(rec)*uint64(p.coldRecordBytes)
-		for off := 0; off < p.coldRecordBytes; {
-			addr := start + uint64(off)
-			span := p.lineBytes - int(addr)&(p.lineBytes-1)
-			if span > p.coldRecordBytes-off {
-				span = p.coldRecordBytes - off
-			}
-			txns = append(txns, Txn{Addr: addr, Size: span, Write: write})
-			off += span
-		}
-		return txns
-	}
-	if p.ColStore {
+		txns = p.appendLineTxns(txns, p.coldBase+uint64(rec)*uint64(p.coldRecordBytes), p.coldRecordBytes, write)
+	case p.ColStore:
 		// Column store scatters the record across field columns.
-		txns := make([]Txn, 0, p.Schema.Fields)
 		for f := 0; f < p.Schema.Fields; f++ {
 			txns = append(txns, Txn{Addr: p.colAddr(rec, f), Size: imdb.FieldBytes, Write: write})
 		}
-		return txns
+	default:
+		txns = p.appendLineTxns(txns, p.canonAddr(rec, 0), p.Schema.RecordBytes(), write)
 	}
-	var txns []Txn
-	start := p.canonAddr(rec, 0)
-	for off := 0; off < rb; {
+	p.scratchTxns = txns[:0]
+	return txns
+}
+
+// appendLineTxns appends the line-by-line transactions covering n bytes
+// from start.
+func (p *Placer) appendLineTxns(txns []Txn, start uint64, n int, write bool) []Txn {
+	for off := 0; off < n; {
 		addr := start + uint64(off)
 		span := p.lineBytes - int(addr)&(p.lineBytes-1)
-		if span > rb-off {
-			span = rb - off
+		if span > n-off {
+			span = n - off
 		}
 		txns = append(txns, Txn{Addr: addr, Size: span, Write: write})
 		off += span
@@ -358,10 +397,12 @@ func (p *Placer) recordTxns(rec int, write bool) []Txn {
 	return txns
 }
 
-// ReadRecord returns the transactions reading a whole record.
+// ReadRecord returns the transactions reading a whole record. The slice is
+// the placer's scratch, valid until the next ReadRecord or WriteRecord.
 func (p *Placer) ReadRecord(rec int) []Txn { return p.recordTxns(rec, false) }
 
-// WriteRecord returns the transactions writing a whole record (INSERT).
+// WriteRecord returns the transactions writing a whole record (INSERT),
+// in the same scratch as ReadRecord.
 func (p *Placer) WriteRecord(rec int) []Txn { return p.recordTxns(rec, true) }
 
 // ECCReadCompanion returns the embedded-ECC read that accompanies every

@@ -122,12 +122,12 @@ func TestStrideGroupsPartitionRecords(t *testing.T) {
 func TestStrideGroupFillsMatchSectors(t *testing.T) {
 	p := taPlacer(SAMEn, 1024)
 	txn := p.ReadField(16, 10) // f10: byte 80 of the record
-	if !txn.Sectored || txn.Group == nil {
+	if !txn.Sectored || txn.Group() == nil {
 		t.Fatal("strided design should emit sectored group transactions")
 	}
 	// All 8 members' f10 sectors must be covered by the fills.
 	covered := map[uint64]uint64{}
-	for _, f := range txn.Group.Fills {
+	for _, f := range txn.Group().Fills {
 		covered[f.LineAddr] |= f.Sectors
 	}
 	for _, m := range p.groupMembers(16) {
@@ -146,11 +146,11 @@ func TestStrideGroupDegeneratesForTinyRecords(t *testing.T) {
 	d := New(SAMEn, Options{})
 	p := NewPlacer(d, imdb.Schema{Name: "T", Fields: 1, Records: 256}, 0, false)
 	txn := p.ReadField(0, 0)
-	if len(txn.Group.Fills) != 1 {
-		t.Fatalf("tiny records: %d fills, want 1", len(txn.Group.Fills))
+	if len(txn.Group().Fills) != 1 {
+		t.Fatalf("tiny records: %d fills, want 1", len(txn.Group().Fills))
 	}
-	if txn.Group.Fills[0].Sectors != 0xFF {
-		t.Fatalf("tiny records: sector mask %x, want all 8", txn.Group.Fills[0].Sectors)
+	if txn.Group().Fills[0].Sectors != 0xFF {
+		t.Fatalf("tiny records: sector mask %x, want all 8", txn.Group().Fills[0].Sectors)
 	}
 }
 
@@ -204,7 +204,7 @@ func TestStripeColumnAddressesDisjointFromRowAddresses(t *testing.T) {
 		rowRows[am.Decode(p.ReadField(rec, 0).Addr).Row] = true
 	}
 	for rec := 0; rec < 2048; rec += 17 {
-		g := p.ReadField(rec, 3).Group
+		g := p.ReadField(rec, 3).Group()
 		if g == nil {
 			t.Fatal("column engine without group")
 		}
@@ -222,7 +222,7 @@ func TestStripeFieldSwitchChangesColumnRow(t *testing.T) {
 	p := NewPlacer(d, imdb.Ta(2048), 0, false)
 	am := mc.NewAddrMap(d.Mem.Geometry)
 	rowOf := func(field int) int {
-		return am.Decode(p.ReadField(64, field).Group.ReqAddr).Row
+		return am.Decode(p.ReadField(64, field).Group().ReqAddr).Row
 	}
 	if rowOf(3) != rowOf(4) {
 		t.Fatal("f3 and f4 share a record line; their gathers should share a column row")
@@ -273,7 +273,7 @@ func TestLaneAssignment(t *testing.T) {
 	// should spread over the four Sx4_n modes.
 	lanes := map[int]bool{}
 	for f := 0; f < 8; f++ {
-		lanes[p.ReadField(0, f).Group.Lane] = true
+		lanes[p.ReadField(0, f).Group().Lane] = true
 	}
 	if len(lanes) < 2 {
 		t.Fatalf("lane assignment degenerate: %v", lanes)
@@ -304,7 +304,7 @@ func TestFootprint(t *testing.T) {
 
 func TestECCReadCompanionNearby(t *testing.T) {
 	p := taPlacer(GSDRAMecc, 256)
-	g := p.ReadField(0, 10).Group
+	g := p.ReadField(0, 10).Group()
 	companion := p.ECCReadCompanion(g)
 	if companion == g.ReqAddr {
 		t.Fatal("ECC companion must be a different line")
@@ -319,7 +319,7 @@ func TestECCReadCompanionNearby(t *testing.T) {
 func TestSubFieldSplitBursts(t *testing.T) {
 	bit := taPlacer(RCNVMBit, 256)
 	wd := taPlacer(RCNVMWd, 256)
-	if bit.ReadField(0, 3).Group.Bursts != 2*wd.ReadField(0, 3).Group.Bursts {
+	if bit.ReadField(0, 3).Group().Bursts != 2*wd.ReadField(0, 3).Group().Bursts {
 		t.Fatal("RC-NVM-bit should need twice the column bursts per gather")
 	}
 }
@@ -371,7 +371,9 @@ func TestHybridLayoutInjective(t *testing.T) {
 func TestHybridRecordTxnsDeterministic(t *testing.T) {
 	d := New(Baseline, Options{})
 	p := NewPlacerHybrid(d, imdb.Ta(64), 0, []int{10, 3, 77})
-	a := p.ReadRecord(5)
+	// ReadRecord returns the placer's scratch; keep a copy of the first
+	// call so the second cannot overwrite it.
+	a := append([]Txn(nil), p.ReadRecord(5)...)
 	b := p.ReadRecord(5)
 	if len(a) != len(b) {
 		t.Fatal("txn counts differ")
@@ -393,7 +395,7 @@ func TestHybridNeverStrides(t *testing.T) {
 	// columns with regular accesses.
 	d := New(SAMEn, Options{})
 	p := NewPlacerHybrid(d, imdb.Ta(64), 0, []int{10})
-	if txn := p.ReadField(0, 10); txn.Group != nil || txn.Sectored {
+	if txn := p.ReadField(0, 10); txn.Group() != nil || txn.Sectored {
 		t.Fatal("hybrid layout emitted strided transactions")
 	}
 }

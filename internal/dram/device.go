@@ -375,7 +375,8 @@ func (d *Device) bank(c Command) *bankState {
 
 // BankIndex flattens (rank, group, bank) into the PerBank index.
 func (d *Device) BankIndex(rank, group, bank int) int {
-	return rank*d.cfg.Geometry.Banks() + group*d.cfg.Geometry.BanksPerGroup + bank
+	g := &d.cfg.Geometry
+	return (rank*g.BankGroups+group)*g.BanksPerGroup + bank
 }
 
 // NumBanks returns the number of flat bank indices (Ranks x banks/rank) —
@@ -420,7 +421,7 @@ func maxN(vals ...Cycle) Cycle {
 
 // EarliestIssue returns the earliest cycle >= now at which cmd is legal.
 func (d *Device) EarliestIssue(cmd Command, now Cycle) Cycle {
-	t := d.cfg.Timing
+	t := &d.cfg.Timing
 	rk := &d.ranks[cmd.Rank]
 	switch cmd.Kind {
 	case CmdACT:
@@ -476,7 +477,7 @@ func (d *Device) EarliestIssue(cmd Command, now Cycle) Cycle {
 // earliestColumn computes the issue constraint for RD/WR including CCD,
 // turnaround, data-bus occupancy, and mode/rank switch penalties.
 func (d *Device) earliestColumn(cmd Command, now Cycle) Cycle {
-	t := d.cfg.Timing
+	t := &d.cfg.Timing
 	rk := &d.ranks[cmd.Rank]
 	bk := d.bank(cmd)
 	gs := &rk.groups[cmd.Group]
@@ -554,7 +555,7 @@ func (d *Device) lastBusWasRead() bool {
 // mirror rank holds the same row open by construction (mirrored
 // allocation), so only rank-global constraints apply.
 func (d *Device) gangConstrain(cmd Command, earliest Cycle, kind CmdKind) Cycle {
-	t := d.cfg.Timing
+	t := &d.cfg.Timing
 	for r := range d.ranks {
 		if r == cmd.Rank {
 			continue
@@ -602,7 +603,7 @@ func (d *Device) apply(cmd Command, at Cycle) IssueResult {
 	if e := d.EarliestIssue(cmd, at); e > at {
 		panic(fmt.Sprintf("dram: %v issued at %d, legal at %d", cmd, at, e))
 	}
-	t := d.cfg.Timing
+	t := &d.cfg.Timing
 	rk := &d.ranks[cmd.Rank]
 	switch cmd.Kind {
 	case CmdACT:
@@ -664,7 +665,7 @@ func (d *Device) apply(cmd Command, at Cycle) IssueResult {
 }
 
 func (d *Device) issueColumn(cmd Command, at Cycle) IssueResult {
-	t := d.cfg.Timing
+	t := &d.cfg.Timing
 	rk := &d.ranks[cmd.Rank]
 	bk := d.bank(cmd)
 	if !bk.open || bk.row != cmd.Row {

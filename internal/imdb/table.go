@@ -100,8 +100,11 @@ func (t *Table) Value(rec, field int) uint64 {
 		panic(fmt.Sprintf("imdb: value (%d,%d) out of range for %s", rec, field, t.Schema.Name))
 	}
 	k := t.key(rec, field)
-	if v, ok := t.overlay[k]; ok {
-		return v
+	// Read-only tables leave the overlay empty; skip the map probe then.
+	if len(t.overlay) > 0 {
+		if v, ok := t.overlay[k]; ok {
+			return v
+		}
 	}
 	if rec >= t.Schema.Records {
 		return 0 // inserted records default to zero until written

@@ -42,10 +42,9 @@ func benchStream(n int) []Request {
 	return reqs
 }
 
-// benchServiceLoop drives a scheduler at steady-state queue depth: prefill
-// to ~depth, then one enqueue + one service per iteration.
-func benchServiceLoop(b *testing.B, s scheduler, depth int) {
-	reqs := benchStream(4096)
+// benchServiceLoop drives a scheduler through reqs at steady-state queue
+// depth: prefill to ~depth, then one enqueue + one service per iteration.
+func benchServiceLoop(b *testing.B, s scheduler, depth int, reqs []Request) {
 	j := 0
 	next := func() Request {
 		r := reqs[j%len(reqs)]
@@ -79,14 +78,37 @@ func benchServiceLoop(b *testing.B, s scheduler, depth int) {
 // over BenchmarkControllerServiceOneReference with 0 allocs/op.
 func BenchmarkControllerServiceOne(b *testing.B) {
 	c := NewController(dram.NewDevice(dram.DDR4_2400()), DefaultConfig())
-	benchServiceLoop(b, c, 48)
+	benchServiceLoop(b, c, 48, benchStream(4096))
 }
 
 // BenchmarkControllerServiceOneReference is the same loop on the frozen
 // pre-optimization scheduler — the denominator of the speedup claim.
 func BenchmarkControllerServiceOneReference(b *testing.B) {
 	c := newReferenceController(dram.NewDevice(dram.DDR4_2400()), DefaultConfig())
-	benchServiceLoop(b, c, 48)
+	benchServiceLoop(b, c, 48, benchStream(4096))
+}
+
+// prepareAheadStream is the bank-heavy mix the preparation pass is built
+// for: requests dealt over all 64 DDR5 banks, a few rows per bank.
+func prepareAheadStream() []Request {
+	m := NewAddrMap(dram.DDR5_4800().Geometry)
+	return bankSpreadStream(rand.New(rand.NewSource(0x9E9A)), m, 4096, false)
+}
+
+// BenchmarkControllerPrepareAhead measures ServiceOne where bank
+// preparation dominates: a deep queue (80 of 96 slots) spread over dozens
+// of occupied banks, every entry arrived. Compare with
+// BenchmarkControllerPrepareAheadReference, the frozen linear walk.
+func BenchmarkControllerPrepareAhead(b *testing.B) {
+	c := NewController(dram.NewDevice(dram.DDR5_4800()), DefaultConfig())
+	benchServiceLoop(b, c, 80, prepareAheadStream())
+}
+
+// BenchmarkControllerPrepareAheadReference is the same loop on the frozen
+// reference scheduler.
+func BenchmarkControllerPrepareAheadReference(b *testing.B) {
+	c := newReferenceController(dram.NewDevice(dram.DDR5_4800()), DefaultConfig())
+	benchServiceLoop(b, c, 80, prepareAheadStream())
 }
 
 // BenchmarkControllerEnqueue isolates the enqueue path (one decode, no

@@ -131,9 +131,13 @@ type Tracer interface {
 // open-page policy. It is single-channel, matching the paper's setup; the
 // simulator instantiates one per channel.
 type Controller struct {
-	dev  *dram.Device
-	amap *AddrMap
-	cfg  Config
+	dev   *dram.Device
+	amap  *AddrMap
+	cfg   Config
+	ranks int // the device's rank count, cached for serviceRefresh
+	// prepScratch holds prepareAhead's candidate slots; sized once, so the
+	// service loop stays allocation-free.
+	prepScratch [prepareLookahead]int32
 
 	// readQ/writeQ hold value-typed entries with their addresses decoded
 	// once at Enqueue and indexed per bank (see queue.go) — the service
@@ -283,6 +287,7 @@ func NewController(dev *dram.Device, cfg Config) *Controller {
 		dev:    dev,
 		amap:   NewAddrMapInterleave(dev.Config().Geometry, cfg.Interleave),
 		cfg:    cfg,
+		ranks:  dev.Config().Geometry.Ranks,
 		readQ:  newReqQueue(cfg.ReadQueueCap, banks),
 		writeQ: newReqQueue(cfg.WriteQueueCap, banks),
 	}
@@ -492,67 +497,106 @@ const prepareLookahead = 8
 // prepareAhead issues PRE/ACT for upcoming queued requests whose banks are
 // not ready, so their row activations overlap the current request's column
 // access instead of serializing behind it. A bank is only prepared when no
-// other arrived request still wants its currently open row. The scan walks
-// the queue in enqueue order over pre-decoded entries; current has already
-// been dequeued.
+// other arrived request still wants its currently open row; current has
+// already been dequeued and its bank is never disturbed.
+//
+// The pass is per bank: each occupied bank offers at most one candidate
+// (bankCandidate), and the candidates are issued in enqueue (seq) order, up
+// to prepareLookahead. That is exactly the command sequence of a walk over
+// the whole queue in enqueue order (the frozen reference scheduler):
+//
+//   - Once the walk prepares a bank, its later entries are row hits or
+//     conflict with an arrived entry (the prepared one) that wants the new
+//     row, so a bank yields at most one PRE/ACT — its first arrived entry
+//     that is not a row hit, unless an arrived entry wants the open row.
+//   - Whether a bank has a candidate depends only on that bank's open row
+//     and the queues, and PRE/ACT to one bank never changes another bank's
+//     open row. A ganged ACT only adds the sibling rank's activation
+//     statistics and timing constraints; the sibling bank stays as it was.
+//     So deciding every bank before issuing anything decides the same.
+//   - Issue times do depend on earlier commands (tRRD, tFAW, the gang
+//     constraint), and issuing in seq order replays the walk's order.
+//
+// DESIGN.md section 8 states the same argument; TestSchedulerDifferential
+// checks it against the reference scheduler.
 func (c *Controller) prepareAhead(q *reqQueue, current *entry) {
-	prepared := 0
-	for i := q.head; i != nilSlot; i = q.slots[i].next {
-		if prepared >= prepareLookahead {
-			return
-		}
-		e := &q.slots[i]
-		if e.req.Arrival > c.now {
-			continue
-		}
-		if e.bank == current.bank {
+	cands := &c.prepScratch
+	n := 0
+	for _, bank := range q.occBanks {
+		if bank == current.bank {
 			continue // never disturb the bank the current request needs
 		}
-		row, open := c.dev.OpenRowAt(int(e.bank))
-		if open && row == e.co.Row {
-			continue // already a row hit
+		i := c.bankCandidate(q, bank)
+		if i == nilSlot {
+			continue
 		}
-		if open {
-			if c.anyArrivedWantsRow(e.bank, row, q, i) {
-				continue // precharging would kill a pending row hit
-			}
+		// Keep the prepareLookahead lowest-seq candidates, sorted.
+		seq := q.slots[i].seq
+		j := n
+		if n < prepareLookahead {
+			n++
+		} else if seq > q.slots[cands[n-1]].seq {
+			continue
+		} else {
+			j = n - 1
+		}
+		for ; j > 0 && q.slots[cands[j-1]].seq > seq; j-- {
+			cands[j] = cands[j-1]
+		}
+		cands[j] = i
+	}
+	for _, i := range cands[:n] {
+		e := &q.slots[i]
+		if _, open := c.dev.OpenRowAt(int(e.bank)); open {
 			c.issue(dram.Command{Kind: dram.CmdPRE, Rank: e.co.Rank, Group: e.co.Group, Bank: e.co.Bank})
 		}
 		c.issue(dram.Command{Kind: dram.CmdACT, Rank: e.co.Rank, Group: e.co.Group, Bank: e.co.Bank, Row: e.co.Row, GangRanks: e.req.Gang})
-		prepared++
 	}
 }
 
-// anyArrivedWantsRow reports whether any arrived queued request other than
-// the skip entry targets the given open row of the bank. Only the two
-// per-bank pending lists for that bank are consulted — O(candidates), not
-// a rescan of both queues.
-func (c *Controller) anyArrivedWantsRow(bank int32, row int, skipQ *reqQueue, skip int32) bool {
-	for _, q := range [2]*reqQueue{&c.readQ, &c.writeQ} {
-		for i := q.bankHead[bank]; i != nilSlot; i = q.slots[i].bankNext {
-			if q == skipQ && i == skip {
-				continue
+// bankCandidate returns the slot of bank's preparation candidate in q: its
+// first arrived entry in enqueue order that is not a row hit, or nilSlot
+// when there is none or when an arrived entry of either queue still wants
+// the bank's open row (precharging would kill a pending row hit).
+func (c *Controller) bankCandidate(q *reqQueue, bank int32) int32 {
+	row, open := c.dev.OpenRowAt(int(bank))
+	cand := nilSlot
+	for i := q.bankHead[bank]; i != nilSlot; i = q.slots[i].bankNext {
+		e := &q.slots[i]
+		if e.req.Arrival > c.now {
+			if q.sorted {
+				// Bank lists are arrival-sorted while the queue is:
+				// nothing later in the list has arrived either.
+				break
 			}
-			e := &q.slots[i]
-			if e.req.Arrival > c.now {
-				if q.sorted {
-					// Bank lists are arrival-sorted while the queue is:
-					// nothing later in the list has arrived either.
-					break
-				}
-				continue
-			}
-			if e.co.Row == row {
-				return true
-			}
+			continue
+		}
+		if !open {
+			return i // a closed bank has no row to protect
+		}
+		if e.co.Row == row {
+			return nilSlot
+		}
+		if cand == nilSlot {
+			cand = i
 		}
 	}
-	return false
+	if cand == nilSlot {
+		return nilSlot
+	}
+	other := &c.readQ
+	if q == other {
+		other = &c.writeQ
+	}
+	if other.arrivedWantsRow(bank, row, c.now) {
+		return nilSlot
+	}
+	return cand
 }
 
 // serviceRefresh issues REF commands for any rank whose deadline passed.
 func (c *Controller) serviceRefresh() {
-	for r := 0; r < c.dev.Config().Geometry.Ranks; r++ {
+	for r := 0; r < c.ranks; r++ {
 		for c.dev.RefreshDue(r) <= c.now {
 			c.issue(dram.Command{Kind: dram.CmdREF, Rank: r})
 			c.Stats.Refreshes++

@@ -100,6 +100,36 @@ func randomStream(rng *rand.Rand, m *AddrMap, devCfg dram.Config, n int) []Reque
 	return reqs
 }
 
+// bankSpreadStream generates a bank-heavy request sequence: addresses dealt
+// round-robin over every bank of every rank, each bank cycling through a
+// few rows (so prepared banks see row hits, conflicts and rows another
+// entry still wants), ~25% writes and ~25% strided requests, ganged when
+// gang is set. Arrivals are left at zero; callers stamp them at enqueue.
+func bankSpreadStream(rng *rand.Rand, m *AddrMap, n int, gang bool) []Request {
+	geo := m.geo
+	banks := geo.TotalBanks()
+	rowBase := rng.Intn(1 << 12)
+	reqs := make([]Request, n)
+	for i := range reqs {
+		b := (i + rng.Intn(3)) % banks
+		inRank := b % geo.Banks()
+		co := Coord{
+			Rank:  b / geo.Banks(),
+			Group: inRank % geo.BankGroups,
+			Bank:  inRank / geo.BankGroups,
+			Row:   rowBase + rng.Intn(3),
+			Col:   rng.Intn(geo.LinesPerRow()),
+		}
+		reqs[i] = Request{ID: uint64(i), Addr: m.Encode(co), IsWrite: rng.Intn(4) == 0}
+		if rng.Intn(4) == 0 {
+			reqs[i].Stride = true
+			reqs[i].Lane = rng.Intn(4)
+			reqs[i].Gang = gang
+		}
+	}
+	return reqs
+}
+
 // serviceBoth runs one ServiceOne on each scheduler and asserts the
 // completions agree byte for byte.
 func serviceBoth(t *testing.T, mix int, a, b scheduler) bool {
@@ -169,6 +199,92 @@ func TestSchedulerDifferential(t *testing.T) {
 		}
 		if got, want := cNew.Stats.Reads+cNew.Stats.Writes, uint64(n); got != want {
 			t.Fatalf("mix %d: serviced %d of %d requests", mix, got, want)
+		}
+	}
+	t.Run("bank-heavy", testSchedulerDifferentialBankHeavy)
+}
+
+// testSchedulerDifferentialBankHeavy drives the bank-preparation pass where
+// it does the most work: deep queues spread over at least 32 occupied banks
+// in which every entry has already arrived (each request is stamped with
+// the controller's clock at enqueue), on DDR5's 64 banks, with ganged
+// strided bursts on and off. Gang-free mixes also compare the
+// audited command streams, which must stay protocol-legal.
+func testSchedulerDifferentialBankHeavy(t *testing.T) {
+	mixes := 24
+	if testing.Short() {
+		mixes = 8
+	}
+	for mix := 0; mix < mixes; mix++ {
+		rng := rand.New(rand.NewSource(int64(mix)*15485863 + 3))
+		devCfg := dram.DDR5_4800()
+		gang := mix%2 == 1
+		cfg := DefaultConfig()
+		if rng.Intn(2) == 0 {
+			cfg.Interleave = BanksLow
+		}
+		devA := dram.NewDevice(devCfg)
+		devB := dram.NewDevice(devCfg)
+		cNew := NewController(devA, cfg)
+		cRef := newReferenceController(devB, cfg)
+		if !gang {
+			cNew.Audit = dram.NewAuditor(devCfg)
+			cRef.Audit = dram.NewAuditor(devCfg)
+		}
+
+		n := 400 + rng.Intn(200)
+		maxOcc := 0
+		for _, r := range bankSpreadStream(rng, cNew.AddrMap(), n, gang) {
+			for !cNew.CanAccept(r.IsWrite) {
+				serviceBoth(t, mix, cNew, cRef)
+			}
+			r.Arrival = cNew.Now()
+			cNew.Enqueue(r)
+			cRef.Enqueue(r)
+			if occ := len(cNew.readQ.occBanks); occ > maxOcc {
+				maxOcc = occ
+			}
+			// Let the queues fill: service only now and then, so each
+			// preparation pass sees a deep, fully arrived queue.
+			if cNew.readQ.n+cNew.writeQ.n > 80 && rng.Intn(2) == 0 {
+				serviceBoth(t, mix, cNew, cRef)
+			}
+		}
+		for serviceBoth(t, mix, cNew, cRef) {
+		}
+
+		if maxOcc < 32 {
+			t.Fatalf("mix %d: read queue peaked at %d occupied banks, want >= 32", mix, maxOcc)
+		}
+		if cNew.Stats != cRef.Stats {
+			t.Fatalf("mix %d: Stats diverged:\n new: %+v\n ref: %+v", mix, cNew.Stats, cRef.Stats)
+		}
+		if !reflect.DeepEqual(devA.Stats, devB.Stats) {
+			t.Fatalf("mix %d: device stats diverged:\n new: %+v\n ref: %+v", mix, devA.Stats, devB.Stats)
+		}
+		if cNew.Now() != cRef.Now() {
+			t.Fatalf("mix %d: clocks diverged: new=%d ref=%d", mix, cNew.Now(), cRef.Now())
+		}
+		if gang {
+			if devA.Stats.GangedBursts == 0 {
+				t.Fatalf("mix %d: ganged mix issued no ganged bursts", mix)
+			}
+			continue
+		}
+		if !cNew.Audit.Ok() {
+			t.Fatalf("mix %d: new scheduler protocol violation: %s", mix, cNew.Audit.Violations[0])
+		}
+		if !cRef.Audit.Ok() {
+			t.Fatalf("mix %d: reference protocol violation: %s", mix, cRef.Audit.Violations[0])
+		}
+		hNew, hRef := cNew.Audit.History(), cRef.Audit.History()
+		if len(hNew) != len(hRef) {
+			t.Fatalf("mix %d: command counts diverged: new=%d ref=%d", mix, len(hNew), len(hRef))
+		}
+		for i := range hNew {
+			if hNew[i] != hRef[i] {
+				t.Fatalf("mix %d: command %d diverged:\n new: %+v\n ref: %+v", mix, i, hNew[i], hRef[i])
+			}
 		}
 	}
 }

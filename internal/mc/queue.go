@@ -159,3 +159,21 @@ func (q *reqQueue) remove(i int32) {
 		q.sorted = true
 	}
 }
+
+// arrivedWantsRow reports whether an entry of bank that has arrived by now
+// targets row. Only the bank's pending list is walked.
+func (q *reqQueue) arrivedWantsRow(bank int32, row int, now dram.Cycle) bool {
+	for i := q.bankHead[bank]; i != nilSlot; i = q.slots[i].bankNext {
+		e := &q.slots[i]
+		if e.req.Arrival > now {
+			if q.sorted {
+				break
+			}
+			continue
+		}
+		if e.co.Row == row {
+			return true
+		}
+	}
+	return false
+}

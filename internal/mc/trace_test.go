@@ -160,5 +160,5 @@ func BenchmarkControllerServiceOneTraced(b *testing.B) {
 	c := NewController(dev, DefaultConfig())
 	c.Trace = nopTracer{}
 	dev.Trace = nopTracer{}
-	benchServiceLoop(b, c, 48)
+	benchServiceLoop(b, c, 48, benchStream(4096))
 }

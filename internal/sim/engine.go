@@ -273,9 +273,9 @@ func (e *engine) do(t design.Txn) {
 	if res.HitLevel > 0 {
 		return
 	}
-	gang := t.Group != nil && t.Group.Gang
-
-	if t.Group == nil {
+	// Only a miss reaches memory, so only a miss builds the gather.
+	g := t.Group()
+	if g == nil {
 		// Plain line fill (plus any writebacks the fill displaced).
 		for _, op := range res.MemOps {
 			e.enqueue(e.memOpRequest(op, 0, false))
@@ -295,7 +295,7 @@ func (e *engine) do(t design.Txn) {
 	// group request(s); keep writeback ops.
 	for _, op := range res.MemOps {
 		if op.IsWrite {
-			e.enqueue(e.memOpRequest(op, t.Group.Lane, gang))
+			e.enqueue(e.memOpRequest(op, g.Lane, g.Gang))
 		}
 	}
 	if e.sys.Design.NoCriticalWordFirst {
@@ -304,31 +304,31 @@ func (e *engine) do(t design.Txn) {
 		extraCPU := float64(e.sys.Design.Mem.Timing.TBL) * e.sys.CPU.ClockGHz * 1e3 / e.busMHz
 		e.spend(extraCPU * e.sys.CPU.LatencyOverlap)
 	}
-	for b := 0; b < t.Group.Bursts; b++ {
+	for b := 0; b < g.Bursts; b++ {
 		e.enqueue(mc.Request{
-			Addr:   t.Group.ReqAddr + uint64(b*e.sys.Design.Mem.Geometry.LineBytes),
+			Addr:   g.ReqAddr + uint64(b*e.sys.Design.Mem.Geometry.LineBytes),
 			Stride: true,
-			Lane:   t.Group.Lane,
-			Gang:   gang,
+			Lane:   g.Lane,
+			Gang:   g.Gang,
 		})
 	}
 	e.strideFetches++
 	// Embedded-ECC companion read (GS-DRAM-ecc).
 	if p := e.sys.Design.ECCReadPeriod; p > 0 && e.strideFetches%uint64(p) == 0 {
-		e.enqueue(mc.Request{Addr: t.Group.ReqAddr + uint64(e.sys.Design.Mem.Geometry.LineBytes), Stride: false})
+		e.enqueue(mc.Request{Addr: g.ReqAddr + uint64(e.sys.Design.Mem.Geometry.LineBytes), Stride: false})
 	}
 	// Embedded-ECC write read-modify-write, once per ECC line's worth of
 	// strided write fetches.
 	if p := e.sys.Design.ECCReadPeriod; t.Write && e.sys.Design.ECCWriteRMW && p > 0 && e.strideFetches%uint64(p) == 0 {
-		base := t.Group.ReqAddr + 2*uint64(e.sys.Design.Mem.Geometry.LineBytes)
+		base := g.ReqAddr + 2*uint64(e.sys.Design.Mem.Geometry.LineBytes)
 		e.enqueue(mc.Request{Addr: base})
 		e.enqueue(mc.Request{Addr: base, IsWrite: true})
 	}
 	// Sibling fills: the burst delivered the same sector of every line in
 	// the group.
-	for _, f := range t.Group.Fills {
+	for _, f := range g.Fills {
 		for _, op := range e.sys.Hierarchy.FillLine(f.LineAddr, f.Sectors, true) {
-			e.enqueue(e.memOpRequest(op, t.Group.Lane, gang))
+			e.enqueue(e.memOpRequest(op, g.Lane, g.Gang))
 		}
 	}
 }

@@ -333,8 +333,13 @@ func (s *System) runJoin(p *sql.Plan) (*QueryResult, error) {
 	e := newEngine(s)
 	res := &QueryResult{}
 
-	// Build phase: column-at-a-time scan of the inner table.
-	hash := make(map[uint64][]int)
+	// Build phase: column-at-a-time scan of the inner table. The hash maps
+	// each key to the first and last inner record of its chain, and next
+	// links each record to the following one with the same key, so the
+	// build allocates no per-key slices and probes still visit matches in
+	// insertion order.
+	hash := make(map[uint64][2]int32)
+	next := make([]int32, inner.Records())
 	innerFields := dedup(append(append([]int{}, p.InnerPredFields...), p.InnerProj...))
 	for start := 0; start < inner.Records(); start += scanBatch {
 		end := start + scanBatch
@@ -348,7 +353,15 @@ func (s *System) runJoin(p *sql.Plan) (*QueryResult, error) {
 		}
 		for rec := start; rec < end; rec++ {
 			key := inner.Value(rec, eqPred.InnerField)
-			hash[key] = append(hash[key], rec)
+			next[rec] = -1
+			ends, ok := hash[key]
+			if ok {
+				next[ends[1]] = int32(rec)
+			} else {
+				ends[0] = int32(rec)
+			}
+			ends[1] = int32(rec)
+			hash[key] = ends
 		}
 	}
 
@@ -366,7 +379,11 @@ func (s *System) runJoin(p *sql.Plan) (*QueryResult, error) {
 		}
 		for rec := start; rec < end; rec++ {
 			key := outer.Value(rec, eqPred.OuterField)
-			for _, in := range hash[key] {
+			ends, ok := hash[key]
+			if !ok {
+				continue
+			}
+			for in := int(ends[0]); in >= 0; in = int(next[in]) {
 				ok := true
 				for _, jp := range ineqPreds {
 					ov, iv := outer.Value(rec, jp.OuterField), inner.Value(in, jp.InnerField)

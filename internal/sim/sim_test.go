@@ -174,6 +174,37 @@ func TestInsertAppendsRecords(t *testing.T) {
 	}
 }
 
+// TestInsertThenStridedReadOnWarmSystem is the regression for strided
+// gathers over appended records: on a warm system, Qs6 appends a batch to
+// Tb and Q4 then reads Tb's f10 and f9 column-wise, reaching records past
+// the schema's construction-time count. Every design must gather them
+// without panicking and return the baseline's functional result.
+func TestInsertThenStridedReadOnWarmSystem(t *testing.T) {
+	const (
+		qs6 = "INSERT INTO Tb VALUES (f0, f1, f2, f3)"
+		q4  = "SELECT SUM(f9) FROM Tb WHERE f10 > x"
+	)
+	var ref *QueryResult
+	for _, k := range append([]design.Kind{design.Baseline}, design.AllEvaluated()...) {
+		s := testSystem(k, 256, 1024, false)
+		if _, err := s.RunQuery(qs6, nil); err != nil {
+			t.Fatalf("%v Qs6: %v", k, err)
+		}
+		r, err := s.RunQuery(q4, sel25())
+		if err != nil {
+			t.Fatalf("%v Q4: %v", k, err)
+		}
+		if ref == nil {
+			ref = r
+			continue
+		}
+		if r.Rows != ref.Rows || r.ProjChecks != ref.ProjChecks || !reflect.DeepEqual(r.Aggregates, ref.Aggregates) {
+			t.Fatalf("%v: Q4 after Qs6 = rows %d sum %v, baseline rows %d sum %v",
+				k, r.Rows, r.Aggregates, ref.Rows, ref.Aggregates)
+		}
+	}
+}
+
 func TestJoinMatchesBruteForce(t *testing.T) {
 	s := testSystem(design.Baseline, 64, 96, false)
 	r, err := s.RunQuery("SELECT Ta.f3, Tb.f4 FROM Ta, Tb WHERE Ta.f10 = Tb.f10", nil)

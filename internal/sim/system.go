@@ -223,6 +223,7 @@ func (s *System) addTable(t *imdb.Table, p *design.Placer) {
 	if _, dup := s.tables[t.Schema.Name]; dup {
 		panic(fmt.Sprintf("sim: duplicate table %q", t.Schema.Name))
 	}
+	p.BindTable(t)
 	s.tables[t.Schema.Name] = t
 	s.placers[t.Schema.Name] = p
 	s.slots++

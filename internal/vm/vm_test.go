@@ -217,7 +217,7 @@ func TestGatherAgreesWithDesignLayout(t *testing.T) {
 	for _, rec := range []int{0, 7, 64, 200} {
 		field := 5
 		txn := p.ReadField(rec, field)
-		if txn.Group == nil {
+		if txn.Group() == nil {
 			t.Fatal("no gather group")
 		}
 		va := uint64(rec*64 + field*imdb.FieldBytes)
@@ -225,11 +225,11 @@ func TestGatherAgreesWithDesignLayout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(gathered) != len(txn.Group.Fills) {
-			t.Fatalf("rec %d: OS gather %d lines, design gather %d", rec, len(gathered), len(txn.Group.Fills))
+		if len(gathered) != len(txn.Group().Fills) {
+			t.Fatalf("rec %d: OS gather %d lines, design gather %d", rec, len(gathered), len(txn.Group().Fills))
 		}
 		lines := map[uint64]bool{}
-		for _, f := range txn.Group.Fills {
+		for _, f := range txn.Group().Fills {
 			lines[f.LineAddr] = true
 		}
 		for _, g := range gathered {

@@ -3,8 +3,9 @@
 #
 #  1. The exact-zero pins: every *ZeroAllocs* test (internal/ecc codec
 #     Into paths, internal/mc fault-enabled and traced service loops,
-#     internal/runner's nil-observer sweep fast path) asserts flat
-#     steady-state allocation via testing.AllocsPerRun.
+#     internal/runner's nil-observer sweep fast path, internal/sim's warm
+#     strided-field and record reads) asserts flat steady-state allocation
+#     via testing.AllocsPerRun.
 #  2. The budget file (scripts/alloc_budget.txt): end-to-end benchmarks
 #     whose allocs/op must stay under a committed ceiling. These cover
 #     the per-run construction cost the pins deliberately exclude.
@@ -18,7 +19,7 @@ cd "$(dirname "$0")/.."
 BUDGET="${1:-scripts/alloc_budget.txt}"
 
 echo "== zero-allocation pins =="
-go test -run 'ZeroAllocs' -count=1 ./internal/ecc ./internal/mc ./internal/runner
+go test -run 'ZeroAllocs' -count=1 ./internal/ecc ./internal/mc ./internal/runner ./internal/sim
 
 echo "== allocation budgets ($BUDGET) =="
 fail=0
