@@ -9,29 +9,42 @@
 // validated separately).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config sizes one cache level.
 type Config struct {
 	Name       string
 	SizeBytes  int
 	LineBytes  int
-	Ways       int
-	Sectors    int // sectors per line; 1 disables sectoring
+	Ways       int // at most 8: one set record holds 8 ways
+	Sectors    int // sectors per line, at most 8; 1 disables sectoring
 	HitLatency int // CPU cycles for a hit at this level
 }
+
+// Geometry limits of the set record.
+const (
+	maxWays    = 8
+	maxSectors = 8
+)
 
 // Validate checks the level geometry.
 func (c Config) Validate() error {
 	switch {
 	case c.SizeBytes <= 0 || c.LineBytes <= 0 || c.Ways <= 0 || c.Sectors <= 0:
 		return fmt.Errorf("cache: non-positive geometry %+v", c)
+	case c.LineBytes&(c.LineBytes-1) != 0:
+		return fmt.Errorf("cache: %dB line not a power of two", c.LineBytes)
+	case c.Ways > maxWays:
+		return fmt.Errorf("cache: set record limited to %d ways, got %d", maxWays, c.Ways)
+	case c.Sectors > maxSectors:
+		return fmt.Errorf("cache: sector bitmap limited to %d, got %d", maxSectors, c.Sectors)
 	case c.SizeBytes%(c.LineBytes*c.Ways) != 0:
 		return fmt.Errorf("cache: size %d not divisible by line*ways", c.SizeBytes)
 	case c.LineBytes%c.Sectors != 0:
 		return fmt.Errorf("cache: %d sectors do not divide %dB line", c.Sectors, c.LineBytes)
-	case c.Sectors > 64:
-		return fmt.Errorf("cache: sector bitmap limited to 64, got %d", c.Sectors)
 	}
 	return nil
 }
@@ -48,30 +61,56 @@ type Stats struct {
 	StridedLineInserts uint64
 }
 
-type line struct {
-	tag      uint64
-	valid    uint64 // sector valid bitmap
-	dirty    uint64 // sector dirty bitmap
-	sectored bool   // filled by a strided access (affects writeback shape)
-	lru      uint64
+// set is one cache set in 64 bytes, one host cache line. Way w's tag and
+// sector bitmaps sit at index w (a way is valid while any of its sectors
+// is), and bit w of sectored marks it strided-filled, which shapes its
+// writeback. order lists the way indices one per byte, most recently used
+// in the low byte (see touch).
+type set struct {
+	tag      [maxWays]uint32
+	valid    [maxWays]uint8
+	dirty    [maxWays]uint8
+	order    uint64
+	sectored uint8
+}
+
+// freshOrder is the recency order of a newly carved set. Any permutation
+// of the ways would do: a set fills its invalid ways first, and each fill
+// moves its way to the front.
+const freshOrder uint64 = 0x0706050403020100
+
+// lanes has the low bit of every byte set.
+const lanes uint64 = 0x0101010101010101
+
+// touch makes way w the most recently used. Every hit and fill touches
+// exactly one way, so the order ranks the valid ways exactly as distinct
+// per-operation stamps would, and the last byte of the first Ways is the
+// least recently used way; bytes past Ways never move.
+func (s *set) touch(w int) {
+	// x has a zero byte exactly where w sits; the lowest byte the zero-byte
+	// test flags is exact (only bytes above a zero byte can be false hits).
+	x := s.order ^ lanes*uint64(w)
+	p := uint(bits.TrailingZeros64((x-lanes)&^x&(lanes<<7))) &^ 7
+	newer := uint64(1)<<p - 1
+	s.order = s.order&^(newer|0xff<<p) | (s.order&newer)<<8 | uint64(w)
 }
 
 // Cache is one level. Sets are allocated lazily: the directory maps each
-// set index to its way array inside one flat, pointer-free backing slice,
+// set index to its record inside one flat, pointer-free backing slice,
 // carved out on the set's first Fill. Building (and flushing) a large,
 // mostly untouched level therefore costs the int32 directory only, not
-// SizeBytes/LineBytes lines of zeroed backing — and the GC never scans
+// SizeBytes/LineBytes lines of zeroed backing, and the GC never scans
 // per-set slice headers.
 type Cache struct {
 	cfg      Config
-	setOff   []int32 // per set: 1 + backing offset of its ways; 0 = untouched
-	backing  []line  // way arrays of touched sets, in first-touch order
+	setOff   []int32 // per set: 1 + backing index of its record; 0 = untouched
+	backing  []set   // records of touched sets, in first-touch order
 	setMask  uint64
 	lineBits uint
 	setShift uint
+	lruShift uint // bit offset of the least recently used way in set.order
 	secBytes int
 	hitLat   int
-	clock    uint64
 	Stats    Stats
 }
 
@@ -84,61 +123,43 @@ func New(cfg Config) *Cache {
 	if nSets&(nSets-1) != 0 {
 		panic(fmt.Sprintf("cache: %s set count %d not a power of two", cfg.Name, nSets))
 	}
-	lineBits := uint(0)
-	for 1<<lineBits < cfg.LineBytes {
-		lineBits++
-	}
-	setShift := uint(0)
-	for 1<<setShift < nSets {
-		setShift++
-	}
 	return &Cache{
 		cfg:      cfg,
 		setOff:   make([]int32, nSets),
 		setMask:  uint64(nSets - 1),
-		lineBits: lineBits,
-		setShift: setShift,
+		lineBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		setShift: uint(bits.TrailingZeros(uint(nSets))),
+		lruShift: 8 * uint(cfg.Ways-1),
 		secBytes: cfg.LineBytes / cfg.Sectors,
 		hitLat:   cfg.HitLatency,
 	}
 }
 
-// peek returns set idx's way array, or nil while the set is untouched.
-func (c *Cache) peek(idx int) []line {
+// peek returns set idx's record, or nil while the set is untouched.
+func (c *Cache) peek(idx int) *set {
 	off := c.setOff[idx]
 	if off == 0 {
 		return nil
 	}
-	b := int(off - 1)
-	return c.backing[b : b+c.cfg.Ways]
+	return &c.backing[off-1]
 }
 
-// set returns set idx's way array, carving it from the backing on first use.
-func (c *Cache) set(idx int) []line {
+// set returns set idx's record, carving it from the backing on first use.
+func (c *Cache) set(idx int) *set {
 	if s := c.peek(idx); s != nil {
 		return s
 	}
-	w := c.cfg.Ways
-	base := len(c.backing)
-	if cap(c.backing)-base < w {
-		newCap := 4 * cap(c.backing)
-		if min := base + w; newCap < min {
-			newCap = min
-		}
-		if newCap < 64*w {
-			newCap = 64 * w
-		}
-		nb := make([]line, base, newCap)
+	n := len(c.backing)
+	if n == cap(c.backing) {
+		nb := make([]set, n, min(max(4*n, 64), len(c.setOff)))
 		copy(nb, c.backing)
 		c.backing = nb
 	}
-	c.backing = c.backing[:base+w]
-	s := c.backing[base : base+w]
-	// InvalidateAll retracts len but keeps cap, so re-exposed lines may hold
-	// stale state.
-	clear(s)
-	c.setOff[idx] = int32(base) + 1
-	return s
+	// Append a whole fresh record: InvalidateAll retracts len but keeps
+	// cap, so a re-exposed slot may hold stale state.
+	c.backing = append(c.backing, set{order: freshOrder})
+	c.setOff[idx] = int32(n) + 1
+	return &c.backing[n]
 }
 
 // Config returns the level configuration.
@@ -147,11 +168,21 @@ func (c *Cache) Config() Config { return c.cfg }
 // SectorBytes returns the sector granularity.
 func (c *Cache) SectorBytes() int { return c.secBytes }
 
-func (c *Cache) setBits() uint { return c.setShift }
-
-func (c *Cache) locate(addr uint64) (setIdx int, tag uint64) {
+// locate splits addr into its set index and tag. Tags are 32 bits wide,
+// which covers addresses below 2^(32+lineBits+setBits).
+func (c *Cache) locate(addr uint64) (setIdx int, tag uint32) {
 	lineAddr := addr >> c.lineBits
-	return int(lineAddr & c.setMask), lineAddr >> c.setBits()
+	t := lineAddr >> c.setShift
+	if t>>32 != 0 {
+		panic(fmt.Sprintf("cache: %s: address %#x exceeds the 32-bit tag", c.cfg.Name, addr))
+	}
+	return int(lineAddr & c.setMask), uint32(t)
+}
+
+// lineAddrOf rebuilds the address of the line with the given tag in set
+// setIdx.
+func (c *Cache) lineAddrOf(tag uint32, setIdx int) uint64 {
+	return (uint64(tag)<<c.setShift | uint64(setIdx)) << c.lineBits
 }
 
 func (c *Cache) sectorOf(addr uint64) int {
@@ -163,11 +194,7 @@ func (c *Cache) sectorOf(addr uint64) int {
 func (c *Cache) sectorMask(addr uint64, size int) uint64 {
 	first := c.sectorOf(addr)
 	last := c.sectorOf(addr + uint64(size) - 1)
-	var m uint64
-	for s := first; s <= last; s++ {
-		m |= 1 << s
-	}
-	return m
+	return 1<<(last+1) - 1<<first
 }
 
 // Outcome classifies one access at this level.
@@ -187,35 +214,62 @@ type Eviction struct {
 	Sectored bool
 }
 
+// probe is one lookup of a line: its set, its tag and the way holding it
+// (-1 when the line is absent). A probe stays valid until the level's set
+// changes, so Hierarchy.Access fills a missed level through the probe it
+// took on the way down instead of locating and scanning the set again.
+type probe struct {
+	idx int
+	tag uint32
+	way int
+}
+
+// lookup locates addr's line.
+func (c *Cache) lookup(addr uint64) probe {
+	idx, tag := c.locate(addr)
+	p := probe{idx: idx, tag: tag, way: -1}
+	if s := c.peek(idx); s != nil {
+		for w := 0; w < c.cfg.Ways; w++ {
+			if s.valid[w] != 0 && s.tag[w] == tag {
+				p.way = w
+				break
+			}
+		}
+	}
+	return p
+}
+
 // Access probes the level for [addr, addr+size). On a line miss the caller
 // must Fill before the data is usable; on a sector miss the line exists but
 // the touched sectors are invalid. Write hits mark sectors dirty.
 func (c *Cache) Access(addr uint64, size int, write bool) Outcome {
+	_, out := c.access(addr, size, write)
+	return out
+}
+
+// access is Access returning its probe as well.
+func (c *Cache) access(addr uint64, size int, write bool) (probe, Outcome) {
 	if size <= 0 || uint64(size) > uint64(c.cfg.LineBytes)-(addr&(1<<c.lineBits-1)) {
 		panic(fmt.Sprintf("cache: access [%x,+%d) crosses a line boundary", addr, size))
 	}
-	setIdx, tag := c.locate(addr)
-	mask := c.sectorMask(addr, size)
-	c.clock++
-	set := c.peek(setIdx)
-	for i := range set {
-		ln := &set[i]
-		if ln.valid != 0 && ln.tag == tag {
-			if ln.valid&mask == mask {
-				ln.lru = c.clock
-				if write {
-					ln.dirty |= mask
-				}
-				c.Stats.Hits++
-				return Hit
-			}
-			c.Stats.SectorMisses++
-			c.Stats.Misses++
-			return SectorMiss
-		}
+	p := c.lookup(addr)
+	if p.way < 0 {
+		c.Stats.Misses++
+		return p, LineMiss
 	}
-	c.Stats.Misses++
-	return LineMiss
+	s := c.peek(p.idx)
+	mask := uint8(c.sectorMask(addr, size))
+	if s.valid[p.way]&mask != mask {
+		c.Stats.SectorMisses++
+		c.Stats.Misses++
+		return p, SectorMiss
+	}
+	c.Stats.Hits++
+	s.touch(p.way)
+	if write {
+		s.dirty[p.way] |= mask
+	}
+	return p, Hit
 }
 
 // Fill installs (or widens) the line containing addr with the given sector
@@ -223,53 +277,52 @@ func (c *Cache) Access(addr uint64, size int, write bool) Outcome {
 // the filled sectors dirty (write-allocate); sectored tags the line as
 // strided-filled.
 func (c *Cache) Fill(addr uint64, sectors uint64, markDirty, sectored bool) (ev Eviction, evicted bool) {
-	setIdx, tag := c.locate(addr)
-	c.clock++
-	set := c.set(setIdx)
-	// One pass: widen an existing line if present, otherwise remember the
-	// victim (first invalid way, else LRU).
-	victim, invalid := 0, -1
-	for i := range set {
-		ln := &set[i]
-		if ln.valid == 0 {
-			if invalid < 0 {
-				invalid = i
-			}
-			continue
-		}
-		if ln.tag == tag {
-			ln.valid |= sectors
-			if markDirty {
-				ln.dirty |= sectors
-			}
-			ln.sectored = ln.sectored || sectored
-			ln.lru = c.clock
-			return Eviction{}, false
-		}
-		if ln.lru < set[victim].lru {
-			victim = i
-		}
+	return c.fill(c.lookup(addr), sectors, markDirty, sectored)
+}
+
+// fill is Fill through a probe of the line: it widens the way the probe
+// found, or else replaces the set's first invalid way, else its least
+// recently used one.
+func (c *Cache) fill(p probe, sectors uint64, markDirty, sectored bool) (ev Eviction, evicted bool) {
+	if sectors>>c.cfg.Sectors != 0 {
+		panic(fmt.Sprintf("cache: %s: sector bitmap %#x exceeds %d sectors", c.cfg.Name, sectors, c.cfg.Sectors))
 	}
-	if invalid >= 0 {
-		victim = invalid
+	sec := uint8(sectors)
+	var dirty uint8
+	if markDirty {
+		dirty = sec
 	}
-	ln := &set[victim]
-	if ln.valid != 0 {
+	var strided uint8
+	if sectored {
+		strided = 1
+	}
+	s := c.set(p.idx)
+	w := p.way
+	if w >= 0 {
+		s.valid[w] |= sec
+		s.dirty[w] |= dirty
+		s.sectored |= strided << w
+		s.touch(w)
+		return Eviction{}, false
+	}
+	w = c.victim(s)
+	if s.valid[w] != 0 {
 		c.Stats.Evictions++
-		if ln.dirty != 0 {
+		if s.dirty[w] != 0 {
 			c.Stats.DirtyEvictions++
 		}
 		ev = Eviction{
-			LineAddr: ((ln.tag<<c.setBits() | uint64(setIdx)) << c.lineBits),
-			Dirty:    ln.dirty,
-			Sectored: ln.sectored,
+			LineAddr: c.lineAddrOf(s.tag[w], p.idx),
+			Dirty:    uint64(s.dirty[w]),
+			Sectored: s.sectored>>w&1 != 0,
 		}
-		evicted = ln.dirty != 0
+		evicted = s.dirty[w] != 0
 	}
-	*ln = line{tag: tag, valid: sectors, lru: c.clock, sectored: sectored}
-	if markDirty {
-		ln.dirty = sectors
-	}
+	s.tag[w] = p.tag
+	s.valid[w] = sec
+	s.dirty[w] = dirty
+	s.sectored = s.sectored&^(1<<w) | strided<<w
+	s.touch(w)
 	c.Stats.FillsFromBelow++
 	if sectored {
 		c.Stats.StridedLineInserts++
@@ -277,19 +330,26 @@ func (c *Cache) Fill(addr uint64, sectors uint64, markDirty, sectored bool) (ev 
 	return ev, evicted
 }
 
+// victim picks the way a fill replaces: the first invalid way, else the
+// least recently used.
+func (c *Cache) victim(s *set) int {
+	for w := 0; w < c.cfg.Ways; w++ {
+		if s.valid[w] == 0 {
+			return w
+		}
+	}
+	return int(s.order >> c.lruShift & 0xff)
+}
+
 // Contains reports whether the full sector mask for [addr,addr+size) is
 // resident and valid.
 func (c *Cache) Contains(addr uint64, size int) bool {
-	setIdx, tag := c.locate(addr)
-	mask := c.sectorMask(addr, size)
-	set := c.peek(setIdx)
-	for i := range set {
-		ln := &set[i]
-		if ln.valid != 0 && ln.tag == tag {
-			return ln.valid&mask == mask
-		}
+	p := c.lookup(addr)
+	if p.way < 0 {
+		return false
 	}
-	return false
+	mask := uint8(c.sectorMask(addr, size))
+	return c.peek(p.idx).valid[p.way]&mask == mask
 }
 
 // InvalidateAll clears the cache (used between experiment phases): every

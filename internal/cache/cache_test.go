@@ -18,6 +18,9 @@ func TestConfigValidation(t *testing.T) {
 		{SizeBytes: 4096, LineBytes: 64, Ways: 3, Sectors: 1},
 		{SizeBytes: 4096, LineBytes: 64, Ways: 4, Sectors: 7},
 		{SizeBytes: 4096, LineBytes: 64, Ways: 4, Sectors: 128},
+		{SizeBytes: 6144, LineBytes: 96, Ways: 4, Sectors: 1},
+		{SizeBytes: 4096, LineBytes: 64, Ways: 16, Sectors: 1},
+		{SizeBytes: 4096, LineBytes: 64, Ways: 4, Sectors: 16},
 	}
 	for i, cfg := range bad {
 		if cfg.Validate() == nil {
@@ -27,6 +30,30 @@ func TestConfigValidation(t *testing.T) {
 	good := Config{Name: "L1", SizeBytes: 32 << 10, LineBytes: 64, Ways: 8, Sectors: 4, HitLatency: 4}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good config rejected: %v", err)
+	}
+}
+
+// TestOutOfRangePanics pins the set record's limits: an address whose tag
+// needs more than 32 bits, or a sector bitmap wider than the line, must
+// panic rather than alias or truncate.
+func TestOutOfRangePanics(t *testing.T) {
+	c := smallCache(4) // 64B lines, 16 sets: 10 bits below the tag
+	c.Fill(1<<42-64, 0b1111, false, false)
+	if !c.Contains(1<<42-64, 8) {
+		t.Fatal("line with the widest tag not resident")
+	}
+	for name, f := range map[string]func(){
+		"tag":     func() { c.Access(1<<42, 8, false) },
+		"sectors": func() { c.Fill(0x1000, 0b10000, false, true) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("out-of-range input accepted")
+				}
+			}()
+			f()
+		})
 	}
 }
 

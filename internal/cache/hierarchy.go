@@ -22,7 +22,7 @@ type AccessResult struct {
 	// is added by the simulator from the controller's completion).
 	Latency int
 	// MemOps lists line fills and writebacks that must go to memory. It is
-	// the hierarchy's scratch: valid until the next Access or FillLine.
+	// the hierarchy's scratch: valid until the next hierarchy call.
 	MemOps []MemOp
 }
 
@@ -32,13 +32,13 @@ type AccessResult struct {
 // level, to memory.
 type Hierarchy struct {
 	levels []*Cache // levels[0] = L1, last = LLC (possibly shared)
-	// flushSeen is the dedup scratch for FlushDirty, owned by the
-	// hierarchy and cleared per call instead of reallocated — the access
-	// path is single-threaded per engine.
-	flushSeen map[uint64]bool
-	// ops backs every AccessResult.MemOps and FillLine result. Callers
-	// consume each op list before the next call, so one buffer serves all
-	// of them and the access path does not allocate.
+	// probes holds each level's lookup from the current Access, so the
+	// fills after a miss reuse it.
+	probes []probe
+	// ops backs every op list the hierarchy returns (AccessResult.MemOps,
+	// FillLine, FlushDirty). Callers consume each list before the next
+	// call, so one buffer serves all of them and the access path does not
+	// allocate.
 	ops []MemOp
 }
 
@@ -54,7 +54,7 @@ func NewHierarchy(levels ...*Cache) *Hierarchy {
 			panic(fmt.Sprintf("cache: mixed line sizes %d vs %d", l.Config().LineBytes, lb))
 		}
 	}
-	return &Hierarchy{levels: levels}
+	return &Hierarchy{levels: levels, probes: make([]probe, len(levels))}
 }
 
 // Levels returns the number of levels.
@@ -69,150 +69,137 @@ func (h *Hierarchy) LLC() *Cache { return h.levels[len(h.levels)-1] }
 // Access performs a demand access of size bytes at addr. Regular accesses
 // fill whole lines; pass sectored=true for strided data, which fills only
 // the touched sectors (the sector-cache behaviour of Section 5.1).
+//
+// Every missed level is filled through the probe it took on the way down.
+// The levels fill bottom-up and a fill only pushes evictions further down,
+// so a level's set is unchanged between its probe and its fill.
 func (h *Hierarchy) Access(addr uint64, size int, write, sectored bool) AccessResult {
 	res := AccessResult{MemOps: h.ops[:0]}
-	hitAt := 0
+	fillFrom := len(h.levels) - 1 // deepest missed level
 	for i, lvl := range h.levels {
 		res.Latency += lvl.hitLat
-		switch lvl.Access(addr, size, write) {
-		case Hit:
-			hitAt = i + 1
-		case SectorMiss, LineMiss:
-			continue
+		var out Outcome
+		h.probes[i], out = lvl.access(addr, size, write)
+		if out == Hit {
+			res.HitLevel = i + 1
+			fillFrom = i - 1
+			break
 		}
-		break
 	}
-	res.HitLevel = hitAt
-
-	if hitAt == 0 {
+	if res.HitLevel == 0 {
 		// Miss everywhere: fetch from memory and allocate in every level.
 		llc := h.LLC()
-		var sectors uint64
-		if sectored {
-			sectors = llc.sectorMask(addr, size)
-		} else {
-			sectors = llc.FullSectorMask()
-		}
-		res.MemOps = append(res.MemOps, MemOp{Addr: llc.lineAddr(addr), Sectors: sectors, Sectored: sectored})
-		h.fillAll(addr, sectored, write, size, &res)
-	} else {
-		// Hit at a lower level: allocate upward into the missed upper levels.
-		for i := hitAt - 2; i >= 0; i-- {
-			h.fillLevel(i, addr, sectored, write, size, &res)
-		}
+		res.MemOps = append(res.MemOps, MemOp{Addr: llc.lineAddr(addr), Sectors: accessSectors(llc, addr, size, sectored), Sectored: sectored})
+	}
+	for i := fillFrom; i >= 0; i-- {
+		h.fillLevel(i, h.probes[i], accessSectors(h.levels[i], addr, size, sectored), write, sectored, &res)
 	}
 	h.ops = res.MemOps[:0]
 	return res
 }
 
-// fillAll allocates the accessed data into every level, collecting
-// writebacks.
-func (h *Hierarchy) fillAll(addr uint64, sectored, write bool, size int, res *AccessResult) {
-	for i := len(h.levels) - 1; i >= 0; i-- {
-		h.fillLevel(i, addr, sectored, write, size, res)
-	}
-}
-
-func (h *Hierarchy) fillLevel(i int, addr uint64, sectored, write bool, size int, res *AccessResult) {
-	lvl := h.levels[i]
-	var sectors uint64
+// accessSectors is the sector bitmap an access fills at level c: the
+// touched sectors for strided data, the whole line otherwise.
+func accessSectors(c *Cache, addr uint64, size int, sectored bool) uint64 {
 	if sectored {
-		sectors = lvl.sectorMask(addr, size)
-	} else {
-		sectors = lvl.FullSectorMask()
+		return c.sectorMask(addr, size)
 	}
-	h.fillLevelSectors(i, addr, sectors, write, sectored, res)
+	return c.FullSectorMask()
 }
 
 // FillLine installs the given sectors of a line into every level without a
 // demand access — the sibling fills of a strided fetch, which brings the
 // same-offset sector of Reach lines in one burst. It returns any memory
 // writebacks the allocations displaced, in the hierarchy's scratch (valid
-// until the next Access or FillLine).
+// until the next hierarchy call).
 func (h *Hierarchy) FillLine(addr uint64, sectors uint64, sectored bool) []MemOp {
 	res := AccessResult{MemOps: h.ops[:0]}
 	for i := len(h.levels) - 1; i >= 0; i-- {
-		h.fillLevelSectors(i, addr, sectors, false, sectored, &res)
+		h.fillLevel(i, h.levels[i].lookup(addr), sectors, false, sectored, &res)
 	}
 	h.ops = res.MemOps[:0]
 	return res.MemOps
 }
 
-func (h *Hierarchy) fillLevelSectors(i int, addr uint64, sectors uint64, write, sectored bool, res *AccessResult) {
+// fillLevel fills level i through probe p and writes a dirty victim back
+// down the hierarchy.
+func (h *Hierarchy) fillLevel(i int, p probe, sectors uint64, write, sectored bool, res *AccessResult) {
 	lvl := h.levels[i]
-	ev, dirty := lvl.Fill(addr, sectors, write, sectored)
-	if !dirty {
-		return
-	}
-	lvl.Stats.WritebacksToBelow++
-	if i == len(h.levels)-1 {
-		res.MemOps = append(res.MemOps, MemOp{Addr: ev.LineAddr, IsWrite: true, Sectors: ev.Dirty, Sectored: ev.Sectored})
-		return
-	}
-	// Push the dirty line into the next level down.
-	below := h.levels[i+1]
-	ev2, dirty2 := below.Fill(ev.LineAddr, ev.Dirty, true, ev.Sectored)
-	if dirty2 {
-		below.Stats.WritebacksToBelow++
-		if i+1 == len(h.levels)-1 {
-			res.MemOps = append(res.MemOps, MemOp{Addr: ev2.LineAddr, IsWrite: true, Sectors: ev2.Dirty, Sectored: ev2.Sectored})
-		} else {
-			// Deeper cascades are rare with growing level sizes; recurse.
-			h.pushDown(i+2, ev2, res)
-		}
+	ev, dirty := lvl.fill(p, sectors, write, sectored)
+	if dirty {
+		lvl.Stats.WritebacksToBelow++
+		h.pushDown(i+1, ev, res)
 	}
 }
 
+// pushDown writes a dirty eviction into level i; past the last level it
+// becomes a memory writeback.
 func (h *Hierarchy) pushDown(i int, ev Eviction, res *AccessResult) {
-	if i >= len(h.levels) {
+	if i == len(h.levels) {
 		res.MemOps = append(res.MemOps, MemOp{Addr: ev.LineAddr, IsWrite: true, Sectors: ev.Dirty, Sectored: ev.Sectored})
 		return
 	}
-	ev2, dirty := h.levels[i].Fill(ev.LineAddr, ev.Dirty, true, ev.Sectored)
-	if dirty {
-		h.levels[i].Stats.WritebacksToBelow++
-		h.pushDown(i+1, ev2, res)
-	}
+	h.fillLevel(i, h.levels[i].lookup(ev.LineAddr), ev.Dirty, true, ev.Sectored, res)
 }
 
 // FlushDirty writes every dirty line in every level back to memory,
 // returning the writeback ops (used at end of a workload phase so write
-// traffic is fully accounted).
+// traffic is fully accounted). The last level's lines come first, then
+// each level above it, each in set-index order (not backing/touch order),
+// so the op sequence, which feeds the memory system, is independent of
+// the sets' first-touch history. A line dirty in several levels is written
+// once, from the deepest of them: tag-only modeling makes the copies
+// equivalent. Like AccessResult.MemOps, the list lives in the hierarchy's
+// scratch and is valid until the next hierarchy call.
 func (h *Hierarchy) FlushDirty() []MemOp {
-	var ops []MemOp
+	n := 0
+	for _, lvl := range h.levels {
+		lvl.forDirty(func(*set, int, int) { n++ })
+	}
+	ops := h.ops[:0]
+	if cap(ops) < n {
+		ops = make([]MemOp, 0, n)
+	}
 	for li := len(h.levels) - 1; li >= 0; li-- {
 		lvl := h.levels[li]
-		// Walk the directory in set-index order (not backing/touch order)
-		// so the writeback op sequence — which feeds the memory system —
-		// is independent of the sets' first-touch history.
-		for s := range lvl.setOff {
-			set := lvl.peek(s)
-			for w := range set {
-				ln := &set[w]
-				if ln.valid != 0 && ln.dirty != 0 {
-					addr := (ln.tag<<lvl.setBits() | uint64(s)) << lvl.lineBits
-					ops = append(ops, MemOp{Addr: addr, IsWrite: true, Sectors: ln.dirty, Sectored: ln.sectored})
-					ln.dirty = 0
+		lvl.forDirty(func(s *set, idx, w int) {
+			addr := lvl.lineAddrOf(s.tag[w], idx)
+			for _, below := range h.levels[li+1:] {
+				if below.dirtyLine(addr) {
+					return
 				}
+			}
+			ops = append(ops, MemOp{Addr: addr, IsWrite: true, Sectors: uint64(s.dirty[w]), Sectored: s.sectored>>w&1 != 0})
+		})
+	}
+	for _, lvl := range h.levels {
+		lvl.forDirty(func(s *set, _, w int) { s.dirty[w] = 0 })
+	}
+	h.ops = ops[:0]
+	return ops
+}
+
+// forDirty calls f for every valid way with dirty sectors, in set-index
+// then way order.
+func (c *Cache) forDirty(f func(s *set, idx, w int)) {
+	for idx, off := range c.setOff {
+		if off == 0 {
+			continue
+		}
+		s := &c.backing[off-1]
+		for w := 0; w < c.cfg.Ways; w++ {
+			if s.valid[w] != 0 && s.dirty[w] != 0 {
+				f(s, idx, w)
 			}
 		}
 	}
-	// Deduplicate lines dirty in several levels (upper level is newest, but
-	// tag-only modeling makes them equivalent; keep the first occurrence).
-	if h.flushSeen == nil {
-		h.flushSeen = make(map[uint64]bool, len(ops))
-	} else {
-		clear(h.flushSeen)
-	}
-	seen := h.flushSeen
-	out := ops[:0]
-	for _, op := range ops {
-		if !seen[op.Addr] {
-			seen[op.Addr] = true
-			out = append(out, op)
-		}
-	}
-	return out
+}
+
+// dirtyLine reports whether the line at addr is resident with dirty
+// sectors.
+func (c *Cache) dirtyLine(addr uint64) bool {
+	p := c.lookup(addr)
+	return p.way >= 0 && c.peek(p.idx).dirty[p.way] != 0
 }
 
 // InvalidateAll clears every level.

@@ -60,11 +60,9 @@ func NewMDA(sizeBytes, lineBytes, ways, sectorBytes, reach, hitLatency int) *MDA
 func (m *MDA) colLineAddr(addr uint64) uint64 {
 	group := addr / (uint64(m.lineBytes) * uint64(m.reach))
 	sector := (addr % uint64(m.lineBytes)) / uint64(m.sectorBytes)
-	// Column lines live in their own tag space; fold group and sector into
-	// a line-aligned address with a high marker bit to avoid aliasing the
-	// row view's tags (both caches are separate anyway; the marker keeps
-	// diagnostics unambiguous).
-	return (1<<62 | group*uint64(m.lineBytes)*16 + sector*uint64(m.lineBytes))
+	// Column lines live in their own cache (cols), so this address never
+	// meets a row-view tag.
+	return group*uint64(m.lineBytes)*16 + sector*uint64(m.lineBytes)
 }
 
 // AccessStrided probes the column view for a strided access; on a miss the
@@ -143,13 +141,12 @@ func (m *MDA) coherenceInvalidateRow(addr uint64) {
 // invalidateLine drops one line (no writeback — MDA coherence is modeled
 // as invalidate-on-write; a production design would forward dirty data).
 func (c *Cache) invalidateLine(addr uint64) {
-	setIdx, tag := c.locate(addr)
-	set := c.peek(setIdx)
-	for i := range set {
-		ln := &set[i]
-		if ln.valid != 0 && ln.tag == tag {
-			*ln = line{}
-			return
-		}
+	p := c.lookup(addr)
+	if p.way < 0 {
+		return
 	}
+	s := c.peek(p.idx)
+	s.valid[p.way] = 0
+	s.dirty[p.way] = 0
+	s.sectored &^= 1 << p.way
 }

@@ -4,8 +4,9 @@
 #  1. The exact-zero pins: every *ZeroAllocs* test (internal/ecc codec
 #     Into paths, internal/mc fault-enabled and traced service loops,
 #     internal/runner's nil-observer sweep fast path, internal/sim's warm
-#     strided-field and record reads) asserts flat steady-state allocation
-#     via testing.AllocsPerRun.
+#     strided-field and record reads, internal/cache's warm hierarchy
+#     accesses, sibling fills and flushes) asserts flat steady-state
+#     allocation via testing.AllocsPerRun.
 #  2. The budget file (scripts/alloc_budget.txt): end-to-end benchmarks
 #     whose allocs/op must stay under a committed ceiling. These cover
 #     the per-run construction cost the pins deliberately exclude.
@@ -19,7 +20,7 @@ cd "$(dirname "$0")/.."
 BUDGET="${1:-scripts/alloc_budget.txt}"
 
 echo "== zero-allocation pins =="
-go test -run 'ZeroAllocs' -count=1 ./internal/ecc ./internal/mc ./internal/runner ./internal/sim
+go test -run 'ZeroAllocs' -count=1 ./internal/cache ./internal/ecc ./internal/mc ./internal/runner ./internal/sim
 
 echo "== allocation budgets ($BUDGET) =="
 fail=0
