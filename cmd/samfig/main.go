@@ -23,8 +23,6 @@ import (
 	"strings"
 
 	"sam/internal/core"
-	"sam/internal/design"
-	"sam/internal/etrace"
 	"sam/internal/memo"
 	"sam/internal/obs"
 	"sam/internal/prof"
@@ -64,11 +62,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persist memoized run results in this directory (warm re-runs skip simulation)")
 	noCache := flag.Bool("no-cache", false, "disable run memoization entirely (overrides -cache-dir)")
 	relOut := flag.String("reliability-out", "", "write the reliability campaign summary as JSON to this file")
-	traceOut := flag.String("trace-out", "", "write a side-by-side Chrome/Perfetto event trace of -trace-design vs the baseline, then exit (skips -exp)")
-	traceBench := flag.String("trace-bench", "Q3", "benchmark query to trace with -trace-out")
-	traceDesign := flag.String("trace-design", "SAM-en", "design to trace against the baseline")
-	traceWindow := flag.Int64("trace-window", 2048, "sampling window for the trace time series (bus cycles)")
-	traceLimit := flag.Int("trace-limit", etrace.DefaultCapacity, "event-ring capacity per design; oldest events drop beyond this")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
@@ -108,13 +101,6 @@ func main() {
 			fail(err)
 		}
 	}()
-
-	if *traceOut != "" {
-		if err := runTraced(w, *traceDesign, *traceBench, *traceOut, *traceWindow, *traceLimit); err != nil {
-			fail(err)
-		}
-		return
-	}
 
 	// One memo cache is shared across every figure and sweep of the
 	// invocation, so `-exp all` simulates each distinct (design, workload,
@@ -389,69 +375,4 @@ func main() {
 	if cache != nil {
 		fmt.Fprintf(os.Stderr, "samfig: memo: %v\n", cache.Counters())
 	}
-}
-
-// runTraced runs one benchmark query on the baseline and on the chosen
-// design with cycle-accurate event tracing attached, and writes both
-// timelines into a single Chrome/Perfetto JSON (each design becomes its own
-// process group) — the side-by-side view the tracing docs walk through.
-func runTraced(w core.Workload, designName, benchName, out string, window int64, limit int) error {
-	var q core.BenchQuery
-	found := false
-	for _, b := range core.Benchmark() {
-		if b.Name == benchName {
-			q, found = b, true
-			break
-		}
-	}
-	if !found {
-		return fmt.Errorf("unknown benchmark query %q", benchName)
-	}
-	var kind design.Kind
-	found = false
-	for _, k := range append([]design.Kind{design.Baseline, design.Ideal}, design.AllEvaluated()...) {
-		if k.String() == designName {
-			kind, found = k, true
-			break
-		}
-	}
-	if !found {
-		return fmt.Errorf("unknown design %q", designName)
-	}
-	kinds := []design.Kind{design.Baseline}
-	if kind != design.Baseline {
-		kinds = append(kinds, kind)
-	}
-	var bufs []*etrace.Buffer
-	var sps []*etrace.Sampler
-	for _, k := range kinds {
-		colStore := k == design.Ideal && q.Class == core.ClassQ
-		s := core.NewSystem(k, design.Options{}, w, colStore)
-		buf := etrace.NewBuffer(limit)
-		buf.Name = k.String()
-		sp := etrace.NewSampler(window)
-		sp.Name = k.String()
-		s.AttachEventTrace(buf, sp)
-		r, err := core.RunOn(s, q)
-		if err != nil {
-			return fmt.Errorf("%v: %w", k, err)
-		}
-		fmt.Printf("%-10s %s: %d cycles, %d events (%d dropped), %d samples\n",
-			k, q.Name, r.Stats.Cycles, buf.Len(), buf.Dropped(), len(sp.Samples))
-		bufs = append(bufs, buf)
-		sps = append(sps, sp)
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	if err := etrace.WriteChrome(f, bufs, sps); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("event trace -> %s\n", out)
-	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -23,7 +24,6 @@ import (
 	"sam/internal/design"
 	"sam/internal/etrace"
 	"sam/internal/fault"
-	"sam/internal/imdb"
 	"sam/internal/mc"
 	"sam/internal/obs"
 	"sam/internal/prof"
@@ -34,13 +34,6 @@ import (
 	"sam/internal/trace"
 )
 
-func kindByName(name string) (design.Kind, error) {
-	if k, ok := core.KindByName(name); ok {
-		return k, nil
-	}
-	return 0, fmt.Errorf("unknown design %q (try %s)", name, strings.Join(core.KindNames(), ", "))
-}
-
 func main() {
 	designName := flag.String("design", "SAM-en", "memory design to simulate")
 	query := flag.String("query", "", "SQL query text (Table 3 dialect)")
@@ -49,18 +42,16 @@ func main() {
 	tbRecords := flag.Int("tb", 0, "records in Tb (0 = default)")
 	compare := flag.Bool("compare", false, "also run the baseline and report speedup")
 	workers := flag.Int("workers", 0, "max parallel simulations for -compare (0 = GOMAXPROCS)")
-	faultChip := flag.Int("faultchip", -1, "inject a dead chip at this index on every rank (chipkill study)")
 	faultRate := flag.Float64("fault-rate", 0, "per-burst transient fault probability (0..1)")
 	faultSeed := flag.Uint64("fault-seed", 0, "fault-injection seed (0 = workload seed)")
 	faultChips := flag.String("fault-chips", "", "comma-separated dead-chip indices, each as chip or rank:chip (-1 rank = all)")
 	faultStuck := flag.String("fault-stuck", "", "comma-separated stuck DQ lines, each as chip:dq:value (value 0 or 1)")
 	faultRetries := flag.Int("fault-retries", mc.DefaultConfig().MaxRetries, "read-retry budget before poisoning (0 = poison on first DUE)")
-	shardWorkers := flag.Int("shard-workers", 0, "run-engine event-domain workers: 0 = auto (min(channels, GOMAXPROCS)), 1 = serial, >=2 = force sharding")
 	traceOut := flag.String("trace", "", "dump the memory request trace to this file")
-	eventOut := flag.String("trace-out", "", "write a cycle-accurate Chrome/Perfetto trace-event JSON to this file")
+	eventOut := flag.String("trace-out", "", "write a cycle-accurate Chrome/Perfetto trace-event JSON to this file (with -compare, the baseline and the design side by side)")
 	traceCSV := flag.String("trace-csv", "", "write the windowed time-series samples as CSV to this file")
 	traceWindow := flag.Int64("trace-window", 2048, "sampling window for the trace time series (bus cycles)")
-	traceLimit := flag.Int("trace-limit", etrace.DefaultCapacity, "event-ring capacity; oldest events drop beyond this")
+	traceLimit := flag.Int("trace-limit", etrace.DefaultCapacity, "event-ring capacity per design; oldest events drop beyond this")
 	statsJSON := flag.String("stats-json", "", "write the full run report as JSON to this file ('-' for stdout)")
 	cacheDir := flag.String("cache-dir", "", "persist memoized run results in this directory (warm re-runs skip simulation)")
 	noCache := flag.Bool("no-cache", false, "disable run memoization entirely (overrides -cache-dir)")
@@ -92,9 +83,9 @@ func main() {
 		}
 	}()
 
-	kind, err := kindByName(*designName)
-	if err != nil {
-		fail(err)
+	kind, ok := core.KindByName(*designName)
+	if !ok {
+		fail(fmt.Errorf("unknown design %q (try %s)", *designName, strings.Join(core.KindNames(), ", ")))
 	}
 	w := core.DefaultWorkload()
 	if *taRecords > 0 {
@@ -107,14 +98,7 @@ func main() {
 	var bench core.BenchQuery
 	switch {
 	case *benchName != "":
-		found := false
-		for _, q := range core.Benchmark() {
-			if q.Name == *benchName {
-				bench, found = q, true
-				break
-			}
-		}
-		if !found {
+		if bench, ok = core.BenchQueryByName(*benchName); !ok {
 			fail(fmt.Errorf("unknown benchmark query %q", *benchName))
 		}
 	case *query != "":
@@ -123,24 +107,24 @@ func main() {
 		fail(fmt.Errorf("provide -query or -bench"))
 	}
 
-	faults, err := buildFaultModel(*faultChip, *faultRate, *faultSeed, *faultChips, *faultStuck, *faultRetries, w.Seed)
+	faults, err := buildFaultModel(*faultRate, *faultSeed, *faultChips, *faultStuck, *faultRetries, w.Seed)
 	if err != nil {
 		fail(err)
 	}
 
-	// Runs without attached extras route through the memo cache; with
-	// -cache-dir a repeat of the same (design, workload, query) replays
-	// from disk instead of simulating. Hand-built systems (fault models,
-	// tracers, forced sharding) always execute for real.
+	// Untraced runs, faulted or not, go through the memo cache; with
+	// -cache-dir a repeat of the same run replays from disk instead of
+	// simulating.
 	var cache *core.Memo
 	if !*noCache {
 		cache = core.NewMemo(core.MemoOptions{Dir: *cacheDir})
 	}
-	runOne := func(k design.Kind, q core.BenchQuery) (*sim.QueryResult, error) {
-		if cache == nil {
-			return core.RunOne(k, design.Options{}, w, q)
-		}
-		return cache.RunOne(k, design.Options{}, w, q)
+	tr := tracing{requests: *traceOut != "", events: *eventOut != "" || *traceCSV != "", window: *traceWindow, limit: *traceLimit}
+	kinds := []design.Kind{kind}
+	label := "run"
+	if *compare && kind != design.Baseline {
+		kinds = append(kinds, design.Baseline)
+		label = "compare"
 	}
 
 	plane, err = obsFlags.Start(os.Stderr)
@@ -156,99 +140,62 @@ func main() {
 		}
 	}()
 
-	eventTracing := *eventOut != "" || *traceCSV != ""
-	var res, base *sim.QueryResult
-	if faults != nil || *traceOut != "" || eventTracing || *shardWorkers != 0 {
-		// Build the system by hand so the extras can be attached.
-		d := design.New(kind, design.Options{})
-		s := sim.NewSystem(d)
-		s.ShardWorkers = *shardWorkers
-		s.AddTable(imdb.NewTable(imdb.Ta(w.TaRecords), w.Seed), false)
-		s.AddTable(imdb.NewTable(imdb.Tb(w.TbRecords), w.Seed+1), false)
-		if faults != nil {
-			s.Faults = faults
-		}
-		if *traceOut != "" {
-			s.TraceSink = &trace.Trace{}
-		}
-		var buf *etrace.Buffer
-		var sp *etrace.Sampler
-		if eventTracing {
-			buf = etrace.NewBuffer(*traceLimit)
-			buf.Name = kind.String()
-			sp = etrace.NewSampler(*traceWindow)
-			sp.Name = kind.String()
-			s.AttachEventTrace(buf, sp)
-		}
-		params := bench.Params
-		if params == nil {
-			params = sql.Params{}
-		}
-		finish := plane.Single("run")
-		res, err = s.RunQuery(bench.SQL, params)
-		finish(err)
-		if err != nil {
-			fail(err)
-		}
-		if *traceOut != "" {
-			f, ferr := os.Create(*traceOut)
-			if ferr != nil {
-				fail(ferr)
-			}
-			if ferr := s.TraceSink.Write(f); ferr != nil {
-				fail(ferr)
-			}
-			f.Close()
-			fmt.Printf("trace         %d requests -> %s\n", s.TraceSink.Len(), *traceOut)
-		}
-		if *eventOut != "" {
-			if err := writeChromeFile(*eventOut, []*etrace.Buffer{buf}, []*etrace.Sampler{sp}); err != nil {
-				fail(err)
-			}
-			fmt.Printf("event trace   %d events (%d dropped), %d samples -> %s\n",
-				buf.Len(), buf.Dropped(), len(sp.Samples), *eventOut)
-		}
-		if *traceCSV != "" {
-			if err := writeCSVFile(*traceCSV, sp); err != nil {
-				fail(err)
-			}
-			fmt.Printf("trace csv     %d samples (window %d cycles) -> %s\n",
-				len(sp.Samples), sp.Window, *traceCSV)
-		}
-	} else if *compare && kind != design.Baseline {
-		// The design and its baseline are independent runs; fan them out
-		// on the worker pool.
-		runs, rerr := runner.Map(ctx, []design.Kind{kind, design.Baseline},
-			runner.Options{Workers: *workers, Observer: plane.Hooks("compare")},
-			func(_ context.Context, _ int, k design.Kind) (*sim.QueryResult, error) {
-				r, err := runOne(k, bench)
-				if err != nil {
-					return nil, fmt.Errorf("%v: %w", k, err)
-				}
-				return r, nil
-			})
-		if rerr != nil {
-			fail(rerr)
-		}
-		res, base = runs[0], runs[1]
-	} else {
-		finish := plane.Single("run")
-		res, err = runOne(kind, bench)
-		finish(err)
-		if err != nil {
-			fail(err)
-		}
+	// The design and its baseline are independent runs; fan them out on
+	// the worker pool.
+	type result struct {
+		r   *sim.QueryResult
+		rec recording
 	}
-	report(kind.String(), bench, res)
-	if *compare && kind != design.Baseline {
-		if base == nil { // fault/trace path: baseline still to run
-			base, err = runOne(design.Baseline, bench)
-			if err != nil {
-				fail(err)
+	runs, err := runner.Map(ctx, kinds, runner.Options{Workers: *workers, Observer: plane.Hooks(label)},
+		func(_ context.Context, _ int, k design.Kind) (result, error) {
+			t := tr
+			if k != kind {
+				// The baseline is traced only for the side-by-side event trace.
+				t.requests, t.events = false, *eventOut != ""
 			}
-		}
+			r, rec, err := runQuery(cache, k, w, bench, faults, t)
+			if err != nil {
+				return result{}, fmt.Errorf("%v: %w", k, err)
+			}
+			return result{r, rec}, nil
+		})
+	if err != nil {
+		fail(err)
+	}
+	res, rec := runs[0].r, runs[0].rec
+	report(kind.String(), bench, res)
+	if len(runs) > 1 {
+		base := runs[1].r
 		fmt.Printf("\nspeedup vs baseline: %.2fx (baseline %d cycles)\n",
 			sim.Speedup(base.Stats, res.Stats), base.Stats.Cycles)
+	}
+	if *traceOut != "" {
+		if err := writeFile(*traceOut, rec.requests.Write); err != nil {
+			fail(err)
+		}
+		fmt.Printf("trace         %d requests -> %s\n", rec.requests.Len(), *traceOut)
+	}
+	if *eventOut != "" {
+		// One process group per design, the baseline on top.
+		var bufs []*etrace.Buffer
+		var sps []*etrace.Sampler
+		for i := len(runs) - 1; i >= 0; i-- {
+			r := runs[i].rec
+			bufs, sps = append(bufs, r.events), append(sps, r.samples)
+			fmt.Printf("event trace   %s: %d events (%d dropped), %d samples\n",
+				r.events.Name, r.events.Len(), r.events.Dropped(), len(r.samples.Samples))
+		}
+		if err := writeFile(*eventOut, func(f io.Writer) error { return etrace.WriteChrome(f, bufs, sps) }); err != nil {
+			fail(err)
+		}
+		fmt.Printf("event trace   -> %s\n", *eventOut)
+	}
+	if *traceCSV != "" {
+		if err := writeFile(*traceCSV, func(f io.Writer) error { return etrace.WriteCSV(f, rec.samples) }); err != nil {
+			fail(err)
+		}
+		fmt.Printf("trace csv     %d samples (window %d cycles) -> %s\n",
+			len(rec.samples.Samples), rec.samples.Window, *traceCSV)
 	}
 	var memoSnap *stats.Snapshot
 	if cache != nil {
@@ -264,16 +211,54 @@ func main() {
 	}
 }
 
+// tracing selects what a run records; the zero value records nothing.
+type tracing struct {
+	requests bool // the memory request trace (-trace)
+	events   bool // the event ring and windowed sampler (-trace-out, -trace-csv)
+	window   int64
+	limit    int
+}
+
+// recording is what one traced run captured.
+type recording struct {
+	requests *trace.Trace
+	events   *etrace.Buffer
+	samples  *etrace.Sampler
+}
+
+// runQuery executes q on a fresh system of kind. An untraced run goes
+// through the memo cache (a nil cache runs uncached). A traced run builds
+// its own system so the tracers can be attached, with the same store and
+// scan rules, and is never cached. fm, when non-nil, injects faults.
+func runQuery(cache *core.Memo, kind design.Kind, w core.Workload, q core.BenchQuery, fm *sim.FaultModel, tr tracing) (*sim.QueryResult, recording, error) {
+	if !tr.requests && !tr.events {
+		r, _, err := cache.Run(kind, design.Options{}, w, q, fm)
+		return r, recording{}, err
+	}
+	s := core.NewSystem(kind, design.Options{}, w, core.ColumnStore(kind, q))
+	s.Faults = fm
+	var rec recording
+	if tr.requests {
+		rec.requests = &trace.Trace{}
+		s.TraceSink = rec.requests
+	}
+	if tr.events {
+		rec.events = etrace.NewBuffer(tr.limit)
+		rec.events.Name = kind.String()
+		rec.samples = etrace.NewSampler(tr.window)
+		rec.samples.Name = kind.String()
+		s.AttachEventTrace(rec.events, rec.samples)
+	}
+	r, err := core.RunOn(s, q)
+	return r, rec, err
+}
+
 // buildFaultModel assembles the run's fault configuration from the -fault-*
-// flags (nil when no fault option is set). The legacy -faultchip maps to a
-// dead chip on every rank.
-func buildFaultModel(legacyChip int, rate float64, seed uint64, chips, stuck string, retries int, wseed uint64) (*sim.FaultModel, error) {
+// flags (nil when no fault option is set).
+func buildFaultModel(rate float64, seed uint64, chips, stuck string, retries int, wseed uint64) (*sim.FaultModel, error) {
 	cfg := &sim.FaultModel{Seed: seed, Rate: rate, MaxRetries: retries}
 	if cfg.Seed == 0 {
 		cfg.Seed = wseed
-	}
-	if legacyChip >= 0 {
-		cfg.DeadChips = append(cfg.DeadChips, fault.ChipFault{Rank: -1, Chip: legacyChip})
 	}
 	if chips != "" {
 		for _, tok := range strings.Split(chips, ",") {
@@ -327,24 +312,13 @@ func buildFaultModel(legacyChip int, rate float64, seed uint64, chips, stuck str
 	return cfg, nil
 }
 
-func writeChromeFile(path string, bufs []*etrace.Buffer, sps []*etrace.Sampler) error {
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := etrace.WriteChrome(f, bufs, sps); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeCSVFile(path string, sp *etrace.Sampler) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := etrace.WriteCSV(f, sp); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -109,22 +109,28 @@ func NewSystem(kind design.Kind, opts design.Options, w Workload, colStore bool)
 	return s
 }
 
+// ColumnStore reports whether kind runs q on the column store: the Ideal
+// design uses the preferred store per query class, which is the column
+// store for Q-class queries. Every other design is a row store.
+func ColumnStore(kind design.Kind, q BenchQuery) bool {
+	return kind == design.Ideal && q.Class == ClassQ
+}
+
 // RunOne executes one benchmark query on a fresh system of the given kind
 // and returns its result. The Ideal design automatically uses the
 // preferred store for the query class, and Qs-class queries execute with
 // row-preferring full-record scans.
 func RunOne(kind design.Kind, opts design.Options, w Workload, q BenchQuery) (*sim.QueryResult, error) {
-	colStore := kind == design.Ideal && q.Class == ClassQ
-	return RunOn(NewSystem(kind, opts, w, colStore), q)
+	return RunOneFaulted(kind, opts, w, q, nil)
 }
 
 // RunOneFaulted is RunOne with fault injection attached: every data burst
 // of the run is adjudicated through the design's chipkill codec with faults
-// drawn from fm. The throughput benchmarks use it to measure the price of a
-// live fault plane against the fault-free path.
+// drawn from fm. A nil or inactive fm runs fault-free. The throughput
+// benchmarks use it to measure the price of a live fault plane against the
+// fault-free path.
 func RunOneFaulted(kind design.Kind, opts design.Options, w Workload, q BenchQuery, fm *sim.FaultModel) (*sim.QueryResult, error) {
-	colStore := kind == design.Ideal && q.Class == ClassQ
-	s := NewSystem(kind, opts, w, colStore)
+	s := NewSystem(kind, opts, w, ColumnStore(kind, q))
 	s.Faults = fm
 	return RunOn(s, q)
 }
@@ -207,7 +213,7 @@ func checkFunctional(q BenchQuery, k design.Kind, base, r *sim.QueryResult) erro
 func RunComparison(ctx context.Context, kinds []design.Kind, opts design.Options, w Workload, q BenchQuery, par Par) ([]SpeedupResult, error) {
 	all := append([]design.Kind{design.Baseline}, kinds...)
 	runs, err := runner.Map(ctx, all, par.opts(), func(ctx context.Context, _ int, k design.Kind) (*sim.QueryResult, error) {
-		r, err := par.runOne(ctx, k, opts, w, q)
+		r, _, err := par.Memo.run(ctx, k, opts, w, q, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s on %v: %w", q.Name, k, err)
 		}

@@ -91,7 +91,7 @@ func Fig12(ctx context.Context, w Workload, par Par) (*Figure, error) {
 	runKinds := append([]design.Kind{design.Baseline}, kinds...)
 	grid, err := runner.Grid(ctx, queries, runKinds, par.opts(),
 		func(ctx context.Context, _, _ int, q BenchQuery, k design.Kind) (*sim.QueryResult, error) {
-			r, err := par.runOne(ctx, k, design.Options{}, w, q)
+			r, _, err := par.Memo.run(ctx, k, design.Options{}, w, q, nil)
 			if err != nil {
 				return nil, fmt.Errorf("%s on %v: %w", q.Name, k, err)
 			}
@@ -175,7 +175,7 @@ func Fig13(ctx context.Context, w Workload, par Par) ([]Fig13Row, error) {
 	kinds := append([]design.Kind{Baseline()}, design.AllEvaluated()...)
 	grid, err := runner.Grid(ctx, kinds, queries, par.opts(),
 		func(ctx context.Context, _, _ int, kind design.Kind, q BenchQuery) (*sim.QueryResult, error) {
-			r, err := par.runOne(ctx, kind, design.Options{}, w, q)
+			r, _, err := par.Memo.run(ctx, kind, design.Options{}, w, q, nil)
 			if err != nil {
 				return nil, fmt.Errorf("fig13 %s %v: %w", q.Name, kind, err)
 			}
@@ -239,7 +239,7 @@ type figJob struct {
 func runJobs(ctx context.Context, jobs []figJob, w Workload, par Par) ([]*sim.QueryResult, error) {
 	return runner.Map(ctx, jobs, par.opts(),
 		func(ctx context.Context, _ int, j figJob) (*sim.QueryResult, error) {
-			r, err := par.runOne(ctx, j.kind, j.opts, w, j.q)
+			r, _, err := par.Memo.run(ctx, j.kind, j.opts, w, j.q, nil)
 			if err != nil {
 				return nil, fmt.Errorf("%s on %v: %w", j.q.Name, j.kind, err)
 			}
@@ -482,15 +482,9 @@ func RunSweepPointStats(ctx context.Context, p SweepPoint, records int, par Par)
 		return s.RunPlan(plan)
 	}
 	run := func(ctx context.Context, kind design.Kind, colStore bool) (*sim.QueryResult, error) {
-		return sim1(kind, colStore)
-	}
-	if par.Memo != nil {
-		run = func(ctx context.Context, kind design.Kind, colStore bool) (*sim.QueryResult, error) {
-			key := sweepRunKey(kind, design.Options{}, schema, sweepTableSeed, query, params, colStore)
-			r, out, err := par.Memo.do(key, func() (*sim.QueryResult, error) { return sim1(kind, colStore) })
-			annotateMemo(ctx, out, err)
-			return r, err
-		}
+		key := sweepRunKey(kind, design.Options{}, schema, sweepTableSeed, query, params, colStore)
+		r, _, err := par.Memo.do(ctx, key, func() (*sim.QueryResult, error) { return sim1(kind, colStore) })
+		return r, err
 	}
 
 	type sweepRun struct {

@@ -55,68 +55,49 @@ func (m *Memo) Counters() memo.Counters { return m.cache.Counters() }
 // snapshot for -stats-json and -metrics-dir dumps.
 func (m *Memo) StatsSnapshot() *stats.Snapshot { return m.cache.StatsSnapshot() }
 
+// Run executes one benchmark query through the cache and reports how the
+// cache served it (hit/miss/disk-hit/dedup). fm attaches fault injection;
+// nil or inactive means a fault-free run, and the two share one key. A nil
+// *Memo runs uncached and reports memo.Miss. Safe for concurrent use;
+// concurrent lookups of the same key run one simulation.
+func (m *Memo) Run(kind design.Kind, opts design.Options, w Workload, q BenchQuery, fm *sim.FaultModel) (*sim.QueryResult, memo.Outcome, error) {
+	return m.run(context.Background(), kind, opts, w, q, fm)
+}
+
 // RunOne is the cached form of core.RunOne: a hit returns the previously
-// computed result, a miss runs the simulation and caches it. Safe for
-// concurrent use; concurrent lookups of the same key run one simulation.
+// computed result, a miss runs the simulation and caches it.
 func (m *Memo) RunOne(kind design.Kind, opts design.Options, w Workload, q BenchQuery) (*sim.QueryResult, error) {
-	r, _, err := m.runBench(kind, opts, w, q, nil)
+	r, _, err := m.Run(kind, opts, w, q, nil)
 	return r, err
 }
 
-// RunOneObserved is RunOne exposing the cache outcome, so callers feeding
-// the telemetry plane can attribute the run (hit/miss/disk-hit/dedup).
-func (m *Memo) RunOneObserved(kind design.Kind, opts design.Options, w Workload, q BenchQuery) (*sim.QueryResult, memo.Outcome, error) {
-	return m.runBench(kind, opts, w, q, nil)
+// Lookup probes both cache tiers for the run Run would execute, without
+// simulating: ok is false on an absent key, which counts no miss. The
+// samd daemon serves a repeated bench job at admission through it.
+func (m *Memo) Lookup(kind design.Kind, opts design.Options, w Workload, q BenchQuery, fm *sim.FaultModel) (r *sim.QueryResult, out memo.Outcome, ok bool) {
+	return m.cache.Lookup(benchRunKey(kind, opts, w, q, ColumnStore(kind, q), fm))
 }
 
-// RunOneFaultedObserved is the cached, outcome-exposing form of
-// RunOneFaulted: the fault model is part of the fingerprint (an inactive
-// or nil model collides with the fault-free key), so fault campaigns and
-// the samd daemon's fault-enabled bench jobs share the cache safely.
-func (m *Memo) RunOneFaultedObserved(kind design.Kind, opts design.Options, w Workload, q BenchQuery, fm *sim.FaultModel) (*sim.QueryResult, memo.Outcome, error) {
-	return m.runBench(kind, opts, w, q, fm)
-}
-
-// runBench caches a benchmark-shaped run (both tables loaded, optional
-// fault model) under its canonical fingerprint.
-func (m *Memo) runBench(kind design.Kind, opts design.Options, w Workload, q BenchQuery, fm *sim.FaultModel) (*sim.QueryResult, memo.Outcome, error) {
-	colStore := kind == design.Ideal && q.Class == ClassQ
-	key := benchRunKey(kind, opts, w, q, colStore, fm)
-	return m.cache.Do(key, func() (*sim.QueryResult, error) {
-		s := NewSystem(kind, opts, w, colStore)
-		if fm != nil {
-			s.Faults = fm
-		}
-		return RunOn(s, q)
+// run is Run for a job of an observed sweep, whose span ctx carries.
+func (m *Memo) run(ctx context.Context, kind design.Kind, opts design.Options, w Workload, q BenchQuery, fm *sim.FaultModel) (*sim.QueryResult, memo.Outcome, error) {
+	return m.do(ctx, benchRunKey(kind, opts, w, q, ColumnStore(kind, q), fm), func() (*sim.QueryResult, error) {
+		return RunOneFaulted(kind, opts, w, q, fm)
 	})
 }
 
-// do caches an arbitrary run under a precomputed key (the sweep driver
-// builds its own system shape).
-func (m *Memo) do(key string, compute func() (*sim.QueryResult, error)) (*sim.QueryResult, memo.Outcome, error) {
-	return m.cache.Do(key, compute)
-}
-
-// runOne routes a benchmark run through the Par's memo when present,
-// annotating the job span (when the sweep is observed) with the cache
-// outcome so the event log can attribute hits and misses per job.
-func (p Par) runOne(ctx context.Context, kind design.Kind, opts design.Options, w Workload, q BenchQuery) (*sim.QueryResult, error) {
-	if p.Memo == nil {
-		return RunOne(kind, opts, w, q)
+// do runs compute through the cache under key and tags the job span ctx
+// carries, if any, with the cache outcome, so the event log can attribute
+// hits and misses per job. A nil *Memo just computes, untagged.
+func (m *Memo) do(ctx context.Context, key string, compute func() (*sim.QueryResult, error)) (*sim.QueryResult, memo.Outcome, error) {
+	if m == nil {
+		r, err := compute()
+		return r, memo.Miss, err
 	}
-	r, out, err := p.Memo.RunOneObserved(kind, opts, w, q)
+	r, out, err := m.cache.Do(key, compute)
 	if err == nil {
 		runner.Annotate(ctx, "memo", out.String())
 	}
-	return r, err
-}
-
-// annotateMemo tags the observed job span with a cache outcome — the
-// shared helper for drivers that call Memo.do directly.
-func annotateMemo(ctx context.Context, out memo.Outcome, err error) {
-	if err == nil {
-		runner.Annotate(ctx, "memo", out.String())
-	}
+	return r, out, err
 }
 
 // --- canonical fingerprints -------------------------------------------------

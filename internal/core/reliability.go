@@ -7,7 +7,6 @@ import (
 	"sam/internal/design"
 	"sam/internal/ecc"
 	"sam/internal/fault"
-	"sam/internal/memo"
 	"sam/internal/runner"
 	"sam/internal/sim"
 )
@@ -187,18 +186,10 @@ func RunReliability(ctx context.Context, camp ReliabilityCampaign, par Par) ([]R
 			s.Faults = fm
 			return RunOn(s, camp.Query)
 		}
-		var r *sim.QueryResult
-		var err error
-		if par.Memo != nil {
-			// The reliability grid always runs row-store (colStore false),
-			// unlike the benchmark drivers' Ideal rule — key it explicitly.
-			key := benchRunKey(cell.Design, opts, camp.Workload, camp.Query, false, fm)
-			var out memo.Outcome
-			r, out, err = par.Memo.do(key, compute)
-			annotateMemo(ctx, out, err)
-		} else {
-			r, err = compute()
-		}
+		// The reliability grid always runs row-store (colStore false),
+		// unlike the benchmark drivers' Ideal rule — key it explicitly.
+		key := benchRunKey(cell.Design, opts, camp.Workload, camp.Query, false, fm)
+		r, _, err := par.Memo.do(ctx, key, compute)
 		if err != nil {
 			return ReliabilityResult{}, fmt.Errorf("%s: %w", cell.Label(), err)
 		}

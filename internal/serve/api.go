@@ -4,8 +4,10 @@
 // multiplexes them onto one bounded worker pool with per-tenant quotas,
 // priority classes, and content-addressed dedup — identical design ×
 // config × seed submitted by different tenants runs once (memo.Fingerprint
-// keys + the singleflight inside internal/memo), and repeated submissions
-// are served from the job-result cache without occupying a queue slot.
+// keys + the singleflight inside internal/memo). There is one cache tier,
+// the run memo (core.Memo): a repeated bench submission is served from it
+// at admission without occupying a queue slot, and a repeated figure,
+// sweep or reliability job rebuilds its payload from cell hits.
 //
 // The package splits into four layers:
 //

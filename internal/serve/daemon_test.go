@@ -166,8 +166,8 @@ func benchBody(tenant, d, q string) string {
 // TestConcurrentClientsDeterministic is the tentpole differential: N
 // concurrent clients submitting overlapping job sets in different orders
 // observe byte-identical results — identical to each other, to a
-// single-worker daemon, and to the batch API the CLIs use — while the
-// content-addressed tiers ensure each unique job computes exactly once.
+// single-worker daemon, and to the batch API the CLIs use — while dedup
+// and the run memo ensure each unique job computes exactly once.
 func TestConcurrentClientsDeterministic(t *testing.T) {
 	designs := []string{"baseline", "SAM-en", "GS-DRAM"}
 	queries := []string{"Q1", "Q3"}
@@ -230,9 +230,9 @@ func TestConcurrentClientsDeterministic(t *testing.T) {
 			}
 		}
 
-		// Dedup is observable: each unique job computed exactly once.
-		if got := d.exec.results.Counters().Misses; got != uint64(len(specs)) {
-			t.Fatalf("result-cache misses = %d, want %d (one compute per unique job)", got, len(specs))
+		// Dedup is observable: each unique job simulated exactly once.
+		if got := d.exec.runMemo.Counters().Misses; got != uint64(len(specs)) {
+			t.Fatalf("run-memo misses = %d, want %d (one compute per unique job)", got, len(specs))
 		}
 		missByLabel := map[string]int{}
 		for _, st := range d.sched.List() {
@@ -313,9 +313,9 @@ func TestFigureJobMatchesBatchCLI(t *testing.T) {
 	}
 }
 
-// TestInstantResultCacheHit: resubmitting a completed job is served at
-// admission (200, terminal, attributed to the cache tier) without
-// occupying a queue slot.
+// TestInstantResultCacheHit: resubmitting a completed bench job is served
+// at admission from the run memo (200, terminal, attributed "hit")
+// without occupying a queue slot.
 func TestInstantResultCacheHit(t *testing.T) {
 	d, ts := startDaemon(t, Config{Workers: 1})
 	defer d.Drain(context.Background())
@@ -341,6 +341,46 @@ func TestInstantResultCacheHit(t *testing.T) {
 	_, b2 := getResult(t, ts, sr.Job.ID)
 	if !bytes.Equal(b1, b2) {
 		t.Fatal("instant-served result differs from computed result")
+	}
+}
+
+// TestCompoundJobRebuildsFromCellHits: a repeated figure job goes to a
+// worker and rebuilds its table from run-memo hits, attributed "hit",
+// and a bench job for one of its cells is then served at admission.
+func TestCompoundJobRebuildsFromCellHits(t *testing.T) {
+	d, ts := startDaemon(t, Config{Workers: 1, InnerWorkers: 2})
+	defer d.Drain(context.Background())
+
+	body := fmt.Sprintf(`{"kind":"figure","tenant":"ci","workload":%s,"figure":{"id":"fig12"}}`, tinyWorkloadJSON)
+	first := pollTerminal(t, ts, submitOK(t, ts, body).ID)
+	if first.State != StateDone || first.Memo != "miss" {
+		t.Fatalf("first figure job = %+v, want done/miss", first)
+	}
+	misses := d.exec.runMemo.Counters().Misses
+
+	code, b := postJob(t, ts, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("repeat figure submit: status %d (%s), want 202 (compound jobs always run)", code, b)
+	}
+	var sr SubmitResponse
+	if err := json.Unmarshal(b, &sr); err != nil {
+		t.Fatal(err)
+	}
+	second := pollTerminal(t, ts, sr.Job.ID)
+	if second.State != StateDone || second.Memo != "hit" {
+		t.Fatalf("repeat figure job = %+v, want done/hit", second)
+	}
+	if got := d.exec.runMemo.Counters().Misses; got != misses {
+		t.Fatalf("repeat figure job simulated %d cells, want 0", got-misses)
+	}
+	_, b1 := getResult(t, ts, first.ID)
+	_, b2 := getResult(t, ts, second.ID)
+	if !bytes.Equal(b1, b2) {
+		t.Fatal("rebuilt figure differs from the computed one")
+	}
+
+	if code, b := postJob(t, ts, benchBody("t", "SAM-en", "Q3")); code != http.StatusOK {
+		t.Fatalf("bench job for a fig12 cell: status %d (%s), want 200 instant serve", code, b)
 	}
 }
 
@@ -438,7 +478,7 @@ func TestDaemonDrainEventLog(t *testing.T) {
 }
 
 // TestTelemetryEndpoints: the obs plane rides the daemon's own mux, with
-// both cache tiers' instruments visible under distinct metric prefixes.
+// the run memo's instruments visible next to the job counters.
 func TestTelemetryEndpoints(t *testing.T) {
 	d, ts := startDaemon(t, Config{Workers: 1})
 	defer d.Drain(context.Background())
@@ -461,7 +501,7 @@ func TestTelemetryEndpoints(t *testing.T) {
 	}
 	metrics, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{"sam_obs_jobs_enqueued", "sam_obs_jobs_finished", "sam_memo_misses", "sam_samd_results_misses"} {
+	for _, want := range []string{"sam_obs_jobs_enqueued", "sam_obs_jobs_finished", "sam_memo_misses"} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("/metrics missing %s", want)
 		}

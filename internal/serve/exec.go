@@ -4,26 +4,22 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"strings"
+	"sync/atomic"
 
 	"sam/internal/core"
+	"sam/internal/design"
 	"sam/internal/memo"
 	"sam/internal/obs"
+	"sam/internal/runner"
 	"sam/internal/sim"
-	"sam/internal/stats"
 )
 
-// executor turns accepted jobs into deterministic runs over the shared
-// caches. Two cache tiers cooperate:
-//
-//   - runMemo (core.Memo) caches individual simulation runs under their
-//     canonical fingerprints — shared with the batch CLIs' keyspace, so a
-//     daemon that reuses a samfig -cache-dir starts warm.
-//   - results (memo.Cache[jobResult]) caches whole job payloads under the
-//     submission's content address. Its Lookup feeds admission-time
-//     instant serves; its Do (with the built-in singleflight) covers the
-//     residual race where an identical job is resubmitted between a
-//     leader's retirement and its result landing.
+// executor turns accepted jobs into deterministic runs over the run memo
+// (core.Memo). It caches each simulation under its canonical fingerprint,
+// in the batch CLIs' keyspace, so a daemon that reuses a samfig -cache-dir
+// starts warm. A job's payload is rebuilt from its runs every time: a
+// bench job encodes its one run, and a figure, sweep or reliability job
+// renders its table from its cells, which are memo hits on a repeat.
 //
 // Determinism contract: every payload byte is derived from sweeps that
 // are worker-count-invariant (runner.Map/Grid ordered results) and from
@@ -33,149 +29,130 @@ import (
 // differential the concurrent-client test pins against the CLIs.
 type executor struct {
 	runMemo *core.Memo
-	results *memo.Cache[jobResult]
 	// innerWorkers sizes the worker pool of one figure/sweep/reliability
 	// job's internal sweep.
 	innerWorkers int
-	// tracker, when non-nil, observes inner sweeps under "samd:<label>"
-	// scopes (memo attribution per simulation run, inner-job histograms).
+	// tracker observes inner sweeps under "samd:<label>" scopes (memo
+	// attribution per simulation run, inner-job histograms).
 	tracker *obs.Tracker
 }
 
-// encodeJobResult / decodeJobResult are the results cache's codec (used
-// for byte accounting; the cache is memory-only).
-func encodeJobResult(r jobResult) ([]byte, error) { return json.Marshal(r) }
-func decodeJobResult(b []byte) (jobResult, error) {
-	var r jobResult
-	err := json.Unmarshal(b, &r)
-	return r, err
-}
-
-// newExecutor wires the two cache tiers.
-func newExecutor(runMemo *core.Memo, maxResults, innerWorkers int, tracker *obs.Tracker) *executor {
+func newExecutor(runMemo *core.Memo, innerWorkers int, tracker *obs.Tracker) *executor {
 	if innerWorkers < 1 {
 		innerWorkers = 1
 	}
-	return &executor{
-		runMemo: runMemo,
-		results: memo.New(memo.Config[jobResult]{
-			MaxEntries: maxResults,
-			Encode:     encodeJobResult,
-			Decode:     decodeJobResult,
-		}),
-		innerWorkers: innerWorkers,
-		tracker:      tracker,
-	}
+	return &executor{runMemo: runMemo, innerWorkers: innerWorkers, tracker: tracker}
 }
 
-// lookup probes the job-result cache for admission-time instant serves.
-func (e *executor) lookup(key string) (jobResult, string, bool) {
-	res, out, ok := e.results.Lookup(key)
-	if !ok {
+// benchRun is a validated bench submission resolved into run inputs.
+type benchRun struct {
+	kind design.Kind
+	opts design.Options
+	w    core.Workload
+	q    core.BenchQuery
+	fm   *sim.FaultModel
+}
+
+func resolveBench(req *SubmitRequest) benchRun {
+	kind, _ := core.KindByName(req.Bench.Design)
+	q, _ := core.BenchQueryByName(req.Bench.Query)
+	b := benchRun{kind: kind, opts: granOptions(req.Bench.Gran), w: req.workload(), q: q}
+	if req.Bench.FaultRate > 0 {
+		b.fm = &sim.FaultModel{Rate: req.Bench.FaultRate, Seed: req.Bench.FaultSeed}
+		if b.fm.Seed == 0 {
+			b.fm.Seed = b.w.Seed
+		}
+		if req.Bench.FaultRetries != nil {
+			b.fm.MaxRetries = *req.Bench.FaultRetries
+		} else {
+			b.fm.MaxRetries = core.DefaultReliabilityCampaign().MaxRetries
+		}
+	}
+	return b
+}
+
+// lookup serves a bench job at admission when its run is already in the
+// run memo, attributed to the tier that held it. Figure, sweep and
+// reliability jobs always go to a worker. lookup may read the disk tier,
+// so the scheduler calls it outside its lock.
+func (e *executor) lookup(req *SubmitRequest) (jobResult, string, bool) {
+	if req.Kind != KindBench {
 		return jobResult{}, "", false
 	}
-	return res, out.String(), true
+	b := resolveBench(req)
+	r, out, ok := e.runMemo.Lookup(b.kind, b.opts, b.w, b.q, b.fm)
+	return jobResult{ContentType: "application/json", Run: r}, out.String(), ok
 }
 
-// resultStats exposes the job-result cache instruments re-prefixed as
-// samd.results.* — the memo.* names stay reserved for the run-level cache
-// (obs.Server merges source snapshots by name, so a shared prefix would
-// silently sum the two tiers).
-func (e *executor) resultStats() *stats.Snapshot {
-	in := e.results.StatsSnapshot()
-	out := &stats.Snapshot{
-		Counters:   make(map[string]uint64, len(in.Counters)),
-		Gauges:     in.Gauges,
-		Histograms: in.Histograms,
-	}
-	for name, v := range in.Counters {
-		out.Counters[strings.Replace(name, "memo.", "samd.results.", 1)] = v
-	}
-	return out
-}
-
-// run executes one leader job through the result cache. The returned memo
-// string attributes the payload: the result tier's outcome when it served
-// or deduplicated the job, otherwise the run tier's outcome (so a bench
-// job whose simulation was already cached by a figure sweep reports
-// "hit" even though the job itself was new).
+// run executes one leader job. The returned memo string attributes it: a
+// bench job reports its run's cache outcome, and a compound job reports
+// "hit" when none of its cells simulated and "miss" otherwise.
 func (e *executor) run(ctx context.Context, j *job) (jobResult, string, error) {
-	inner := memo.Miss
-	res, out, err := e.results.Do(j.key, func() (jobResult, error) {
-		r, innerOut, err := e.compute(ctx, j)
-		inner = innerOut
-		return r, err
-	})
+	req := j.req
+	if req.Kind == KindBench {
+		b := resolveBench(req)
+		r, out, err := e.runMemo.Run(b.kind, b.opts, b.w, b.q, b.fm)
+		if err != nil {
+			return jobResult{}, "", err
+		}
+		return jobResult{ContentType: "application/json", Run: r}, out.String(), nil
+	}
+	label := req.Kind
+	if req.Kind == KindFigure {
+		label = req.Figure.ID
+	}
+	watch := &missWatch{SweepObserver: e.tracker.Hooks("samd:" + label)}
+	par := core.Par{Workers: e.innerWorkers, Memo: e.runMemo, Observer: watch}
+	var res jobResult
+	var err error
+	switch req.Kind {
+	case KindFigure:
+		res, err = computeFigure(ctx, req, par)
+	case KindSweep:
+		res, err = computeSweep(ctx, req, par)
+	case KindReliability:
+		res, err = computeReliability(ctx, req, par)
+	default:
+		err = fmt.Errorf("serve: unvalidated job kind %q", req.Kind)
+	}
 	if err != nil {
 		return jobResult{}, "", err
 	}
-	attribution := out
-	if out == memo.Miss {
-		attribution = inner
+	if watch.missed.Load() {
+		return res, memo.Miss.String(), nil
 	}
-	return res, attribution.String(), nil
+	return res, memo.Hit.String(), nil
 }
 
-// par builds the inner-sweep parallelism options for compound jobs.
-func (e *executor) par(label string) core.Par {
-	p := core.Par{Workers: e.innerWorkers, Memo: e.runMemo}
-	if e.tracker != nil {
-		p.Observer = e.tracker.Hooks("samd:" + label)
-	}
-	return p
+// missWatch forwards a compound job's inner sweeps to the tracker and
+// notes whether any of their runs simulated, i.e. missed the run memo.
+type missWatch struct {
+	runner.SweepObserver
+	missed atomic.Bool
 }
 
-// compute produces a job's payload. The inner memo.Outcome is meaningful
-// for bench jobs (one run = one cache probe); compound jobs report Miss
-// (their per-run attribution flows through the inner sweep's observer).
-func (e *executor) compute(ctx context.Context, j *job) (jobResult, memo.Outcome, error) {
-	req := j.req
-	switch req.Kind {
-	case KindBench:
-		return e.computeBench(req)
-	case KindFigure:
-		return e.computeFigure(ctx, req)
-	case KindSweep:
-		return e.computeSweep(ctx, req)
-	case KindReliability:
-		return e.computeReliability(ctx, req)
-	}
-	return jobResult{}, memo.Miss, fmt.Errorf("serve: unvalidated job kind %q", req.Kind)
+func (m *missWatch) SweepStarted(total int) runner.SweepSpan {
+	return missSpan{m.SweepObserver.SweepStarted(total), &m.missed}
 }
 
-func (e *executor) computeBench(req *SubmitRequest) (jobResult, memo.Outcome, error) {
-	kind, _ := core.KindByName(req.Bench.Design)
-	q, _ := core.BenchQueryByName(req.Bench.Query)
-	w := req.workload()
-	var fm *sim.FaultModel
-	if req.Bench.FaultRate > 0 {
-		fm = &sim.FaultModel{Rate: req.Bench.FaultRate, Seed: req.Bench.FaultSeed}
-		if fm.Seed == 0 {
-			fm.Seed = w.Seed
-		}
-		if req.Bench.FaultRetries != nil {
-			fm.MaxRetries = *req.Bench.FaultRetries
-		} else {
-			fm.MaxRetries = core.DefaultReliabilityCampaign().MaxRetries
-		}
+// missSpan is one inner sweep's span under a missWatch.
+type missSpan struct {
+	runner.SweepSpan
+	missed *atomic.Bool
+}
+
+func (s missSpan) JobAnnotate(i int, key, value string) {
+	if key == "memo" && value == memo.Miss.String() {
+		s.missed.Store(true)
 	}
-	r, out, err := e.runMemo.RunOneFaultedObserved(kind, granOptions(req.Bench.Gran), w, q, fm)
-	if err != nil {
-		return jobResult{}, out, err
-	}
-	body, err := sim.EncodeResult(r)
-	if err != nil {
-		return jobResult{}, out, err
-	}
-	return jobResult{ContentType: "application/json", Body: body}, out, nil
+	s.SweepSpan.JobAnnotate(i, key, value)
 }
 
 // computeFigure renders the figure's table exactly as samfig prints it
 // (minus the "== id ==" banner), so clients — and the CI smoke test —
 // can byte-compare daemon output against the batch CLI.
-func (e *executor) computeFigure(ctx context.Context, req *SubmitRequest) (jobResult, memo.Outcome, error) {
+func computeFigure(ctx context.Context, req *SubmitRequest, par core.Par) (jobResult, error) {
 	w := req.workload()
-	par := e.par(req.Figure.ID)
 	var fig *core.Figure
 	var err error
 	switch req.Figure.ID {
@@ -189,12 +166,12 @@ func (e *executor) computeFigure(ctx context.Context, req *SubmitRequest) (jobRe
 		err = fmt.Errorf("serve: unvalidated figure %q", req.Figure.ID)
 	}
 	if err != nil {
-		return jobResult{}, memo.Miss, err
+		return jobResult{}, err
 	}
 	return jobResult{
 		ContentType: "text/plain; charset=utf-8",
 		Body:        []byte(fig.Table().String()),
-	}, memo.Miss, nil
+	}, nil
 }
 
 // sweepPointOut is one grid cell in a sweep job's JSON payload.
@@ -204,7 +181,7 @@ type sweepPointOut struct {
 	Speedups     map[string]float64 `json:"speedups"`
 }
 
-func (e *executor) computeSweep(ctx context.Context, req *SubmitRequest) (jobResult, memo.Outcome, error) {
+func computeSweep(ctx context.Context, req *SubmitRequest, par core.Par) (jobResult, error) {
 	kind := core.Arithmetic
 	if req.Sweep.Query == "aggr" {
 		kind = core.Aggregate
@@ -223,14 +200,13 @@ func (e *executor) computeSweep(ctx context.Context, req *SubmitRequest) (jobRes
 			cells = append(cells, cell{sel, p})
 		}
 	}
-	par := e.par("sweep")
 	out := make([]sweepPointOut, len(cells))
 	// Points run serially; each point's per-design runs fan out on the
 	// inner pool (mirroring samfig's fig15 loop). The ctx check between
 	// points is the forced-drain cancellation boundary.
 	for i, c := range cells {
 		if err := ctx.Err(); err != nil {
-			return jobResult{}, memo.Miss, err
+			return jobResult{}, err
 		}
 		p := core.SweepPoint{
 			Query:       kind,
@@ -240,15 +216,15 @@ func (e *executor) computeSweep(ctx context.Context, req *SubmitRequest) (jobRes
 		}
 		speedups, _, err := core.RunSweepPointStats(ctx, p, records, par)
 		if err != nil {
-			return jobResult{}, memo.Miss, err
+			return jobResult{}, err
 		}
 		out[i] = sweepPointOut{Selectivity: c.sel, Projectivity: c.proj, Speedups: speedups}
 	}
 	body, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
-		return jobResult{}, memo.Miss, err
+		return jobResult{}, err
 	}
-	return jobResult{ContentType: "application/json", Body: body}, memo.Miss, nil
+	return jobResult{ContentType: "application/json", Body: body}, nil
 }
 
 // reliabilityOut is a reliability job's JSON payload.
@@ -258,7 +234,7 @@ type reliabilityOut struct {
 	Cells    []core.ReliabilityResult `json:"cells"`
 }
 
-func (e *executor) computeReliability(ctx context.Context, req *SubmitRequest) (jobResult, memo.Outcome, error) {
+func computeReliability(ctx context.Context, req *SubmitRequest, par core.Par) (jobResult, error) {
 	camp := core.DefaultReliabilityCampaign()
 	if req.Reliability.Seed != 0 {
 		camp.Seed = req.Reliability.Seed
@@ -269,9 +245,9 @@ func (e *executor) computeReliability(ctx context.Context, req *SubmitRequest) (
 	if req.Reliability.MaxRetries != nil {
 		camp.MaxRetries = *req.Reliability.MaxRetries
 	}
-	results, err := core.RunReliability(ctx, camp, e.par("reliability"))
+	results, err := core.RunReliability(ctx, camp, par)
 	if err != nil {
-		return jobResult{}, memo.Miss, err
+		return jobResult{}, err
 	}
 	payload := reliabilityOut{Seed: camp.Seed, Cells: results}
 	for _, r := range results {
@@ -279,7 +255,7 @@ func (e *executor) computeReliability(ctx context.Context, req *SubmitRequest) (
 	}
 	body, err := json.MarshalIndent(payload, "", "  ")
 	if err != nil {
-		return jobResult{}, memo.Miss, err
+		return jobResult{}, err
 	}
-	return jobResult{ContentType: "application/json", Body: body}, memo.Miss, nil
+	return jobResult{ContentType: "application/json", Body: body}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sam/internal/runner"
+	"sam/internal/sim"
 )
 
 // Job states a client can observe.
@@ -45,13 +46,25 @@ func classOf(priority string) int {
 const numClasses = 3
 
 // jobResult is one completed job's payload, as served by GET
-// /jobs/{id}/result. It is the job-cache value type, so it must be
+// /jobs/{id}/result. Followers share their leader's, so it must be
 // immutable once published — exec builds it and nothing mutates it after.
 type jobResult struct {
 	// ContentType: "application/json" for bench/sweep/reliability payloads,
 	// "text/plain; charset=utf-8" for figure tables.
-	ContentType string `json:"ct"`
-	Body        []byte `json:"body"`
+	ContentType string
+	Body        []byte
+	// Run is a bench job's result, shared with the run memo and every job
+	// it served. The payload is its stable encoding, made on each fetch,
+	// so jobs hold no copy of their own.
+	Run *sim.QueryResult
+}
+
+// payload is the bytes GET /jobs/{id}/result serves.
+func (r jobResult) payload() ([]byte, error) {
+	if r.Run != nil {
+		return sim.EncodeResult(r.Run)
+	}
+	return r.Body, nil
 }
 
 // job is one accepted submission's full lifecycle record. All fields are
@@ -202,11 +215,18 @@ func (s *sched) newJobLocked(req *SubmitRequest, key, label string) *job {
 
 // Submit admits one parsed submission: quota check, then content-address
 // dedup against in-flight leaders, then queue-cap check and enqueue.
-// cached, when non-nil, is consulted first — a repeat of an already
-// completed job is served instantly without occupying a queue slot.
-func (s *sched) Submit(req *SubmitRequest, cached func(key string) (jobResult, string, bool)) (*job, error) {
+// cached, when non-nil, is probed first, outside the lock since it may
+// read disk — a job whose result it already holds is served instantly
+// without occupying a queue slot.
+func (s *sched) Submit(req *SubmitRequest, cached func(*SubmitRequest) (jobResult, string, bool)) (*job, error) {
 	key := req.Key()
 	label := jobLabel(req)
+	var res jobResult
+	var outcome string
+	var hit bool
+	if cached != nil {
+		res, outcome, hit = cached(req)
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -217,25 +237,23 @@ func (s *sched) Submit(req *SubmitRequest, cached func(key string) (jobResult, s
 		return nil, ErrQuota
 	}
 
-	// Instant path: the exact job already completed and its result is
-	// still cached. The job is born terminal; its span records a
-	// zero-length run attributed to the cache tier that served it.
-	if leader := s.activeByKey[key]; leader == nil && cached != nil {
-		if res, outcome, ok := cached(key); ok {
-			j := s.newJobLocked(req, key, label)
-			j.state = StateDone
-			j.memo = outcome
-			now := s.cfg.Clock()
-			j.started, j.finished = now, now
-			j.result = res
-			if j.sp != nil {
-				j.sp.JobStarted(0, 0)
-				j.sp.JobAnnotate(0, "memo", outcome)
-				j.sp.JobFinished(0, 0, nil)
-			}
-			close(j.done)
-			return j, nil
+	// Instant path: the job's result is already cached. The job is born
+	// terminal; its span records a zero-length run attributed to the cache
+	// tier that served it.
+	if leader := s.activeByKey[key]; leader == nil && hit {
+		j := s.newJobLocked(req, key, label)
+		j.state = StateDone
+		j.memo = outcome
+		now := s.cfg.Clock()
+		j.started, j.finished = now, now
+		j.result = res
+		if j.sp != nil {
+			j.sp.JobStarted(0, 0)
+			j.sp.JobAnnotate(0, "memo", outcome)
+			j.sp.JobFinished(0, 0, nil)
 		}
+		close(j.done)
+		return j, nil
 	}
 
 	// Dedup path: identical work is already queued or running — attach as
@@ -537,9 +555,11 @@ type JobStatus struct {
 	Tenant   string `json:"tenant"`
 	Priority string `json:"priority"`
 	State    string `json:"state"`
-	// Memo attributes where the result came from: "miss" (computed),
-	// "hit"/"disk-hit" (served from the result cache), "dedup" (shared an
-	// identical in-flight submission).
+	// Memo attributes where the result came from. A bench job reports its
+	// run's run-memo outcome: "miss" (simulated), "hit"/"disk-hit" (served
+	// from the memory/disk tier). A figure, sweep or reliability job
+	// reports "hit" when none of its cells simulated and "miss" otherwise.
+	// "dedup" means the job shared an identical in-flight submission.
 	Memo string `json:"memo,omitempty"`
 	// DedupOf names the leader job this submission attached to.
 	DedupOf string `json:"dedup_of,omitempty"`

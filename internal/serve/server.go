@@ -31,8 +31,6 @@ type Config struct {
 	// CacheDir, when set, adds the run-level cache's disk tier — sharing
 	// a samfig/samsim -cache-dir starts the daemon warm.
 	CacheDir string
-	// ResultEntries bounds the job-result cache (0 = default).
-	ResultEntries int
 	// EventLog, when non-nil, receives the obs JSONL event stream.
 	EventLog io.Writer
 	// Clock overrides time.Now everywhere (scheduler aging, obs spans) —
@@ -41,7 +39,7 @@ type Config struct {
 }
 
 // Daemon is the simulation-as-a-service engine behind cmd/samd: the HTTP
-// API, the scheduler, both cache tiers, and the telemetry plane, wired
+// API, the scheduler, the run memo, and the telemetry plane, wired
 // together and torn down as one unit.
 type Daemon struct {
 	cfg     Config
@@ -63,10 +61,9 @@ func NewDaemon(cfg Config) *Daemon {
 	d := &Daemon{cfg: cfg}
 	d.tracker = obs.NewTracker(obs.Config{Log: cfg.EventLog, Clock: cfg.Clock})
 	runMemo := core.NewMemo(core.MemoOptions{MaxEntries: cfg.MemoEntries, Dir: cfg.CacheDir})
-	d.exec = newExecutor(runMemo, cfg.ResultEntries, cfg.InnerWorkers, d.tracker)
+	d.exec = newExecutor(runMemo, cfg.InnerWorkers, d.tracker)
 	d.obsSrv = obs.NewServer(d.tracker)
 	d.obsSrv.AddSource(runMemo.StatsSnapshot)
-	d.obsSrv.AddSource(d.exec.resultStats)
 	d.sched = newSched(schedConfig{
 		Workers:      cfg.Workers,
 		QueueCap:     cfg.QueueCap,
@@ -152,7 +149,7 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Location", "/jobs/"+j.id)
 	status := http.StatusAccepted
 	if d.sched.Status(j).State == StateDone {
-		status = http.StatusOK // served instantly from the result cache
+		status = http.StatusOK // served instantly from the run memo
 	}
 	writeJSON(w, status, SubmitResponse{Job: d.sched.Status(j)})
 }
@@ -189,6 +186,11 @@ func (d *Daemon) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := j.result // immutable once state is done
+	body, err := res.payload()
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		return
+	}
 	w.Header().Set("Content-Type", res.ContentType)
-	_, _ = w.Write(res.Body)
+	_, _ = w.Write(body)
 }

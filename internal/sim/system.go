@@ -108,7 +108,8 @@ type System struct {
 // so replay is deterministic regardless of how runs are parallelized.
 type FaultModel = fault.Config
 
-// DeadChipFault is the legacy single-dead-chip model (samsim -faultchip):
+// DeadChipFault is the single-dead-chip model the tests use (samsim
+// -fault-chips N builds the same):
 // chip dead on every rank, everything else default.
 func DeadChipFault(chip int, seed uint64) *FaultModel {
 	return &FaultModel{Seed: seed, DeadChips: []fault.ChipFault{{Rank: -1, Chip: chip}}}

@@ -4,7 +4,8 @@
 # polls both to completion, and asserts (1) both clients got byte-identical
 # results, (2) the result is byte-identical to what `samfig -exp fig12
 # -small` prints (minus its banner line), (3) the dedup was observable —
-# the grid simulated once, the second job attributed "dedup" or "hit" —
+# the second job attributed "dedup" or "hit", and the daemon's run-memo
+# misses equal the grid's distinct cells, so the grid simulated once —
 # and (4) a SIGTERM drain exits cleanly leaving an event log that
 # obscheck accepts. CI runs this as the samd-smoke job; run it locally
 # after touching internal/serve or cmd/samd.
@@ -58,12 +59,13 @@ EOF
 poll "$JOB_A"
 poll "$JOB_B"
 
-echo "== daemon stayed healthy and exported both cache tiers =="
+echo "== daemon stayed healthy and exported the run memo =="
 ./obscheck \
     -metrics "$BASE/metrics" \
-    -require sam_obs_jobs_enqueued_total,sam_obs_jobs_finished_total,sam_obs_job_run_ns,sam_memo_misses_total,sam_samd_results_misses_total \
+    -require sam_obs_jobs_enqueued_total,sam_obs_jobs_finished_total,sam_obs_job_run_ns,sam_memo_misses_total \
     -progress "$BASE/progress"
 curl -sf "$BASE/healthz" > /dev/null
+curl -sf "$BASE/metrics" > samd-metrics.txt
 
 echo "== identical submissions ran once =="
 curl -sf "$BASE/jobs" > jobs.json
@@ -82,11 +84,23 @@ echo "== both clients see byte-identical results, matching samfig =="
 curl -sf "$BASE/jobs/$JOB_A/result" > fig12-a.txt
 curl -sf "$BASE/jobs/$JOB_B/result" > fig12-b.txt
 cmp fig12-a.txt fig12-b.txt
-./samfig -exp fig12 -small > fig12-cli.txt
+./samfig -exp fig12 -small -metrics-dir fig12-cli-metrics > fig12-cli.txt
 # samfig wraps the table in a banner line and a trailing blank line; the
 # daemon serves the bare table.
 sed '1d;$d' fig12-cli.txt > fig12-cli-table.txt
 cmp fig12-a.txt fig12-cli-table.txt
+
+echo "== the grid simulated once =="
+python3 - <<'EOF'
+import json
+# samfig's memo misses count the distinct cells of the fig12-small grid.
+cells = json.load(open("fig12-cli-metrics/memo.json"))["counters"]["Misses"]
+misses = next(float(l.split()[1]) for l in open("samd-metrics.txt")
+              if l.startswith("sam_memo_misses_total "))
+assert cells > 0 and misses == cells, \
+    f"daemon simulated {misses:.0f} runs for a {cells}-cell grid"
+print(f"grid simulated once: {misses:.0f} run-memo misses = {cells} distinct cells")
+EOF
 
 echo "== SIGTERM drain =="
 kill -TERM "$PID"
