@@ -20,8 +20,8 @@ import (
 // means "run everything", bit-for-bit the pre-cache behaviour.
 //
 // Correctness rests on two invariants the repo already pins: runs are
-// deterministic and worker-count-invariant (frozen-scheduler and
-// sharded-engine differentials), and cached QueryResults are never
+// deterministic and worker-count-invariant (the frozen-scheduler
+// differential and the frozen multi-channel golden), and cached QueryResults are never
 // mutated by consumers (the drivers only read them). The key covers
 // every run input; fixed simulator semantics (timing models, scheduler
 // policy, cpu/cache defaults, workload generation) are covered by

@@ -26,12 +26,14 @@ type RS struct {
 	f          *GF256
 	n, k       int
 	MaxCorrect int
-	gen        []byte // generator polynomial, degree n-k, gen[0] = x^(n-k) coeff = 1
+	// genMul[f] packs the generator polynomial's coefficients below the
+	// leading 1 (highest degree first) times f, the first in the low byte:
+	// what one division step subtracts from the remainder register.
+	genMul [256]uint64
 
 	// Scratch workspaces, sized once in NewRS so the hot paths never make
 	// or grow a slice. lambda/bpoly/tpoly carry the Berlekamp-Massey
 	// polynomials, whose lengths stay well under the generous polyCap.
-	rem       []byte
 	syn       []byte
 	lambda    []byte
 	bpoly     []byte
@@ -44,10 +46,11 @@ type RS struct {
 // could detect; the memory system treats it as a fatal (machine-check) event.
 var ErrDetected = errors.New("ecc: uncorrectable error detected")
 
-// NewRS builds an RS(n,k) code. maxCorrect <= 0 selects the full correction
-// power floor((n-k)/2). It panics on invalid geometry.
+// NewRS builds an RS(n,k) code with at most 8 check symbols (the encoder
+// keeps the remainder in one 64-bit register). maxCorrect <= 0 selects the
+// full correction power floor((n-k)/2). It panics on invalid geometry.
 func NewRS(n, k, maxCorrect int) *RS {
-	if n <= k || k <= 0 || n > 255 {
+	if n <= k || k <= 0 || n > 255 || n-k > 8 {
 		panic(fmt.Sprintf("ecc: invalid RS geometry n=%d k=%d", n, k))
 	}
 	t := (n - k) / 2
@@ -70,13 +73,16 @@ func NewRS(n, k, maxCorrect int) *RS {
 	for i, j := 0, len(g)-1; i < j; i, j = i+1, j-1 {
 		g[i], g[j] = g[j], g[i]
 	}
-	r.gen = g
 
 	nc := n - k
+	for f := range r.genMul {
+		for j := 1; j <= nc; j++ {
+			r.genMul[f] |= uint64(r.f.Mul(g[j], byte(f))) << (8 * (j - 1))
+		}
+	}
 	// The BM polynomials never exceed nc+1 coefficients plus the x^m shift
 	// (m <= nc); 2*nc+2 bounds them, doubled for headroom.
 	polyCap := 4*nc + 4
-	r.rem = make([]byte, nc)
 	r.syn = make([]byte, nc)
 	r.lambda = make([]byte, 0, polyCap)
 	r.bpoly = make([]byte, 0, polyCap)
@@ -100,8 +106,8 @@ func (r *RS) Encode(data []byte) []byte {
 	return out
 }
 
-// EncodeInto writes the n-symbol codeword for data into out (len n), using
-// the codec's own division scratch — no allocation.
+// EncodeInto writes the n-symbol codeword for data into out (len n)
+// without allocating.
 func (r *RS) EncodeInto(out, data []byte) {
 	if len(data) != r.k {
 		panic(fmt.Sprintf("ecc: Encode wants %d data symbols, got %d", r.k, len(data)))
@@ -109,24 +115,19 @@ func (r *RS) EncodeInto(out, data []byte) {
 	if len(out) != r.n {
 		panic(fmt.Sprintf("ecc: EncodeInto wants a %d-symbol buffer, got %d", r.n, len(out)))
 	}
-	nc := r.n - r.k
-	// Polynomial long division of data * x^(n-k) by gen.
-	rem := r.rem[:nc]
-	for i := range rem {
-		rem[i] = 0
-	}
+	// Polynomial long division of data * x^(n-k) by the generator. Byte j
+	// of rem is the remainder's coefficient j places below the top; each
+	// step shifts the register one symbol and subtracts the generator
+	// times the top coefficient plus the incoming data symbol.
+	var rem uint64
 	for _, d := range data {
-		factor := d ^ rem[0]
-		copy(rem, rem[1:])
-		rem[nc-1] = 0
-		if factor != 0 {
-			for j := 1; j <= nc; j++ {
-				rem[j-1] ^= r.f.Mul(r.gen[j], factor)
-			}
-		}
+		rem = rem>>8 ^ r.genMul[byte(rem)^d]
 	}
 	copy(out, data)
-	copy(out[r.k:], rem)
+	for j := r.k; j < r.n; j++ {
+		out[j] = byte(rem)
+		rem >>= 8
+	}
 }
 
 // Syndromes computes the n-k syndromes of a received word; all-zero means

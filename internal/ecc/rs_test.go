@@ -126,7 +126,7 @@ func TestRSPropertyRoundTrip(t *testing.T) {
 }
 
 func TestRSGeometryValidation(t *testing.T) {
-	for _, bad := range [][2]int{{16, 16}, {10, 12}, {300, 200}, {5, 0}} {
+	for _, bad := range [][2]int{{16, 16}, {10, 12}, {300, 200}, {5, 0}, {26, 16}} {
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -14,7 +14,7 @@ import (
 // wrong for the same inputs: timing-model edits, scheduler policy
 // changes, power-model constants, workload generation, ECC adjudication.
 // Structural changes that provably preserve behaviour (the frozen-
-// scheduler 1000-mix differential and the sharded-engine differential
+// scheduler 1000-mix differential and the frozen multi-channel golden
 // are the tripwires that prove it) do not require a bump.
 //
 // TestMemoSaltTripwire in internal/core pins (SchemaVersion, probe-run

@@ -206,7 +206,7 @@ func TestConcurrentScrape(t *testing.T) {
 	tr := obs.NewTracker(obs.Config{Log: io.Discard})
 	srv := obs.NewServer(tr)
 	srv.AddSource(func() *stats.Snapshot {
-		return &stats.Snapshot{Counters: map[string]uint64{"sim.shard.epochs": 42}}
+		return &stats.Snapshot{Counters: map[string]uint64{"memo.lookups": 42}}
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -221,7 +221,6 @@ func TestConcurrentScrape(t *testing.T) {
 			for i := 0; i < jobsPer; i++ {
 				span.JobStarted(i, w)
 				span.JobAnnotate(i, "memo", "miss")
-				tr.DomainPulse(w)
 				span.JobFinished(i, w, nil)
 			}
 		}(w)
@@ -346,7 +345,7 @@ func TestMetricsParse(t *testing.T) {
 	finish(nil)
 	srv := obs.NewServer(tr)
 	srv.AddSource(func() *stats.Snapshot {
-		return &stats.Snapshot{Counters: map[string]uint64{"sim.shard.runs": 3, "sim.shard.epochs": 9}}
+		return &stats.Snapshot{Counters: map[string]uint64{"memo.lookups": 9}}
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -369,7 +368,7 @@ func TestMetricsParse(t *testing.T) {
 		"# TYPE sam_obs_job_run_ns histogram",
 		"sam_obs_job_run_ns_bucket{le=\"+Inf\"} 1",
 		"# TYPE sam_obs_jobs_inflight gauge",
-		"sam_sim_shard_epochs_total 9",
+		"sam_memo_lookups_total 9",
 		"sam_obs_rate_jobs_per_s",
 	} {
 		if !strings.Contains(body, want) {

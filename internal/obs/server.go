@@ -12,12 +12,12 @@ import (
 	"sam/internal/stats"
 )
 
-// Server exposes one Tracker (plus any extra snapshot sources — the memo
-// cache, the sharded-engine counters) over HTTP:
+// Server exposes one Tracker (plus any extra snapshot sources, such as the
+// memo cache) over HTTP:
 //
 //	/metrics      Prometheus text exposition (namespace "sam"), rendered
 //	              live from merged registry snapshots plus derived gauges
-//	              (memo hit ratio, scrape-to-scrape jobs/s and epochs/s).
+//	              (memo hit ratio, scrape-to-scrape jobs/s).
 //	/progress     Tracker.Progress as JSON — per-sweep job states + ETA.
 //	/healthz      200 "ok", or 503 "stalled" while the watchdog sees
 //	              stalled running jobs.
@@ -84,7 +84,7 @@ func (s *Server) merged() *stats.Snapshot {
 	for _, src := range sources {
 		// Source snapshots are independent registries; a bounds mismatch
 		// would mean two sources reused one histogram name, which the
-		// fixed instrument naming (obs.*, memo.*, sim.shard.*) rules out.
+		// fixed instrument naming (obs.*, memo.*) rules out.
 		_ = out.Merge(src())
 	}
 	now := time.Now()
@@ -119,9 +119,6 @@ func (s *Server) merged() *stats.Snapshot {
 			return float64(d.Counters[name]) / elapsed.Seconds()
 		}
 		out.Gauges["obs.rate.jobs_per_s"] = stats.GaugeSnap{Cur: per(cFinished)}
-		if _, ok := out.Counters["sim.shard.epochs"]; ok {
-			out.Gauges["obs.rate.epochs_per_s"] = stats.GaugeSnap{Cur: per("sim.shard.epochs")}
-		}
 	}
 	return out
 }

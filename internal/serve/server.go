@@ -9,7 +9,6 @@ import (
 
 	"sam/internal/core"
 	"sam/internal/obs"
-	"sam/internal/stats"
 )
 
 // Config sizes a Daemon. The zero value is serviceable (single worker,
@@ -90,10 +89,6 @@ func (d *Daemon) Handler() http.Handler { return d.mux }
 // Tracker exposes the telemetry plane (the stall watchdog's Watch loop is
 // the caller's to start — cmd/samd runs it, tests drive CheckStalls).
 func (d *Daemon) Tracker() *obs.Tracker { return d.tracker }
-
-// AddSource attaches an extra /metrics snapshot source (cmd/samd adds the
-// sharded-engine counters).
-func (d *Daemon) AddSource(fn func() *stats.Snapshot) { d.obsSrv.AddSource(fn) }
 
 // Drain executes the shutdown sequence: stop admitting (submissions get
 // 503), let queued and running jobs finish while ctx lives, then cancel

@@ -46,11 +46,6 @@ type engine struct {
 	// (and mc.Metrics) is attached per run, so histograms need no baseline
 	// subtraction — they are exactly this run's observations.
 	reg *stats.Registry
-	// chanRegs holds the per-channel registries of a sharded run (each
-	// domain observes into its own instruments; finish merges them — the
-	// merge is commutative, so the result is bit-identical to the serial
-	// engine's shared instruments). Nil on the serial path.
-	chanRegs []*stats.Registry
 
 	strideFetches uint64 // for the embedded-ECC read period
 	regularFills  uint64 // for embedded-ECC overhead on regular fills
@@ -58,10 +53,6 @@ type engine struct {
 	// injectors holds the per-channel fault injectors of this run (nil
 	// entries never occur; the slice is nil when injection is off).
 	injectors []*fault.Injector
-
-	// shard, when non-nil, runs this run's channels as parallel event
-	// domains (see shard.go); the serial service loop is bypassed.
-	shard *shardState
 }
 
 // channelFaultSeed derives channel ch's injector seed so every channel draws
@@ -108,26 +99,12 @@ func newEngine(s *System) *engine {
 		e.injectors = s.runInjectors
 	}
 	e.reg = stats.NewRegistry()
-	if w := s.shardWorkerPlan(); w > 0 {
-		e.shard = newShardState(s, w)
-	}
-	if e.shard != nil {
-		// Each event domain observes into its own registry so lane workers
-		// never share instruments; finish merges them in channel order.
-		e.chanRegs = make([]*stats.Registry, 0, s.Channels())
-		for ch := 0; ch < s.Channels(); ch++ {
-			reg := stats.NewRegistry()
-			e.chanRegs = append(e.chanRegs, reg)
-			s.controllers[ch].Metrics = mc.NewMetrics(reg)
-		}
-	} else {
-		// All channels share one instrument set: the serial engine services
-		// channels from a single goroutine, and a cross-channel latency
-		// distribution is what the run-level histograms mean.
-		m := mc.NewMetrics(e.reg)
-		for ch := 0; ch < s.Channels(); ch++ {
-			s.controllers[ch].Metrics = m
-		}
+	// All channels share one instrument set: one event loop services every
+	// channel, and a cross-channel latency distribution is what the
+	// run-level histograms mean.
+	m := mc.NewMetrics(e.reg)
+	for ch := 0; ch < s.Channels(); ch++ {
+		s.controllers[ch].Metrics = m
 	}
 	if cap(s.devBase) < s.Channels() {
 		s.devBase = make([]dram.DeviceStats, s.Channels())
@@ -217,13 +194,8 @@ func (e *engine) recordSample(at int64) {
 }
 
 // enqueue pushes one request to its channel, applying window and queue
-// back-pressure. Sharded runs stage the same sequence instead of executing
-// it inline (see shard.go).
+// back-pressure.
 func (e *engine) enqueue(r mc.Request) {
-	if e.shard != nil {
-		e.shard.enqueue(e, r)
-		return
-	}
 	ctrl := e.sys.controllers[e.sys.channelOf(r.Addr)]
 	for !ctrl.CanAccept(r.IsWrite) {
 		if !e.serviceOne() {
@@ -346,11 +318,7 @@ func (e *engine) finish() RunStats {
 	for _, op := range e.sys.Hierarchy.FlushDirty() {
 		e.enqueue(e.memOpRequest(op, 0, e.sys.Design.Gran.Gang))
 	}
-	if e.shard != nil {
-		e.shard.drain(e)
-	} else {
-		for e.serviceOne() {
-		}
+	for e.serviceOne() {
 	}
 	end := e.t0 + e.clock
 	var dev dram.DeviceStats
@@ -424,15 +392,6 @@ func (e *engine) finish() RunStats {
 			}
 		}
 	}
-	snap := e.reg.Snapshot()
-	// Sharded runs: fold each domain's instruments in channel order. The
-	// merge sums histogram buckets and counters, so the result is
-	// bit-identical to the serial engine's shared-instrument snapshot.
-	for _, reg := range e.chanRegs {
-		if err := snap.Merge(reg.Snapshot()); err != nil {
-			panic("sim: per-channel metrics merge: " + err.Error())
-		}
-	}
-	rs.Metrics = snap
+	rs.Metrics = e.reg.Snapshot()
 	return rs
 }

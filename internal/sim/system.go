@@ -32,9 +32,9 @@ func DefaultCaches() CacheParams {
 	return CacheParams{L1Bytes: 32 << 10, L2Bytes: 256 << 10, LLCBytes: 8 << 20, Ways: 8}
 }
 
-// System is one design point ready to run queries. Multi-channel
-// configurations (Geometry.Channels > 1) get one controller+device pair
-// per channel; Device/Controller alias channel 0 for single-channel use.
+// System is one design point ready to run queries. Each channel
+// (Geometry.Channels) gets its own controller+device pair, all serviced by
+// one event loop; Device/Controller alias channel 0.
 type System struct {
 	Design *design.Design
 	CPU    cpu.Params
@@ -55,15 +55,9 @@ type System struct {
 	// Audit enables end-to-end protocol checking (slow; tests only).
 	Audit bool
 
-	// ShardWorkers selects the run engine's execution mode: 0 (default)
-	// auto-shards multi-channel systems across min(Channels, GOMAXPROCS)
-	// per-channel event-domain workers and keeps single-channel systems
-	// serial; 1 forces the serial engine; >= 2 forces the sharded engine
-	// with at most that many workers (clamped to the channel count).
-	// Sharded runs produce bit-identical RunStats to serial runs for any
-	// worker count (see shard.go's determinism contract); only the windowed
-	// sampler's observation points differ (epoch barriers instead of every
-	// completion).
+	// Deprecated: ShardWorkers is ignored; every run uses one serial event
+	// loop. It is kept only so sam/perfbench compiles and will be removed
+	// when the benchmark next changes.
 	ShardWorkers int
 
 	// Faults, when set and active, routes every data-carrying DRAM burst of
@@ -107,6 +101,13 @@ type System struct {
 // the read-retry budget). Each channel derives its own injector from Seed,
 // so replay is deterministic regardless of how runs are parallelized.
 type FaultModel = fault.Config
+
+// ShardObsSnapshot returns an empty snapshot.
+//
+// Deprecated: the sharded run engine is gone and there are no counters to
+// report. ShardObsSnapshot is kept only so sam/perfbench compiles and will
+// be removed when the benchmark next changes.
+func ShardObsSnapshot() *stats.Snapshot { return &stats.Snapshot{} }
 
 // DeadChipFault is the single-dead-chip model the tests use (samsim
 // -fault-chips N builds the same):
