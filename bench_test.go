@@ -121,12 +121,12 @@ func BenchmarkFig13Power(b *testing.B) {
 	for _, kind := range []design.Kind{design.Baseline, design.SAMIO, design.SAMEn, design.RCNVMWd} {
 		b.Run(kind.String(), func(b *testing.B) {
 			var mw, eff float64
-			base, err := core.RunOne(design.Baseline, design.Options{}, w, q)
+			base, err := core.RunSpec{Design: design.Baseline, Workload: w, Query: q}.Run()
 			if err != nil {
 				b.Fatal(err)
 			}
 			for i := 0; i < b.N; i++ {
-				r, err := core.RunOne(kind, design.Options{}, w, q)
+				r, err := core.RunSpec{Design: kind, Workload: w, Query: q}.Run()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -148,13 +148,13 @@ func BenchmarkFig14aSubstrate(b *testing.B) {
 		for _, sub := range []design.Substrate{design.DRAM, design.NVM} {
 			b.Run(fmt.Sprintf("%s/%s", kind, sub), func(b *testing.B) {
 				var speedup float64
-				base, err := core.RunOne(design.Baseline, design.Options{}, w, q)
+				base, err := core.RunSpec{Design: design.Baseline, Workload: w, Query: q}.Run()
 				if err != nil {
 					b.Fatal(err)
 				}
 				opts := design.Options{Substrate: sub, SubstrateSet: true}
 				for i := 0; i < b.N; i++ {
-					r, err := core.RunOne(kind, opts, w, q)
+					r, err := core.RunSpec{Design: kind, Options: opts, Workload: w, Query: q}.Run()
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -174,12 +174,12 @@ func BenchmarkFig14bGranularity(b *testing.B) {
 	for _, g := range []design.Granularity{design.Gran16, design.Gran8, design.Gran4} {
 		b.Run(fmt.Sprintf("%d-bit", g.BitsPerChip), func(b *testing.B) {
 			var speedup float64
-			base, err := core.RunOne(design.Baseline, design.Options{}, w, q)
+			base, err := core.RunSpec{Design: design.Baseline, Workload: w, Query: q}.Run()
 			if err != nil {
 				b.Fatal(err)
 			}
 			for i := 0; i < b.N; i++ {
-				r, err := core.RunOne(design.SAMEn, design.Options{Gran: g}, w, q)
+				r, err := core.RunSpec{Design: design.SAMEn, Options: design.Options{Gran: g}, Workload: w, Query: q}.Run()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -281,7 +281,7 @@ func BenchmarkAblationModeSwitch(b *testing.B) {
 	for _, trtr := range []int{2, 8} {
 		b.Run(fmt.Sprintf("tRTR%d", trtr), func(b *testing.B) {
 			var speedup float64
-			base, err := core.RunOne(design.Baseline, design.Options{}, w, q)
+			base, err := core.RunSpec{Design: design.Baseline, Workload: w, Query: q}.Run()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -340,7 +340,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportAllocs()
 	var reqs uint64
 	for i := 0; i < b.N; i++ {
-		r, err := core.RunOne(design.SAMEn, design.Options{}, w, q)
+		r, err := core.RunSpec{Design: design.SAMEn, Workload: w, Query: q}.Run()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -360,7 +360,7 @@ func BenchmarkSimulatorThroughputFaulted(b *testing.B) {
 	b.ReportAllocs()
 	var reqs uint64
 	for i := 0; i < b.N; i++ {
-		r, err := core.RunOneFaulted(design.SAMEn, design.Options{}, w, q, fm)
+		r, err := core.RunSpec{Design: design.SAMEn, Workload: w, Query: q, Faults: fm}.Run()
 		if err != nil {
 			b.Fatal(err)
 		}

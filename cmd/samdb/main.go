@@ -16,19 +16,17 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"sync"
 
+	"sam/internal/cli"
 	"sam/internal/core"
 	"sam/internal/design"
 	"sam/internal/etrace"
-	"sam/internal/imdb"
 	"sam/internal/obs"
-	"sam/internal/prof"
 	"sam/internal/sim"
 	"sam/internal/sql"
 	"sam/internal/stats"
@@ -83,10 +81,7 @@ func (sh *shell) system(kind design.Kind) *sim.System {
 	if s, ok := sh.systems[kind]; ok {
 		return s
 	}
-	d := design.New(kind, design.Options{})
-	s := sim.NewSystem(d)
-	s.AddTable(imdb.NewTable(imdb.Ta(sh.workload.TaRecords), sh.workload.Seed), false)
-	s.AddTable(imdb.NewTable(imdb.Tb(sh.workload.TbRecords), sh.workload.Seed+1), false)
+	s := core.NewSystem(kind, design.Options{}, sh.workload, false)
 	sh.systems[kind] = s
 	return s
 }
@@ -248,49 +243,17 @@ func main() {
 	ta := flag.Int("ta", 4096, "Ta records")
 	tb := flag.Int("tb", 32768, "Tb records")
 	statsJSON := flag.String("stats-json", "", "write the session's merged run metrics as JSON on exit ('-' for stdout)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
-	obsFlags := obs.RegisterFlags(flag.CommandLine)
+	run := cli.Register("samdb", flag.CommandLine)
 	flag.Parse()
-
-	// fail closes the (idempotent, nil-safe) plane first: os.Exit skips
-	// the deferred Close, and an aborted session should still summarize
-	// its event log.
-	var plane *obs.Plane
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "samdb:", err)
-		_ = plane.Close()
-		os.Exit(1)
-	}
-
-	stopProf, err := prof.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fail(err)
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fail(err)
-		}
-	}()
 
 	kind, ok := kindByName(*designName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "samdb: unknown design %q\n", *designName)
-		os.Exit(1)
+		run.Fail(fmt.Errorf("unknown design %q", *designName))
 	}
 	sh := newShell(kind, core.Workload{TaRecords: *ta, TbRecords: *tb, Seed: 0xDB})
-
-	plane, err = obsFlags.Start(os.Stderr)
-	if err != nil {
-		fail(err)
-	}
-	sh.plane = plane
-	plane.AddSource(sh.sessionSnapshot)
-	defer func() {
-		if err := plane.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "samdb: obs:", err)
-		}
-	}()
+	run.Start(sh.sessionSnapshot)
+	defer run.Stop()
+	sh.plane = run.Plane
 
 	interactive := false
 	if fi, err := os.Stdin.Stat(); err == nil && fi.Mode()&os.ModeCharDevice != 0 {
@@ -319,17 +282,8 @@ func main() {
 			Queries int             `json:"queries"`
 			Metrics *stats.Snapshot `json:"metrics"`
 		}{sh.queries, sh.sessionSnapshot()}
-		enc, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		enc = append(enc, '\n')
-		if *statsJSON == "-" {
-			if _, err := os.Stdout.Write(enc); err != nil {
-				fail(err)
-			}
-		} else if err := os.WriteFile(*statsJSON, enc, 0o644); err != nil {
-			fail(err)
+		if err := cli.WriteJSON(*statsJSON, out); err != nil {
+			run.Fail(err)
 		}
 	}
 }

@@ -14,7 +14,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -22,10 +21,9 @@ import (
 	"path/filepath"
 	"strings"
 
+	"sam/internal/cli"
 	"sam/internal/core"
 	"sam/internal/memo"
-	"sam/internal/obs"
-	"sam/internal/prof"
 	"sam/internal/sim"
 	"sam/internal/stats"
 )
@@ -59,12 +57,9 @@ func main() {
 	workers := flag.Int("workers", 0, "max parallel simulations per sweep (0 = GOMAXPROCS, 1 = serial)")
 	progress := flag.Bool("progress", false, "report per-sweep progress on stderr")
 	metricsDir := flag.String("metrics-dir", "", "dump per-figure run metrics as JSON files into this directory")
-	cacheDir := flag.String("cache-dir", "", "persist memoized run results in this directory (warm re-runs skip simulation)")
-	noCache := flag.Bool("no-cache", false, "disable run memoization entirely (overrides -cache-dir)")
 	relOut := flag.String("reliability-out", "", "write the reliability campaign summary as JSON to this file")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
-	obsFlags := obs.RegisterFlags(flag.CommandLine)
+	cacheFlags := cli.RegisterCache(flag.CommandLine)
+	run := cli.Register("samfig", flag.CommandLine)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -81,52 +76,18 @@ func main() {
 		w.TbRecords = *tbRecords
 	}
 
-	// fail closes the plane before exiting so an aborted run (a cancelled
-	// sweep, a failed figure) still gets its event-log summary; os.Exit
-	// skips the deferred Close, and Close is idempotent for the normal
-	// path.
-	var plane *obs.Plane
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "samfig:", err)
-		_ = plane.Close()
-		os.Exit(1)
-	}
-
-	stopProf, err := prof.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fail(err)
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fail(err)
-		}
-	}()
-
 	// One memo cache is shared across every figure and sweep of the
 	// invocation, so `-exp all` simulates each distinct (design, workload,
 	// query) cell once no matter how many figures evaluate it. Figures are
 	// byte-identical with the cache on or off; -no-cache recovers the
 	// run-everything behaviour, -cache-dir adds the persistent tier.
-	var cache *core.Memo
-	if !*noCache {
-		cache = core.NewMemo(core.MemoOptions{Dir: *cacheDir})
-	}
+	cache := cacheFlags.Memo()
 
-	// The observability plane (nil when both flags are off) serves live
-	// /metrics, /progress, and the stall watchdog while figures run, and
-	// appends the JSONL run-lifecycle event log.
-	plane, err = obsFlags.Start(os.Stderr)
-	if err != nil {
-		fail(err)
-	}
-	if cache != nil {
-		plane.AddSource(cache.StatsSnapshot)
-	}
-	defer func() {
-		if err := plane.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "samfig: obs:", err)
-		}
-	}()
+	// The observability plane (nil when both -obs flags are off) serves
+	// live /metrics, /progress, and the stall watchdog while figures run,
+	// and appends the JSONL run-lifecycle event log.
+	run.Start(cache.StatsSnapshot)
+	defer run.Stop()
 
 	// collected gathers per-run metrics by figure ID, in emission order
 	// (the drivers call Par.Metrics from their deterministic aggregation
@@ -137,7 +98,7 @@ func main() {
 	// par builds the per-sweep parallelism config; the progress callback
 	// rewrites one stderr line per completed simulation of that sweep.
 	par := func(name string) core.Par {
-		p := core.Par{Workers: *workers, Memo: cache, Observer: plane.Hooks(name)}
+		p := core.Par{Workers: *workers, Memo: cache, Observer: run.Plane.Hooks(name)}
 		if *progress {
 			p.Progress = func(done, total int) {
 				fmt.Fprintf(os.Stderr, "\r%s: %d/%d runs", name, done, total)
@@ -156,7 +117,7 @@ func main() {
 				}
 				mf.Entries = append(mf.Entries, metricEntry{X: x, Design: designName, Stats: st})
 				if err := mf.Merged.Merge(st.Metrics); err != nil {
-					fail(fmt.Errorf("%s: %w", figID, err))
+					run.Fail(fmt.Errorf("%s: %w", figID, err))
 				}
 			}
 		}
@@ -186,21 +147,21 @@ func main() {
 	if wants("table3") {
 		tb, err := core.Table3()
 		if err != nil {
-			fail(err)
+			run.Fail(err)
 		}
 		emit("Table 3: benchmark queries (parsed and planned)", tb)
 	}
 	if wants("fig12") {
 		fig, err := core.Fig12(ctx, w, par("fig12"))
 		if err != nil {
-			fail(err)
+			run.Fail(err)
 		}
 		emit("Fig 12: speedup vs row-store baseline", fig.Table())
 	}
 	if wants("fig13") {
 		rows, err := core.Fig13(ctx, w, par("fig13"))
 		if err != nil {
-			fail(err)
+			run.Fail(err)
 		}
 		tb := stats.NewTable("category", "design", "bg mW", "rd/wr mW", "act mW", "total mW", "energy eff")
 		for _, r := range rows {
@@ -214,14 +175,14 @@ func main() {
 	if wants("fig14a") {
 		fig, err := core.Fig14a(ctx, w, par("fig14a"))
 		if err != nil {
-			fail(err)
+			run.Fail(err)
 		}
 		emit("Fig 14a: substrate swap (all-query gmean speedup)", fig.Table())
 	}
 	if wants("fig14b") {
 		fig, err := core.Fig14b(ctx, w, par("fig14b"))
 		if err != nil {
-			fail(err)
+			run.Fail(err)
 		}
 		emit("Fig 14b: strided granularity sweep (Q-query gmean)", fig.Table())
 	}
@@ -232,7 +193,7 @@ func main() {
 		camp := core.DefaultReliabilityCampaign()
 		results, err := core.RunReliability(ctx, camp, par("reliability"))
 		if err != nil {
-			fail(err)
+			run.Fail(err)
 		}
 		tb := stats.NewTable("design", "bits", "scheme", "model", "rate",
 			"bursts", "injected", "corrected", "DUE", "silent", "retries", "poisoned")
@@ -249,23 +210,13 @@ func main() {
 		}
 		emit("Reliability: fault campaign (chipkill at the burst boundary)", tb)
 		if *relOut != "" {
-			summary := struct {
-				Seed     uint64                   `json:"seed"`
-				TotalSDC uint64                   `json:"total_sdc"`
-				Cells    []core.ReliabilityResult `json:"cells"`
-			}{camp.Seed, core.TotalSDC(results), results}
-			enc, err := json.MarshalIndent(summary, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			enc = append(enc, '\n')
-			if err := os.WriteFile(*relOut, enc, 0o644); err != nil {
-				fail(err)
+			if err := cli.WriteJSON(*relOut, camp.Summary(results)); err != nil {
+				run.Fail(err)
 			}
 			fmt.Fprintf(os.Stderr, "samfig: wrote %s (%d cells)\n", *relOut, len(results))
 		}
 		if n := core.TotalSDC(results); n != 0 {
-			fail(fmt.Errorf("reliability campaign took %d silent data corruptions", n))
+			run.Fail(fmt.Errorf("reliability campaign took %d silent data corruptions", n))
 		}
 	}
 
@@ -318,7 +269,7 @@ func main() {
 		if wants(sw.name) || (*exp == "fig15" && strings.HasPrefix(sw.name, "fig15")) {
 			fig, err := sw.run()
 			if err != nil {
-				fail(err)
+				run.Fail(err)
 			}
 			emit(titles[sw.name], fig.Table())
 			ranAny = true
@@ -333,22 +284,17 @@ func main() {
 		known[sw.name] = true
 	}
 	if !known[*exp] && !ranAny {
-		fail(fmt.Errorf("unknown experiment %q", *exp))
+		run.Fail(fmt.Errorf("unknown experiment %q", *exp))
 	}
 
 	if *metricsDir != "" {
 		if err := os.MkdirAll(*metricsDir, 0o755); err != nil {
-			fail(err)
+			run.Fail(err)
 		}
 		for _, figID := range collectedOrder {
-			enc, err := json.MarshalIndent(collected[figID], "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			enc = append(enc, '\n')
 			path := filepath.Join(*metricsDir, figID+".json")
-			if err := os.WriteFile(path, enc, 0o644); err != nil {
-				fail(err)
+			if err := cli.WriteJSON(path, collected[figID]); err != nil {
+				run.Fail(err)
 			}
 			fmt.Fprintf(os.Stderr, "samfig: wrote %s (%d runs)\n", path, len(collected[figID].Entries))
 		}
@@ -360,14 +306,9 @@ func main() {
 				Counters memo.Counters   `json:"counters"`
 				Stats    *stats.Snapshot `json:"stats"`
 			}{memo.SchemaVersion, cache.Counters(), cache.StatsSnapshot()}
-			enc, err := json.MarshalIndent(dump, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			enc = append(enc, '\n')
 			path := filepath.Join(*metricsDir, "memo.json")
-			if err := os.WriteFile(path, enc, 0o644); err != nil {
-				fail(err)
+			if err := cli.WriteJSON(path, dump); err != nil {
+				run.Fail(err)
 			}
 			fmt.Fprintf(os.Stderr, "samfig: wrote %s\n", path)
 		}

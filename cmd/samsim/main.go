@@ -11,7 +11,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -20,13 +19,12 @@ import (
 	"strconv"
 	"strings"
 
+	"sam/internal/cli"
 	"sam/internal/core"
 	"sam/internal/design"
 	"sam/internal/etrace"
 	"sam/internal/fault"
 	"sam/internal/mc"
-	"sam/internal/obs"
-	"sam/internal/prof"
 	"sam/internal/runner"
 	"sam/internal/sim"
 	"sam/internal/sql"
@@ -53,72 +51,44 @@ func main() {
 	traceWindow := flag.Int64("trace-window", 2048, "sampling window for the trace time series (bus cycles)")
 	traceLimit := flag.Int("trace-limit", etrace.DefaultCapacity, "event-ring capacity per design; oldest events drop beyond this")
 	statsJSON := flag.String("stats-json", "", "write the full run report as JSON to this file ('-' for stdout)")
-	cacheDir := flag.String("cache-dir", "", "persist memoized run results in this directory (warm re-runs skip simulation)")
-	noCache := flag.Bool("no-cache", false, "disable run memoization entirely (overrides -cache-dir)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
-	obsFlags := obs.RegisterFlags(flag.CommandLine)
+	cacheFlags := cli.RegisterCache(flag.CommandLine)
+	run := cli.Register("samsim", flag.CommandLine)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	// fail closes the (idempotent, nil-safe) plane first: os.Exit skips
-	// the deferred Close, and an aborted run should still summarize its
-	// event log.
-	var plane *obs.Plane
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "samsim:", err)
-		_ = plane.Close()
-		os.Exit(1)
-	}
-
-	stopProf, err := prof.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fail(err)
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fail(err)
-		}
-	}()
-
 	kind, ok := core.KindByName(*designName)
 	if !ok {
-		fail(fmt.Errorf("unknown design %q (try %s)", *designName, strings.Join(core.KindNames(), ", ")))
+		run.Fail(fmt.Errorf("unknown design %q (try %s)", *designName, strings.Join(core.KindNames(), ", ")))
 	}
-	w := core.DefaultWorkload()
+	spec := core.RunSpec{Design: kind, Workload: core.DefaultWorkload()}
 	if *taRecords > 0 {
-		w.TaRecords = *taRecords
+		spec.Workload.TaRecords = *taRecords
 	}
 	if *tbRecords > 0 {
-		w.TbRecords = *tbRecords
+		spec.Workload.TbRecords = *tbRecords
 	}
-
-	var bench core.BenchQuery
 	switch {
 	case *benchName != "":
-		if bench, ok = core.BenchQueryByName(*benchName); !ok {
-			fail(fmt.Errorf("unknown benchmark query %q", *benchName))
+		if spec.Query, ok = core.BenchQueryByName(*benchName); !ok {
+			run.Fail(fmt.Errorf("unknown benchmark query %q", *benchName))
 		}
 	case *query != "":
-		bench = core.BenchQuery{Name: "adhoc", SQL: *query, Params: sql.Params{}}
+		spec.Query = core.BenchQuery{Name: "adhoc", SQL: *query, Params: sql.Params{}}
 	default:
-		fail(fmt.Errorf("provide -query or -bench"))
+		run.Fail(fmt.Errorf("provide -query or -bench"))
 	}
-
-	faults, err := buildFaultModel(*faultRate, *faultSeed, *faultChips, *faultStuck, *faultRetries, w.Seed)
+	var err error
+	spec.Faults, err = buildFaultModel(*faultRate, *faultSeed, *faultChips, *faultStuck, *faultRetries, spec.Workload.Seed)
 	if err != nil {
-		fail(err)
+		run.Fail(err)
 	}
 
 	// Untraced runs, faulted or not, go through the memo cache; with
 	// -cache-dir a repeat of the same run replays from disk instead of
 	// simulating.
-	var cache *core.Memo
-	if !*noCache {
-		cache = core.NewMemo(core.MemoOptions{Dir: *cacheDir})
-	}
+	cache := cacheFlags.Memo()
 	tr := tracing{requests: *traceOut != "", events: *eventOut != "" || *traceCSV != "", window: *traceWindow, limit: *traceLimit}
 	kinds := []design.Kind{kind}
 	label := "run"
@@ -127,18 +97,8 @@ func main() {
 		label = "compare"
 	}
 
-	plane, err = obsFlags.Start(os.Stderr)
-	if err != nil {
-		fail(err)
-	}
-	if cache != nil {
-		plane.AddSource(cache.StatsSnapshot)
-	}
-	defer func() {
-		if err := plane.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "samsim: obs:", err)
-		}
-	}()
+	run.Start(cache.StatsSnapshot)
+	defer run.Stop()
 
 	// The design and its baseline are independent runs; fan them out on
 	// the worker pool.
@@ -146,32 +106,34 @@ func main() {
 		r   *sim.QueryResult
 		rec recording
 	}
-	runs, err := runner.Map(ctx, kinds, runner.Options{Workers: *workers, Observer: plane.Hooks(label)},
-		func(_ context.Context, _ int, k design.Kind) (result, error) {
+	runs, err := runner.Map(ctx, kinds, runner.Options{Workers: *workers, Observer: run.Plane.Hooks(label)},
+		func(ctx context.Context, _ int, k design.Kind) (result, error) {
 			t := tr
 			if k != kind {
 				// The baseline is traced only for the side-by-side event trace.
 				t.requests, t.events = false, *eventOut != ""
 			}
-			r, rec, err := runQuery(cache, k, w, bench, faults, t)
+			s := spec
+			s.Design = k
+			r, rec, err := runQuery(ctx, cache, s, t)
 			if err != nil {
 				return result{}, fmt.Errorf("%v: %w", k, err)
 			}
 			return result{r, rec}, nil
 		})
 	if err != nil {
-		fail(err)
+		run.Fail(err)
 	}
 	res, rec := runs[0].r, runs[0].rec
-	report(kind.String(), bench, res)
+	report(kind.String(), spec.Query, res)
 	if len(runs) > 1 {
 		base := runs[1].r
 		fmt.Printf("\nspeedup vs baseline: %.2fx (baseline %d cycles)\n",
 			sim.Speedup(base.Stats, res.Stats), base.Stats.Cycles)
 	}
 	if *traceOut != "" {
-		if err := writeFile(*traceOut, rec.requests.Write); err != nil {
-			fail(err)
+		if err := cli.WriteFile(*traceOut, rec.requests.Write); err != nil {
+			run.Fail(err)
 		}
 		fmt.Printf("trace         %d requests -> %s\n", rec.requests.Len(), *traceOut)
 	}
@@ -185,14 +147,14 @@ func main() {
 			fmt.Printf("event trace   %s: %d events (%d dropped), %d samples\n",
 				r.events.Name, r.events.Len(), r.events.Dropped(), len(r.samples.Samples))
 		}
-		if err := writeFile(*eventOut, func(f io.Writer) error { return etrace.WriteChrome(f, bufs, sps) }); err != nil {
-			fail(err)
+		if err := cli.WriteFile(*eventOut, func(f io.Writer) error { return etrace.WriteChrome(f, bufs, sps) }); err != nil {
+			run.Fail(err)
 		}
 		fmt.Printf("event trace   -> %s\n", *eventOut)
 	}
 	if *traceCSV != "" {
-		if err := writeFile(*traceCSV, func(f io.Writer) error { return etrace.WriteCSV(f, rec.samples) }); err != nil {
-			fail(err)
+		if err := cli.WriteFile(*traceCSV, func(f io.Writer) error { return etrace.WriteCSV(f, rec.samples) }); err != nil {
+			run.Fail(err)
 		}
 		fmt.Printf("trace csv     %d samples (window %d cycles) -> %s\n",
 			len(rec.samples.Samples), rec.samples.Window, *traceCSV)
@@ -205,8 +167,17 @@ func main() {
 		}
 	}
 	if *statsJSON != "" {
-		if err := writeStatsJSON(*statsJSON, kind.String(), bench, res, memoSnap); err != nil {
-			fail(err)
+		out := statsReport{
+			Design:     kind.String(),
+			Query:      spec.Query.Name,
+			SQL:        spec.Query.SQL,
+			Rows:       res.Rows,
+			Aggregates: res.Aggregates,
+			Stats:      res.Stats,
+			Memo:       memoSnap,
+		}
+		if err := cli.WriteJSON(*statsJSON, out); err != nil {
+			run.Fail(err)
 		}
 	}
 }
@@ -226,30 +197,32 @@ type recording struct {
 	samples  *etrace.Sampler
 }
 
-// runQuery executes q on a fresh system of kind. An untraced run goes
-// through the memo cache (a nil cache runs uncached). A traced run builds
-// its own system so the tracers can be attached, with the same store and
-// scan rules, and is never cached. fm, when non-nil, injects faults.
-func runQuery(cache *core.Memo, kind design.Kind, w core.Workload, q core.BenchQuery, fm *sim.FaultModel, tr tracing) (*sim.QueryResult, recording, error) {
+// runQuery executes spec. An untraced run goes through the memo cache (a
+// nil cache runs uncached). A traced run attaches its recorders to the
+// run's system and is never cached.
+func runQuery(ctx context.Context, cache *core.Memo, spec core.RunSpec, tr tracing) (*sim.QueryResult, recording, error) {
 	if !tr.requests && !tr.events {
-		r, _, err := cache.Run(kind, design.Options{}, w, q, fm)
+		r, _, err := cache.Run(ctx, spec)
 		return r, recording{}, err
 	}
-	s := core.NewSystem(kind, design.Options{}, w, core.ColumnStore(kind, q))
-	s.Faults = fm
 	var rec recording
 	if tr.requests {
 		rec.requests = &trace.Trace{}
-		s.TraceSink = rec.requests
 	}
 	if tr.events {
 		rec.events = etrace.NewBuffer(tr.limit)
-		rec.events.Name = kind.String()
+		rec.events.Name = spec.Design.String()
 		rec.samples = etrace.NewSampler(tr.window)
-		rec.samples.Name = kind.String()
-		s.AttachEventTrace(rec.events, rec.samples)
+		rec.samples.Name = spec.Design.String()
 	}
-	r, err := core.RunOn(s, q)
+	r, err := spec.Run(func(s *sim.System) {
+		if rec.requests != nil {
+			s.TraceSink = rec.requests
+		}
+		if rec.events != nil {
+			s.AttachEventTrace(rec.events, rec.samples)
+		}
+	})
 	return r, rec, err
 }
 
@@ -312,19 +285,6 @@ func buildFaultModel(rate float64, seed uint64, chips, stuck string, retries int
 	return cfg, nil
 }
 
-// writeFile creates path and fills it with write.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // statsReport is the machine-readable form of the run: functional results
 // plus the full sim.RunStats, including the per-class latency/occupancy
 // histogram snapshot (Stats.Metrics) and per-bank accounting
@@ -340,28 +300,6 @@ type statsReport struct {
 	// memo.misses, memo.inflight_dedup counters and the memo.bytes
 	// gauge); absent when memoization is disabled or unused.
 	Memo *stats.Snapshot `json:",omitempty"`
-}
-
-func writeStatsJSON(path, designName string, q core.BenchQuery, r *sim.QueryResult, memoSnap *stats.Snapshot) error {
-	out := statsReport{
-		Design:     designName,
-		Query:      q.Name,
-		SQL:        q.SQL,
-		Rows:       r.Rows,
-		Aggregates: r.Aggregates,
-		Stats:      r.Stats,
-		Memo:       memoSnap,
-	}
-	enc, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	enc = append(enc, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(enc)
-		return err
-	}
-	return os.WriteFile(path, enc, 0o644)
 }
 
 func report(designName string, q core.BenchQuery, r *sim.QueryResult) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"testing"
 
 	"sam/internal/core"
@@ -30,7 +31,7 @@ func equivalent(t *testing.T, what string, a, b *sim.QueryResult) {
 // scan; a traced run, a run with an inactive fault model and the memoized
 // run must all apply both rules.
 func TestRunPathsAgree(t *testing.T) {
-	w := core.SmallWorkload()
+	ctx := context.Background()
 	cache := core.NewMemo(core.MemoOptions{})
 	for _, c := range []struct {
 		kind  design.Kind
@@ -38,15 +39,17 @@ func TestRunPathsAgree(t *testing.T) {
 	}{{design.Ideal, "Q3"}, {design.SAMEn, "Qs2"}} {
 		q, _ := core.BenchQueryByName(c.query)
 		name := c.kind.String() + "/" + c.query
-		memoized, _, err := runQuery(cache, c.kind, w, q, nil, tracing{})
+		spec := core.RunSpec{Design: c.kind, Workload: core.SmallWorkload(), Query: q}
+		memoized, _, err := runQuery(ctx, cache, spec, tracing{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		inactive, _, err := runQuery(nil, c.kind, w, q, &sim.FaultModel{}, tracing{})
+		spec.Faults = &sim.FaultModel{}
+		inactive, _, err := runQuery(ctx, nil, spec, tracing{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		traced, rec, err := runQuery(nil, c.kind, w, q, &sim.FaultModel{}, traceAll)
+		traced, rec, err := runQuery(ctx, nil, spec, traceAll)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,8 +58,9 @@ func TestRunPathsAgree(t *testing.T) {
 		}
 		equivalent(t, name+" inactive faults vs memoized", inactive, memoized)
 		equivalent(t, name+" traced vs memoized", traced, memoized)
-		if want, _ := core.RunOne(c.kind, design.Options{}, w, q); want.Stats.Cycles != memoized.Stats.Cycles {
-			t.Fatalf("%s: samsim %d cycles, core.RunOne %d", name, memoized.Stats.Cycles, want.Stats.Cycles)
+		spec.Faults = nil
+		if want, _ := spec.Run(); want.Stats.Cycles != memoized.Stats.Cycles {
+			t.Fatalf("%s: samsim %d cycles, RunSpec.Run %d", name, memoized.Stats.Cycles, want.Stats.Cycles)
 		}
 	}
 }
@@ -68,14 +72,15 @@ func TestTracedCyclesMatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full design × query grid skipped in short mode")
 	}
-	w := core.SmallWorkload()
+	ctx := context.Background()
 	for _, k := range core.AllKinds() {
 		for _, q := range core.Benchmark() {
-			plain, _, err := runQuery(nil, k, w, q, nil, tracing{})
+			spec := core.RunSpec{Design: k, Workload: core.SmallWorkload(), Query: q}
+			plain, _, err := runQuery(ctx, nil, spec, tracing{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			traced, _, err := runQuery(nil, k, w, q, nil, tracing{events: true, window: 2048, limit: 1})
+			traced, _, err := runQuery(ctx, nil, spec, tracing{events: true, window: 2048, limit: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

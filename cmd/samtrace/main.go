@@ -12,17 +12,17 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
+	"sam/internal/cli"
 	"sam/internal/dram"
 	"sam/internal/etrace"
 	"sam/internal/mc"
 	"sam/internal/obs"
-	"sam/internal/prof"
 	"sam/internal/stats"
 	"sam/internal/trace"
 )
@@ -39,51 +39,22 @@ func main() {
 	traceCSV := flag.String("trace-csv", "", "write the windowed time-series samples as CSV to this file")
 	traceWindow := flag.Int64("trace-window", 2048, "sampling window for the trace time series (bus cycles)")
 	traceLimit := flag.Int("trace-limit", etrace.DefaultCapacity, "event-ring capacity; oldest events drop beyond this")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
-	obsFlags := obs.RegisterFlags(flag.CommandLine)
+	run := cli.Register("samtrace", flag.CommandLine)
 	flag.Parse()
 
-	// fail closes the (idempotent, nil-safe) plane first: os.Exit skips
-	// the deferred Close, and an aborted replay should still summarize
-	// its event log.
-	var plane *obs.Plane
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "samtrace:", err)
-		_ = plane.Close()
-		os.Exit(1)
-	}
-
-	plane, perr := obsFlags.Start(os.Stderr)
-	if perr != nil {
-		fail(perr)
-	}
-	defer func() {
-		if err := plane.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "samtrace: obs:", err)
-		}
-	}()
-
-	stopProf, err := prof.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fail(err)
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fail(err)
-		}
-	}()
+	run.Start()
+	defer run.Stop()
 
 	var tr *trace.Trace
 	if *gen != "" {
 		var err error
 		tr, err = generate(*gen, *n, *stride, *seed)
 		if err != nil {
-			fail(err)
+			run.Fail(err)
 		}
 		if *replay == "" {
 			if err := tr.Write(os.Stdout); err != nil {
-				fail(err)
+				run.Fail(err)
 			}
 			return
 		}
@@ -94,7 +65,7 @@ func main() {
 			if *replay != "-" {
 				f, err := os.Open(*replay)
 				if err != nil {
-					fail(err)
+					run.Fail(err)
 				}
 				defer f.Close()
 				in = f
@@ -102,16 +73,16 @@ func main() {
 			var err error
 			tr, err = trace.Read(in)
 			if err != nil {
-				fail(err)
+				run.Fail(err)
 			}
 		}
 		topts := traceOpts{out: *eventOut, csv: *traceCSV, window: *traceWindow, limit: *traceLimit}
-		if err := report(tr, *rram, *statsJSON, topts, plane); err != nil {
-			fail(err)
+		if err := report(tr, *rram, *statsJSON, topts, run.Plane); err != nil {
+			run.Fail(err)
 		}
 		return
 	}
-	fail(fmt.Errorf("nothing to do: pass -gen and/or -replay"))
+	run.Fail(fmt.Errorf("nothing to do: pass -gen and/or -replay"))
 }
 
 func generate(kind string, n, stride int, seed int64) (*trace.Trace, error) {
@@ -251,7 +222,7 @@ func report(tr *trace.Trace, rram bool, statsJSON string, topts traceOpts, plane
 		buf.Name = cfg.Name
 		sp.Name = cfg.Name
 		if topts.out != "" {
-			if err := writeTraceFile(topts.out, func(f *os.File) error {
+			if err := cli.WriteFile(topts.out, func(f io.Writer) error {
 				return etrace.WriteChrome(f, []*etrace.Buffer{buf}, []*etrace.Sampler{sp})
 			}); err != nil {
 				return err
@@ -260,7 +231,7 @@ func report(tr *trace.Trace, rram bool, statsJSON string, topts traceOpts, plane
 				buf.Len(), buf.Dropped(), len(sp.Samples), topts.out)
 		}
 		if topts.csv != "" {
-			if err := writeTraceFile(topts.csv, func(f *os.File) error {
+			if err := cli.WriteFile(topts.csv, func(f io.Writer) error {
 				return etrace.WriteCSV(f, sp)
 			}); err != nil {
 				return err
@@ -277,28 +248,7 @@ func report(tr *trace.Trace, rram bool, statsJSON string, topts traceOpts, plane
 			Cycles   dram.Cycle
 			Metrics  *stats.Snapshot
 		}{cfg.Name, len(comps), end, reg.Snapshot()}
-		enc, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			return err
-		}
-		enc = append(enc, '\n')
-		if statsJSON == "-" {
-			_, err = os.Stdout.Write(enc)
-			return err
-		}
-		return os.WriteFile(statsJSON, enc, 0o644)
+		return cli.WriteJSON(statsJSON, out)
 	}
 	return nil
-}
-
-func writeTraceFile(path string, write func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -1,4 +1,4 @@
-package prof
+package cli
 
 import (
 	"os"
@@ -13,9 +13,9 @@ func TestStopIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.prof")
 	mem := filepath.Join(dir, "mem.prof")
-	stop, err := Start(cpu, mem)
+	stop, err := startProfile(cpu, mem)
 	if err != nil {
-		t.Fatalf("Start: %v", err)
+		t.Fatalf("startProfile: %v", err)
 	}
 	if err := stop(); err != nil {
 		t.Fatalf("stop: %v", err)
@@ -47,14 +47,14 @@ func TestStopIdempotent(t *testing.T) {
 // TestStopCPUOkMemFails pins the partial-failure path: with a valid CPU
 // path but an uncreatable heap path, stop returns the heap error — once,
 // with later calls repeating the remembered error — and still finishes
-// the CPU profile, so a fresh Start succeeds immediately afterwards.
+// the CPU profile, so a fresh startProfile succeeds immediately afterwards.
 func TestStopCPUOkMemFails(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.prof")
 	mem := filepath.Join(dir, "does-not-exist", "mem.prof")
-	stop, err := Start(cpu, mem)
+	stop, err := startProfile(cpu, mem)
 	if err != nil {
-		t.Fatalf("Start: %v", err)
+		t.Fatalf("startProfile: %v", err)
 	}
 	first := stop()
 	if first == nil {
@@ -68,9 +68,9 @@ func TestStopCPUOkMemFails(t *testing.T) {
 	}
 	// The CPU profiler must be stopped: starting again would panic the
 	// runtime ("cpu profiling already in use") via error otherwise.
-	stop2, err := Start(filepath.Join(dir, "cpu2.prof"), "")
+	stop2, err := startProfile(filepath.Join(dir, "cpu2.prof"), "")
 	if err != nil {
-		t.Fatalf("fresh Start after failed stop: %v", err)
+		t.Fatalf("fresh startProfile after failed stop: %v", err)
 	}
 	if err := stop2(); err != nil {
 		t.Fatalf("fresh stop: %v", err)
@@ -80,9 +80,9 @@ func TestStopCPUOkMemFails(t *testing.T) {
 // TestStartNoop covers the both-paths-empty case: no profiler started, a
 // no-op stop that stays a no-op on repeat calls.
 func TestStartNoop(t *testing.T) {
-	stop, err := Start("", "")
+	stop, err := startProfile("", "")
 	if err != nil {
-		t.Fatalf("Start: %v", err)
+		t.Fatalf("startProfile: %v", err)
 	}
 	for i := 0; i < 3; i++ {
 		if err := stop(); err != nil {

@@ -99,8 +99,44 @@ func SmallWorkload() Workload {
 	return Workload{TaRecords: 2 << 10, TbRecords: 16 << 10, Seed: 0xDA7ABA5E}
 }
 
+// RunSpec is one Table 3 run: a design point, the Ta/Tb workload, one
+// benchmark query and an optional fault model. It is the one description
+// every caller hands to the simulator and to the run memo; its Key is the
+// memo key.
+type RunSpec struct {
+	Design   design.Kind
+	Options  design.Options
+	Workload Workload
+	Query    BenchQuery
+	// Faults attaches fault injection: every data burst of the run is
+	// adjudicated through the design's chipkill codec with faults drawn
+	// from it. Nil or inactive runs fault-free.
+	Faults *sim.FaultModel
+}
+
+// columnStore reports whether the run uses the column store: the Ideal
+// design uses the preferred store per query class, which is the column
+// store for Q-class queries. Every other design is a row store.
+func (s RunSpec) columnStore() bool {
+	return s.Design == design.Ideal && s.Query.Class == ClassQ
+}
+
+// Run executes the query on a fresh system. attach hooks see the built
+// system before the query runs (tracers, samplers); a hooked run is still
+// the same run, cycle for cycle. Qs-class queries execute with
+// row-preferring full-record scans (see RunOn).
+func (s RunSpec) Run(attach ...func(*sim.System)) (*sim.QueryResult, error) {
+	sys := NewSystem(s.Design, s.Options, s.Workload, s.columnStore())
+	sys.Faults = s.Faults
+	for _, a := range attach {
+		a(sys)
+	}
+	return RunOn(sys, s.Query)
+}
+
 // NewSystem builds a system for kind with both benchmark tables loaded.
 // For the Ideal design, colStore selects the per-query preferred layout.
+// It is RunSpec.Run's build step.
 func NewSystem(kind design.Kind, opts design.Options, w Workload, colStore bool) *sim.System {
 	d := design.New(kind, opts)
 	s := sim.NewSystem(d)
@@ -109,36 +145,15 @@ func NewSystem(kind design.Kind, opts design.Options, w Workload, colStore bool)
 	return s
 }
 
-// ColumnStore reports whether kind runs q on the column store: the Ideal
-// design uses the preferred store per query class, which is the column
-// store for Q-class queries. Every other design is a row store.
-func ColumnStore(kind design.Kind, q BenchQuery) bool {
-	return kind == design.Ideal && q.Class == ClassQ
-}
-
-// RunOne executes one benchmark query on a fresh system of the given kind
-// and returns its result. The Ideal design automatically uses the
-// preferred store for the query class, and Qs-class queries execute with
-// row-preferring full-record scans.
-func RunOne(kind design.Kind, opts design.Options, w Workload, q BenchQuery) (*sim.QueryResult, error) {
-	return RunOneFaulted(kind, opts, w, q, nil)
-}
-
-// RunOneFaulted is RunOne with fault injection attached: every data burst
-// of the run is adjudicated through the design's chipkill codec with faults
-// drawn from fm. A nil or inactive fm runs fault-free. The throughput
-// benchmarks use it to measure the price of a live fault plane against the
-// fault-free path.
+// RunOneFaulted runs RunSpec{kind, opts, w, q, fm}.
+//
+// Deprecated: use RunSpec.Run. Kept only for sam/perfbench.
 func RunOneFaulted(kind design.Kind, opts design.Options, w Workload, q BenchQuery, fm *sim.FaultModel) (*sim.QueryResult, error) {
-	s := NewSystem(kind, opts, w, ColumnStore(kind, q))
-	s.Faults = fm
-	return RunOn(s, q)
+	return RunSpec{Design: kind, Options: opts, Workload: w, Query: q, Faults: fm}.Run()
 }
 
-// RunOn executes one benchmark query on an already-built system, applying
-// the same compile and scan-shape rules as RunOne. Tools that attach
-// extras to the system first (event tracing, fault injection) run through
-// this.
+// RunOn executes one benchmark query on an already-built system: it is
+// RunSpec.Run's plan step, and applies the Qs full-record scan rule.
 func RunOn(s *sim.System, q BenchQuery) (*sim.QueryResult, error) {
 	stmt, err := sql.Parse(q.SQL)
 	if err != nil {
@@ -213,7 +228,7 @@ func checkFunctional(q BenchQuery, k design.Kind, base, r *sim.QueryResult) erro
 func RunComparison(ctx context.Context, kinds []design.Kind, opts design.Options, w Workload, q BenchQuery, par Par) ([]SpeedupResult, error) {
 	all := append([]design.Kind{design.Baseline}, kinds...)
 	runs, err := runner.Map(ctx, all, par.opts(), func(ctx context.Context, _ int, k design.Kind) (*sim.QueryResult, error) {
-		r, _, err := par.Memo.run(ctx, k, opts, w, q, nil)
+		r, _, err := par.Memo.Run(ctx, RunSpec{Design: k, Options: opts, Workload: w, Query: q})
 		if err != nil {
 			return nil, fmt.Errorf("%s on %v: %w", q.Name, k, err)
 		}

@@ -112,13 +112,13 @@ func TestFunctionalMismatchDetected(t *testing.T) {
 	// construction.
 	w := tiny()
 	q := Benchmark()[0]
-	a, err := RunOne(design.Baseline, design.Options{}, w, q)
+	a, err := RunSpec{Design: design.Baseline, Workload: w, Query: q}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	w2 := w
 	w2.Seed++
-	b, err := RunOne(design.Baseline, design.Options{}, w2, q)
+	b, err := RunSpec{Design: design.Baseline, Workload: w2, Query: q}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func Fig12(ctx context.Context, w Workload, par Par) (*Figure, error) {
 	runKinds := append([]design.Kind{design.Baseline}, kinds...)
 	grid, err := runner.Grid(ctx, queries, runKinds, par.opts(),
 		func(ctx context.Context, _, _ int, q BenchQuery, k design.Kind) (*sim.QueryResult, error) {
-			r, _, err := par.Memo.run(ctx, k, design.Options{}, w, q, nil)
+			r, _, err := par.Memo.Run(ctx, RunSpec{Design: k, Workload: w, Query: q})
 			if err != nil {
 				return nil, fmt.Errorf("%s on %v: %w", q.Name, k, err)
 			}
@@ -172,10 +172,10 @@ type Fig13Row struct {
 // aggregated sequentially in the paper's order.
 func Fig13(ctx context.Context, w Workload, par Par) ([]Fig13Row, error) {
 	queries := Benchmark()
-	kinds := append([]design.Kind{Baseline()}, design.AllEvaluated()...)
+	kinds := append([]design.Kind{design.Baseline}, design.AllEvaluated()...)
 	grid, err := runner.Grid(ctx, kinds, queries, par.opts(),
 		func(ctx context.Context, _, _ int, kind design.Kind, q BenchQuery) (*sim.QueryResult, error) {
-			r, _, err := par.Memo.run(ctx, kind, design.Options{}, w, q, nil)
+			r, _, err := par.Memo.Run(ctx, RunSpec{Design: kind, Workload: w, Query: q})
 			if err != nil {
 				return nil, fmt.Errorf("fig13 %s %v: %w", q.Name, kind, err)
 			}
@@ -192,7 +192,7 @@ func Fig13(ctx context.Context, w Workload, par Par) ([]Fig13Row, error) {
 		}
 		res[kind.String()] = byQuery
 	}
-	baseRes := res[Baseline().String()]
+	baseRes := res[design.Baseline.String()]
 	var rows []Fig13Row
 	for _, cat := range Fig13Categories() {
 		for _, kind := range kinds {
@@ -225,9 +225,6 @@ func Fig13(ctx context.Context, w Workload, par Par) ([]Fig13Row, error) {
 	return rows, nil
 }
 
-// Baseline returns the normalization design kind.
-func Baseline() design.Kind { return design.Baseline }
-
 // figJob is one (query, design, options) simulation of a Fig. 14 sweep.
 type figJob struct {
 	q    BenchQuery
@@ -239,7 +236,7 @@ type figJob struct {
 func runJobs(ctx context.Context, jobs []figJob, w Workload, par Par) ([]*sim.QueryResult, error) {
 	return runner.Map(ctx, jobs, par.opts(),
 		func(ctx context.Context, _ int, j figJob) (*sim.QueryResult, error) {
-			r, _, err := par.Memo.run(ctx, j.kind, j.opts, w, j.q, nil)
+			r, _, err := par.Memo.Run(ctx, RunSpec{Design: j.kind, Options: j.opts, Workload: w, Query: j.q})
 			if err != nil {
 				return nil, fmt.Errorf("%s on %v: %w", j.q.Name, j.kind, err)
 			}

@@ -52,37 +52,35 @@ func NewMemo(o MemoOptions) *Memo {
 func (m *Memo) Counters() memo.Counters { return m.cache.Counters() }
 
 // StatsSnapshot freezes the memo.* instruments as an internal/stats
-// snapshot for -stats-json and -metrics-dir dumps.
-func (m *Memo) StatsSnapshot() *stats.Snapshot { return m.cache.StatsSnapshot() }
-
-// Run executes one benchmark query through the cache and reports how the
-// cache served it (hit/miss/disk-hit/dedup). fm attaches fault injection;
-// nil or inactive means a fault-free run, and the two share one key. A nil
-// *Memo runs uncached and reports memo.Miss. Safe for concurrent use;
-// concurrent lookups of the same key run one simulation.
-func (m *Memo) Run(kind design.Kind, opts design.Options, w Workload, q BenchQuery, fm *sim.FaultModel) (*sim.QueryResult, memo.Outcome, error) {
-	return m.run(context.Background(), kind, opts, w, q, fm)
+// snapshot for -stats-json and -metrics-dir dumps; nil for a nil *Memo.
+func (m *Memo) StatsSnapshot() *stats.Snapshot {
+	if m == nil {
+		return nil
+	}
+	return m.cache.StatsSnapshot()
 }
 
-// RunOne is the cached form of core.RunOne: a hit returns the previously
-// computed result, a miss runs the simulation and caches it.
+// Run executes spec through the cache and reports how the cache served
+// it (hit/miss/disk-hit/dedup), tagging the job span ctx carries, if any,
+// with that outcome. A nil *Memo runs uncached and reports memo.Miss.
+// Safe for concurrent use; concurrent runs of one spec simulate once.
+func (m *Memo) Run(ctx context.Context, spec RunSpec) (*sim.QueryResult, memo.Outcome, error) {
+	return m.do(ctx, spec.Key(), func() (*sim.QueryResult, error) { return spec.Run() })
+}
+
+// RunOne runs RunSpec{kind, opts, w, q} through the cache.
+//
+// Deprecated: use Run. Kept only for sam/perfbench.
 func (m *Memo) RunOne(kind design.Kind, opts design.Options, w Workload, q BenchQuery) (*sim.QueryResult, error) {
-	r, _, err := m.Run(kind, opts, w, q, nil)
+	r, _, err := m.Run(context.Background(), RunSpec{Design: kind, Options: opts, Workload: w, Query: q})
 	return r, err
 }
 
-// Lookup probes both cache tiers for the run Run would execute, without
-// simulating: ok is false on an absent key, which counts no miss. The
-// samd daemon serves a repeated bench job at admission through it.
-func (m *Memo) Lookup(kind design.Kind, opts design.Options, w Workload, q BenchQuery, fm *sim.FaultModel) (r *sim.QueryResult, out memo.Outcome, ok bool) {
-	return m.cache.Lookup(benchRunKey(kind, opts, w, q, ColumnStore(kind, q), fm))
-}
-
-// run is Run for a job of an observed sweep, whose span ctx carries.
-func (m *Memo) run(ctx context.Context, kind design.Kind, opts design.Options, w Workload, q BenchQuery, fm *sim.FaultModel) (*sim.QueryResult, memo.Outcome, error) {
-	return m.do(ctx, benchRunKey(kind, opts, w, q, ColumnStore(kind, q), fm), func() (*sim.QueryResult, error) {
-		return RunOneFaulted(kind, opts, w, q, fm)
-	})
+// Lookup probes both cache tiers for spec without simulating: ok is false
+// on an absent key, which counts no miss. The samd daemon serves a
+// repeated bench job at admission through it.
+func (m *Memo) Lookup(spec RunSpec) (r *sim.QueryResult, out memo.Outcome, ok bool) {
+	return m.cache.Lookup(spec.Key())
 }
 
 // do runs compute through the cache under key and tags the job span ctx
@@ -172,19 +170,20 @@ func addFault(f *memo.Fingerprint, fm *sim.FaultModel) {
 	}
 }
 
-// benchRunKey fingerprints a benchmark-shaped run: the standard Ta/Tb
-// workload pair, one Table 3 query, optional fault injection.
-func benchRunKey(kind design.Kind, opts design.Options, w Workload, q BenchQuery, colStore bool, fm *sim.FaultModel) string {
+// Key fingerprints the run: the standard Ta/Tb workload pair, one Table 3
+// query, the store the design runs it on, optional fault injection. It is
+// the run memo's key and samd's dedup key for a bench job.
+func (s RunSpec) Key() string {
 	f := memo.NewFingerprint("bench")
-	addDesign(f, kind, opts)
-	f.I64("workload.ta", int64(w.TaRecords)).
-		I64("workload.tb", int64(w.TbRecords)).
-		U64("workload.seed", w.Seed).
-		Str("query.sql", q.SQL).
-		I64("query.class", int64(q.Class)).
-		Bool("colstore", colStore)
-	addParams(f, q.Params)
-	addFault(f, fm)
+	addDesign(f, s.Design, s.Options)
+	f.I64("workload.ta", int64(s.Workload.TaRecords)).
+		I64("workload.tb", int64(s.Workload.TbRecords)).
+		U64("workload.seed", s.Workload.Seed).
+		Str("query.sql", s.Query.SQL).
+		I64("query.class", int64(s.Query.Class)).
+		Bool("colstore", s.columnStore())
+	addParams(f, s.Query.Params)
+	addFault(f, s.Faults)
 	return f.Sum()
 }
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"sam/internal/design"
+	"sam/internal/fault"
 	"sam/internal/imdb"
 	"sam/internal/memo"
 	"sam/internal/sim"
@@ -27,12 +28,15 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files (memo salt t
 func TestMemoKeyCanonicalization(t *testing.T) {
 	w := tiny()
 	q := Benchmark()[2] // Q3
-	base := func() string {
-		return benchRunKey(design.SAMEn, design.Options{}, w, q, false, nil)
+	base := RunSpec{Design: design.SAMEn, Workload: w, Query: q}
+	with := func(edit func(*RunSpec)) string {
+		s := base
+		edit(&s)
+		return s.Key()
 	}
 
 	t.Run("mutations", func(t *testing.T) {
-		seen := map[string]string{"base": base()}
+		seen := map[string]string{"base": base.Key()}
 		distinct := func(label, key string) {
 			t.Helper()
 			for prev, pk := range seen {
@@ -42,39 +46,29 @@ func TestMemoKeyCanonicalization(t *testing.T) {
 			}
 			seen[label] = key
 		}
-		distinct("kind", benchRunKey(design.SAMIO, design.Options{}, w, q, false, nil))
-		distinct("gran", benchRunKey(design.SAMEn, design.Options{Gran: design.Gran8}, w, q, false, nil))
-		distinct("substrate", benchRunKey(design.SAMEn, design.Options{Substrate: design.NVM, SubstrateSet: true}, w, q, false, nil))
-		wm := w
-		wm.TaRecords++
-		distinct("ta-records", benchRunKey(design.SAMEn, design.Options{}, wm, q, false, nil))
-		wm = w
-		wm.TbRecords++
-		distinct("tb-records", benchRunKey(design.SAMEn, design.Options{}, wm, q, false, nil))
-		wm = w
-		wm.Seed++
-		distinct("workload-seed", benchRunKey(design.SAMEn, design.Options{}, wm, q, false, nil))
-		qm := q
-		qm.SQL += " "
-		distinct("sql", benchRunKey(design.SAMEn, design.Options{}, w, qm, false, nil))
-		qm = q
-		qm.Class = ClassQs
-		distinct("class", benchRunKey(design.SAMEn, design.Options{}, w, qm, false, nil))
-		qm = q
-		qm.Params = sql.Params{"x": 2, "y": 2, "z": 4}
-		distinct("param-value", benchRunKey(design.SAMEn, design.Options{}, w, qm, false, nil))
-		qm = q
-		qm.Params = sql.Params{"x": 2, "y": 2, "z": 3, "w": 0}
-		distinct("param-extra", benchRunKey(design.SAMEn, design.Options{}, w, qm, false, nil))
-		distinct("colstore", benchRunKey(design.SAMEn, design.Options{}, w, q, true, nil))
-		distinct("fault-rate", benchRunKey(design.SAMEn, design.Options{}, w, q, false, &sim.FaultModel{Rate: 1e-3}))
-		distinct("fault-rate2", benchRunKey(design.SAMEn, design.Options{}, w, q, false, &sim.FaultModel{Rate: 1e-2}))
-		distinct("fault-seed", benchRunKey(design.SAMEn, design.Options{}, w, q, false, &sim.FaultModel{Rate: 1e-3, Seed: 1}))
-		distinct("fault-retries", benchRunKey(design.SAMEn, design.Options{}, w, q, false, &sim.FaultModel{Rate: 1e-3, MaxRetries: 5}))
-		distinct("fault-dead", benchRunKey(design.SAMEn, design.Options{}, w, q, false, sim.DeadChipFault(3, 9)))
-		distinct("fault-dead-chip", benchRunKey(design.SAMEn, design.Options{}, w, q, false, sim.DeadChipFault(4, 9)))
-		distinct("fault-weights", benchRunKey(design.SAMEn, design.Options{}, w, q, false,
-			&sim.FaultModel{Rate: 1e-3, BitWeight: 1, ChipWeight: 1, CorrelatedWeight: 1}))
+		distinct("kind", with(func(s *RunSpec) { s.Design = design.SAMIO }))
+		distinct("gran", with(func(s *RunSpec) { s.Options.Gran = design.Gran8 }))
+		distinct("substrate", with(func(s *RunSpec) { s.Options = design.Options{Substrate: design.NVM, SubstrateSet: true} }))
+		distinct("ta-records", with(func(s *RunSpec) { s.Workload.TaRecords++ }))
+		distinct("tb-records", with(func(s *RunSpec) { s.Workload.TbRecords++ }))
+		distinct("workload-seed", with(func(s *RunSpec) { s.Workload.Seed++ }))
+		distinct("sql", with(func(s *RunSpec) { s.Query.SQL += " " }))
+		distinct("class", with(func(s *RunSpec) { s.Query.Class = ClassQs }))
+		distinct("param-value", with(func(s *RunSpec) { s.Query.Params = sql.Params{"x": 2, "y": 2, "z": 4} }))
+		distinct("param-extra", with(func(s *RunSpec) { s.Query.Params = sql.Params{"x": 2, "y": 2, "z": 3, "w": 0} }))
+		// The Ideal design runs Q-class queries on the column store, so
+		// its key differs from the row-store key of the same class switch.
+		distinct("ideal-colstore", with(func(s *RunSpec) { s.Design = design.Ideal }))
+		distinct("ideal-rowstore", with(func(s *RunSpec) { s.Design, s.Query.Class = design.Ideal, ClassQs }))
+		distinct("fault-rate", with(func(s *RunSpec) { s.Faults = &sim.FaultModel{Rate: 1e-3} }))
+		distinct("fault-rate2", with(func(s *RunSpec) { s.Faults = &sim.FaultModel{Rate: 1e-2} }))
+		distinct("fault-seed", with(func(s *RunSpec) { s.Faults = &sim.FaultModel{Rate: 1e-3, Seed: 1} }))
+		distinct("fault-retries", with(func(s *RunSpec) { s.Faults = &sim.FaultModel{Rate: 1e-3, MaxRetries: 5} }))
+		distinct("fault-dead", with(func(s *RunSpec) { s.Faults = deadChip(3, 9) }))
+		distinct("fault-dead-chip", with(func(s *RunSpec) { s.Faults = deadChip(4, 9) }))
+		distinct("fault-weights", with(func(s *RunSpec) {
+			s.Faults = &sim.FaultModel{Rate: 1e-3, BitWeight: 1, ChipWeight: 1, CorrelatedWeight: 1}
+		}))
 		distinct("sweep-shape", sweepRunKey(design.SAMEn, design.Options{}, testSweepSchema(), sweepTableSeed, q.SQL, q.Params, false))
 	})
 
@@ -86,77 +80,82 @@ func TestMemoKeyCanonicalization(t *testing.T) {
 			}
 		}
 		// Decorative metadata stays out of the key.
-		qm := q
-		qm.Name = "renamed"
-		qm.IsWrite = !q.IsWrite
-		same("name+iswrite", base(), benchRunKey(design.SAMEn, design.Options{}, w, qm, false, nil))
+		same("name+iswrite", base.Key(), with(func(s *RunSpec) { s.Query.Name, s.Query.IsWrite = "renamed", !q.IsWrite }))
 		// Option defaults resolve before keying: the zero Options, explicit
 		// Gran4, and an explicit paper-default substrate are one design.
-		same("gran-default", base(), benchRunKey(design.SAMEn, design.Options{Gran: design.Gran4}, w, q, false, nil))
-		same("substrate-default", base(),
-			benchRunKey(design.SAMEn, design.Options{Substrate: design.DRAM, SubstrateSet: true}, w, q, false, nil))
+		same("gran-default", base.Key(), with(func(s *RunSpec) { s.Options.Gran = design.Gran4 }))
+		same("substrate-default", base.Key(),
+			with(func(s *RunSpec) { s.Options = design.Options{Substrate: design.DRAM, SubstrateSet: true} }))
 		same("nvm-design-default",
-			benchRunKey(design.RCNVMWd, design.Options{}, w, q, false, nil),
-			benchRunKey(design.RCNVMWd, design.Options{Substrate: design.NVM, SubstrateSet: true}, w, q, false, nil))
+			with(func(s *RunSpec) { s.Design = design.RCNVMWd }),
+			with(func(s *RunSpec) {
+				s.Design, s.Options = design.RCNVMWd, design.Options{Substrate: design.NVM, SubstrateSet: true}
+			}))
 		// Params: nil and empty both bind nothing.
-		qn := q
-		qn.Params = nil
-		qe := q
-		qe.Params = sql.Params{}
 		same("params-nil-empty",
-			benchRunKey(design.SAMEn, design.Options{}, w, qn, false, nil),
-			benchRunKey(design.SAMEn, design.Options{}, w, qe, false, nil))
+			with(func(s *RunSpec) { s.Query.Params = nil }),
+			with(func(s *RunSpec) { s.Query.Params = sql.Params{} }))
 		// Fault: nil, the zero config, and an inactive non-zero config all
 		// run fault-free.
-		same("fault-nil-zero", base(), benchRunKey(design.SAMEn, design.Options{}, w, q, false, &sim.FaultModel{}))
-		same("fault-nil-inactive", base(),
-			benchRunKey(design.SAMEn, design.Options{}, w, q, false, &sim.FaultModel{Seed: 99, MaxRetries: 7}))
+		same("fault-nil-zero", base.Key(), with(func(s *RunSpec) { s.Faults = &sim.FaultModel{} }))
+		same("fault-nil-inactive", base.Key(), with(func(s *RunSpec) { s.Faults = &sim.FaultModel{Seed: 99, MaxRetries: 7} }))
 		// Fault weights: the zero mix is the documented default, and the
 		// draw normalizes by the sum.
 		mk := func(bw, cw, rw float64) string {
-			return benchRunKey(design.SAMEn, design.Options{}, w, q, false,
-				&sim.FaultModel{Rate: 1e-3, BitWeight: bw, ChipWeight: cw, CorrelatedWeight: rw})
+			return with(func(s *RunSpec) {
+				s.Faults = &sim.FaultModel{Rate: 1e-3, BitWeight: bw, ChipWeight: cw, CorrelatedWeight: rw}
+			})
 		}
 		same("weights-default", mk(0, 0, 0), mk(0.6, 0.2, 0.2))
 		same("weights-scaled", mk(0.6, 0.2, 0.2), mk(6, 2, 2))
 	})
 }
 
+// deadChip is the single-dead-chip model (samsim -fault-chips N builds the
+// same): chip dead on every rank, everything else default.
+func deadChip(chip int, seed uint64) *sim.FaultModel {
+	return &sim.FaultModel{Seed: seed, DeadChips: []fault.ChipFault{{Rank: -1, Chip: chip}}}
+}
+
 func testSweepSchema() imdb.Schema {
 	return imdb.Schema{Name: "T", Fields: 128, Records: 512}
 }
 
-// TestMemoCachedRunsMatch: a memoized RunOne returns results equivalent
-// to the plain path, for fault-free and fault-injected runs alike.
+// TestMemoCachedRunsMatch: a memoized run returns results equivalent to
+// the plain path.
 func TestMemoCachedRunsMatch(t *testing.T) {
-	w := tiny()
+	ctx := context.Background()
 	m := NewMemo(MemoOptions{})
 	for _, q := range []BenchQuery{Benchmark()[0], Benchmark()[13]} { // Q1, Qs2
 		for _, kind := range []design.Kind{design.Baseline, design.SAMEn, design.Ideal} {
-			plain, err := RunOne(kind, design.Options{}, w, q)
+			spec := RunSpec{Design: kind, Workload: tiny(), Query: q}
+			plain, err := spec.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			cached, err := m.RunOne(kind, design.Options{}, w, q)
-			if err != nil {
-				t.Fatal(err)
+			cached, out, err := m.Run(ctx, spec)
+			if err != nil || out != memo.Miss {
+				t.Fatalf("%s on %v: first run %v (err %v), want a miss", q.Name, kind, out, err)
 			}
 			if eq, err := sim.ResultsEquivalent(plain, cached); err != nil || !eq {
 				t.Fatalf("%s on %v: memoized result differs (eq=%v err=%v)", q.Name, kind, eq, err)
 			}
 			// Second lookup serves the identical value without recomputing.
-			again, err := m.RunOne(kind, design.Options{}, w, q)
-			if err != nil {
-				t.Fatal(err)
+			again, out, err := m.Run(ctx, spec)
+			if err != nil || out != memo.Hit {
+				t.Fatalf("%s on %v: second run %v (err %v), want a hit", q.Name, kind, out, err)
 			}
 			if again != cached {
 				t.Fatalf("%s on %v: hit returned a different value", q.Name, kind)
 			}
+			if r, out, ok := m.Lookup(spec); !ok || out != memo.Hit || r != cached {
+				t.Fatalf("%s on %v: Lookup = (%v, %v), want the cached hit", q.Name, kind, out, ok)
+			}
 		}
 	}
 	ct := m.Counters()
-	if ct.Misses != 6 || ct.Hits != 6 {
-		t.Fatalf("counters %+v, want 6 misses / 6 hits", ct)
+	if ct.Misses != 6 || ct.Hits != 12 {
+		t.Fatalf("counters %+v, want 6 misses / 12 hits", ct)
 	}
 }
 
@@ -376,9 +375,9 @@ func memoProbeDigest(t *testing.T) string {
 		h.Write(b)
 		h.Write([]byte{0})
 	}
-	feed(RunOne(design.SAMEn, design.Options{}, w, Benchmark()[2]))     // strided Q read
-	feed(RunOne(design.Baseline, design.Options{}, w, Benchmark()[13])) // row-wise Qs scan
-	feed(RunOneFaulted(design.SAMEn, design.Options{}, w, Benchmark()[2], sim.DeadChipFault(7, 42)))
+	feed(RunSpec{Design: design.SAMEn, Workload: w, Query: Benchmark()[2]}.Run())     // strided Q read
+	feed(RunSpec{Design: design.Baseline, Workload: w, Query: Benchmark()[13]}.Run()) // row-wise Qs scan
+	feed(RunSpec{Design: design.SAMEn, Workload: w, Query: Benchmark()[2], Faults: deadChip(7, 42)}.Run())
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -167,10 +167,16 @@ type ReliabilityResult struct {
 	Cycles   int64          `json:"cycles"`
 }
 
-// SilentCorruptions is the cell's SDC count — the number the campaign
-// exists to show is zero.
-func (r ReliabilityResult) SilentCorruptions() uint64 {
-	return r.Counters.SilentCorruptions
+// spec is cell i's run. Every campaign design is a row store, so the
+// Ideal column-store rule never applies.
+func (c ReliabilityCampaign) spec(cell ReliabilityCell, i int) RunSpec {
+	return RunSpec{
+		Design:   cell.Design,
+		Options:  design.Options{Gran: cell.Gran},
+		Workload: c.Workload,
+		Query:    c.Query,
+		Faults:   c.faultsFor(cell, i),
+	}
 }
 
 // RunReliability executes the campaign on the worker pool. Results arrive
@@ -179,17 +185,7 @@ func (r ReliabilityResult) SilentCorruptions() uint64 {
 func RunReliability(ctx context.Context, camp ReliabilityCampaign, par Par) ([]ReliabilityResult, error) {
 	cells := camp.Cells()
 	return runner.Map(ctx, cells, par.opts(), func(ctx context.Context, i int, cell ReliabilityCell) (ReliabilityResult, error) {
-		opts := design.Options{Gran: cell.Gran}
-		fm := camp.faultsFor(cell, i)
-		compute := func() (*sim.QueryResult, error) {
-			s := NewSystem(cell.Design, opts, camp.Workload, false)
-			s.Faults = fm
-			return RunOn(s, camp.Query)
-		}
-		// The reliability grid always runs row-store (colStore false),
-		// unlike the benchmark drivers' Ideal rule — key it explicitly.
-		key := benchRunKey(cell.Design, opts, camp.Workload, camp.Query, false, fm)
-		r, _, err := par.Memo.do(ctx, key, compute)
+		r, _, err := par.Memo.Run(ctx, camp.spec(cell, i))
 		if err != nil {
 			return ReliabilityResult{}, fmt.Errorf("%s: %w", cell.Label(), err)
 		}
@@ -209,6 +205,19 @@ func RunReliability(ctx context.Context, camp ReliabilityCampaign, par Par) ([]R
 			Cycles:   int64(r.Stats.Cycles),
 		}, nil
 	})
+}
+
+// ReliabilitySummary is the campaign's JSON summary, the payload of
+// samfig -reliability-out and of a samd reliability job.
+type ReliabilitySummary struct {
+	Seed     uint64              `json:"seed"`
+	TotalSDC uint64              `json:"total_sdc"`
+	Cells    []ReliabilityResult `json:"cells"`
+}
+
+// Summary wraps the campaign's results with its seed and SDC total.
+func (c ReliabilityCampaign) Summary(results []ReliabilityResult) ReliabilitySummary {
+	return ReliabilitySummary{Seed: c.Seed, TotalSDC: TotalSDC(results), Cells: results}
 }
 
 // TotalSDC sums silent corruptions across the campaign — the zero-SDC

@@ -308,3 +308,54 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatal("unframe accepted empty input")
 	}
 }
+
+// FuzzDiskEntry feeds arbitrary bytes to the disk tier as an entry file:
+// no input panics the cache. An entry it accepts is a disk hit carrying
+// the framed payload's value; an entry it rejects counts as Corrupt plus
+// a miss, and its file is gone before the value is recomputed.
+func FuzzDiskEntry(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte(diskMagic))
+	f.Add(frame([]byte("42")))
+	f.Add(frame([]byte("not a number")))
+	good := frame([]byte("7"))
+	f.Add(good[:len(good)-1])
+	f.Add(append(good, '0'))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		enc, dec := intCodec()
+		c := New(Config[int]{Dir: t.TempDir(), Encode: enc, Decode: dec})
+		const key = "k"
+		if err := os.WriteFile(c.path(key), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		removed := false
+		v, out, err := c.Do(key, func() (int, error) {
+			_, err := os.Stat(c.path(key))
+			removed = os.IsNotExist(err)
+			return -1, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct := c.Counters()
+		if out == DiskHit {
+			payload, ok := unframe(data)
+			if !ok {
+				t.Fatal("disk hit on an entry that does not unframe")
+			}
+			if want, err := dec(payload); err != nil || v != want {
+				t.Fatalf("disk hit %d, payload decodes to %d (err %v)", v, want, err)
+			}
+			if ct.Corrupt != 0 || ct.Misses != 0 {
+				t.Fatalf("accepted entry counted %+v", ct)
+			}
+			return
+		}
+		if out != Miss || v != -1 || ct.Corrupt != 1 || ct.Misses != 1 {
+			t.Fatalf("rejected entry: outcome %v value %d counters %+v, want one corrupt miss", out, v, ct)
+		}
+		if !removed {
+			t.Fatal("rejected entry file still present when the value was recomputed")
+		}
+	})
+}

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -13,29 +12,15 @@ import (
 	"sam/internal/stats"
 )
 
-// This file is the one-call wiring every command shares: RegisterFlags
-// adds -obs-listen/-obs-log to a FlagSet, Start stands the plane up (or
-// returns a nil *Plane when both flags are empty — every Plane method is
+// This file is the one-call wiring every command shares (through
+// internal/cli's -obs-listen/-obs-log flags): StartPlane stands the plane
+// up (or returns a nil *Plane when both are empty — every Plane method is
 // nil-safe, so call sites need no branching), and Close tears it down,
 // closing the event log and reporting the first write error. The log is
 // written one complete line per event, unbuffered, so a run killed
 // mid-sweep leaves a parseable log (missing only the summary record);
-// Close is idempotent, letting commands close the plane on their
-// os.Exit error paths and still defer it for the normal return.
-
-// CLI holds the parsed observability flags.
-type CLI struct {
-	Listen string
-	Log    string
-}
-
-// RegisterFlags adds the observability flags to fs.
-func RegisterFlags(fs *flag.FlagSet) *CLI {
-	c := &CLI{}
-	fs.StringVar(&c.Listen, "obs-listen", "", "serve live telemetry (/metrics, /progress, /healthz, /debug/pprof) on this address while the run executes (e.g. 127.0.0.1:9915)")
-	fs.StringVar(&c.Log, "obs-log", "", "append the structured JSONL run-lifecycle event log to this file")
-	return c
-}
+// Close is idempotent, letting commands close the plane on their os.Exit
+// error paths and still defer it for the normal return.
 
 // Plane is a started observability plane. The zero of the type is never
 // used — a disabled plane is a nil *Plane, and every method tolerates
@@ -51,19 +36,19 @@ type Plane struct {
 	closeErr  error
 }
 
-// Start stands the plane up: tracker (+ stall watchdog), optional HTTP
-// server, optional event log, with any extra sources (memo caches, tool
-// registries) attached to /metrics. Returns (nil, nil) when both
-// flags are empty. stderr receives the one-line "serving on ..." notice
+// StartPlane stands the plane up: tracker (+ stall watchdog), an HTTP
+// server on listen, an event log at logPath, with any extra sources (memo
+// caches, tool registries) attached to /metrics. Returns (nil, nil) when
+// both are empty. stderr receives the one-line "serving on ..." notice
 // (nil silences it).
-func (c *CLI) Start(stderr io.Writer, sources ...func() *stats.Snapshot) (*Plane, error) {
-	if c == nil || (c.Listen == "" && c.Log == "") {
+func StartPlane(listen, logPath string, stderr io.Writer, sources ...func() *stats.Snapshot) (*Plane, error) {
+	if listen == "" && logPath == "" {
 		return nil, nil
 	}
 	p := &Plane{stderr: stderr}
 	cfg := Config{}
-	if c.Log != "" {
-		f, err := os.Create(c.Log)
+	if logPath != "" {
+		f, err := os.Create(logPath)
 		if err != nil {
 			return nil, fmt.Errorf("obs: event log: %w", err)
 		}
@@ -72,12 +57,12 @@ func (c *CLI) Start(stderr io.Writer, sources ...func() *stats.Snapshot) (*Plane
 	}
 	p.Tracker = NewTracker(cfg)
 	p.stop = p.Tracker.Watch(2 * time.Second)
-	if c.Listen != "" {
+	if listen != "" {
 		p.server = NewServer(p.Tracker)
 		for _, src := range sources {
 			p.server.AddSource(src)
 		}
-		addr, err := p.server.Listen(c.Listen)
+		addr, err := p.server.Listen(listen)
 		if err != nil {
 			p.shutdown()
 			return nil, fmt.Errorf("obs: %w", err)

@@ -37,7 +37,9 @@ import (
 
 	"sam/internal/core"
 	"sam/internal/design"
+	"sam/internal/mc"
 	"sam/internal/memo"
+	"sam/internal/sim"
 )
 
 // Admission limits. Every bound is enforced at parse time so a hostile
@@ -396,32 +398,41 @@ func granOptions(bits int) design.Options {
 	}
 }
 
+// benchSpec resolves a validated bench submission into its run. A zero
+// fault rate runs fault-free, whatever the other fault fields say.
+func (r *SubmitRequest) benchSpec() core.RunSpec {
+	b := r.Bench
+	kind, _ := core.KindByName(b.Design)
+	q, _ := core.BenchQueryByName(b.Query)
+	spec := core.RunSpec{Design: kind, Options: granOptions(b.Gran), Workload: r.workload(), Query: q}
+	if b.FaultRate > 0 {
+		spec.Faults = &sim.FaultModel{Rate: b.FaultRate, Seed: b.FaultSeed, MaxRetries: mc.DefaultConfig().MaxRetries}
+		if spec.Faults.Seed == 0 {
+			spec.Faults.Seed = spec.Workload.Seed
+		}
+		if b.FaultRetries != nil {
+			spec.Faults.MaxRetries = *b.FaultRetries
+		}
+	}
+	return spec
+}
+
 // Key is the submission's content address: a memo.Fingerprint over every
 // field that determines the job's result — and nothing else. Tenant and
 // priority are scheduling metadata, so identical work submitted by
 // different tenants at different priorities shares one key (and therefore
 // one execution). Workload resolution happens before hashing, so
-// {"small":true} collides with the equivalent explicit record counts.
+// {"small":true} collides with the equivalent explicit record counts. A
+// bench job's key is its run's memo key, so submissions that resolve to
+// one run (a design's default granularity spelled out, a fault seed at
+// rate 0) share one execution.
 func (r *SubmitRequest) Key() string {
+	if r.Kind == KindBench {
+		return r.benchSpec().Key()
+	}
 	f := memo.NewFingerprint("samd")
 	f.Str("kind", r.Kind)
 	switch r.Kind {
-	case KindBench:
-		w := r.workload()
-		kind, _ := core.KindByName(r.Bench.Design)
-		retries := -1 // controller default
-		if r.Bench.FaultRetries != nil {
-			retries = *r.Bench.FaultRetries
-		}
-		f.I64("design", int64(kind)).
-			Str("query", r.Bench.Query).
-			I64("gran", int64(r.Bench.Gran)).
-			I64("ta", int64(w.TaRecords)).
-			I64("tb", int64(w.TbRecords)).
-			U64("seed", w.Seed).
-			F64("fault.rate", r.Bench.FaultRate).
-			U64("fault.seed", r.Bench.FaultSeed).
-			I64("fault.retries", int64(retries))
 	case KindFigure:
 		w := r.workload()
 		f.Str("figure", r.Figure.ID).

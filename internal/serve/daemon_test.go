@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"sam/internal/core"
-	"sam/internal/design"
 	"sam/internal/obs"
 	"sam/internal/sim"
 )
@@ -270,7 +269,7 @@ func TestConcurrentClientsDeterministic(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown query %q", s.query)
 		}
-		r, err := core.RunOne(kind, design.Options{}, w, q)
+		r, err := core.RunSpec{Design: kind, Workload: w, Query: q}.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +278,7 @@ func TestConcurrentClientsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(wide[s], want) {
-			t.Fatalf("daemon result for %v differs from core.RunOne:\ndaemon: %s\nbatch:  %s", s, wide[s], want)
+			t.Fatalf("daemon result for %v differs from core.RunSpec.Run:\ndaemon: %s\nbatch:  %s", s, wide[s], want)
 		}
 	}
 }

@@ -7,11 +7,9 @@ import (
 	"sync/atomic"
 
 	"sam/internal/core"
-	"sam/internal/design"
 	"sam/internal/memo"
 	"sam/internal/obs"
 	"sam/internal/runner"
-	"sam/internal/sim"
 )
 
 // executor turns accepted jobs into deterministic runs over the run memo
@@ -44,33 +42,6 @@ func newExecutor(runMemo *core.Memo, innerWorkers int, tracker *obs.Tracker) *ex
 	return &executor{runMemo: runMemo, innerWorkers: innerWorkers, tracker: tracker}
 }
 
-// benchRun is a validated bench submission resolved into run inputs.
-type benchRun struct {
-	kind design.Kind
-	opts design.Options
-	w    core.Workload
-	q    core.BenchQuery
-	fm   *sim.FaultModel
-}
-
-func resolveBench(req *SubmitRequest) benchRun {
-	kind, _ := core.KindByName(req.Bench.Design)
-	q, _ := core.BenchQueryByName(req.Bench.Query)
-	b := benchRun{kind: kind, opts: granOptions(req.Bench.Gran), w: req.workload(), q: q}
-	if req.Bench.FaultRate > 0 {
-		b.fm = &sim.FaultModel{Rate: req.Bench.FaultRate, Seed: req.Bench.FaultSeed}
-		if b.fm.Seed == 0 {
-			b.fm.Seed = b.w.Seed
-		}
-		if req.Bench.FaultRetries != nil {
-			b.fm.MaxRetries = *req.Bench.FaultRetries
-		} else {
-			b.fm.MaxRetries = core.DefaultReliabilityCampaign().MaxRetries
-		}
-	}
-	return b
-}
-
 // lookup serves a bench job at admission when its run is already in the
 // run memo, attributed to the tier that held it. Figure, sweep and
 // reliability jobs always go to a worker. lookup may read the disk tier,
@@ -79,8 +50,7 @@ func (e *executor) lookup(req *SubmitRequest) (jobResult, string, bool) {
 	if req.Kind != KindBench {
 		return jobResult{}, "", false
 	}
-	b := resolveBench(req)
-	r, out, ok := e.runMemo.Lookup(b.kind, b.opts, b.w, b.q, b.fm)
+	r, out, ok := e.runMemo.Lookup(req.benchSpec())
 	return jobResult{ContentType: "application/json", Run: r}, out.String(), ok
 }
 
@@ -90,8 +60,7 @@ func (e *executor) lookup(req *SubmitRequest) (jobResult, string, bool) {
 func (e *executor) run(ctx context.Context, j *job) (jobResult, string, error) {
 	req := j.req
 	if req.Kind == KindBench {
-		b := resolveBench(req)
-		r, out, err := e.runMemo.Run(b.kind, b.opts, b.w, b.q, b.fm)
+		r, out, err := e.runMemo.Run(ctx, req.benchSpec())
 		if err != nil {
 			return jobResult{}, "", err
 		}
@@ -227,13 +196,6 @@ func computeSweep(ctx context.Context, req *SubmitRequest, par core.Par) (jobRes
 	return jobResult{ContentType: "application/json", Body: body}, nil
 }
 
-// reliabilityOut is a reliability job's JSON payload.
-type reliabilityOut struct {
-	Seed     uint64                   `json:"seed"`
-	TotalSDC uint64                   `json:"total_sdc"`
-	Cells    []core.ReliabilityResult `json:"cells"`
-}
-
 func computeReliability(ctx context.Context, req *SubmitRequest, par core.Par) (jobResult, error) {
 	camp := core.DefaultReliabilityCampaign()
 	if req.Reliability.Seed != 0 {
@@ -249,11 +211,7 @@ func computeReliability(ctx context.Context, req *SubmitRequest, par core.Par) (
 	if err != nil {
 		return jobResult{}, err
 	}
-	payload := reliabilityOut{Seed: camp.Seed, Cells: results}
-	for _, r := range results {
-		payload.TotalSDC += r.SilentCorruptions()
-	}
-	body, err := json.MarshalIndent(payload, "", "  ")
+	body, err := json.MarshalIndent(camp.Summary(results), "", "  ")
 	if err != nil {
 		return jobResult{}, err
 	}

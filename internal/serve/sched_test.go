@@ -31,13 +31,14 @@ func (c *fakeClock) Advance(d time.Duration) {
 }
 
 // benchReq builds a valid bench submission whose content key is unique
-// per seed (the fault seed is part of the fingerprint even at rate 0).
+// per seed (the workload seed is part of the run's fingerprint).
 func benchReq(tenant, priority string, seed uint64) *SubmitRequest {
 	r := &SubmitRequest{
 		Kind:     KindBench,
 		Tenant:   tenant,
 		Priority: priority,
-		Bench:    &BenchReq{Design: "baseline", Query: "Q1", FaultSeed: seed},
+		Workload: &WorkloadReq{Seed: &seed},
+		Bench:    &BenchReq{Design: "baseline", Query: "Q1"},
 	}
 	if err := r.Validate(); err != nil {
 		panic(err)
@@ -272,6 +273,45 @@ func TestDedupFollowers(t *testing.T) {
 	if got := len(started); got != 0 {
 		t.Fatalf("%d extra dispatches after dedup — followers must not run", got)
 	}
+	s.Drain(context.Background())
+}
+
+// TestDedupSameRun: bench submissions spelled differently but resolving
+// to one run — SAM-en at its default granularity and at an explicit 4
+// bits/chip, or with a fault seed at fault rate 0 — share one in-flight
+// leader, while a different run does not.
+func TestDedupSameRun(t *testing.T) {
+	clk := newFakeClock()
+	s, started, release := blockingSched(clk, 0, 100)
+	sub := func(b BenchReq) *job {
+		t.Helper()
+		r := &SubmitRequest{Kind: KindBench, Tenant: "t", Bench: &b}
+		if err := r.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		j, err := s.Submit(r, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	leader := sub(BenchReq{Design: "SAM-en", Query: "Q3"})
+	nextStarted(t, started)
+	for _, b := range []BenchReq{
+		{Design: "SAM-en", Query: "Q3", Gran: 4},
+		{Design: "SAM-en", Query: "Q3", FaultSeed: 9},
+		{Design: "SAM-en", Query: "Q3", Gran: 4, FaultSeed: 9, FaultRetries: new(int)},
+	} {
+		if j := sub(b); j.leaderID != leader.id {
+			t.Fatalf("%+v: leader %q, want %s", b, j.leaderID, leader.id)
+		}
+	}
+	other := sub(BenchReq{Design: "SAM-en", Query: "Q3", Gran: 8})
+	if other.leaderID != "" {
+		t.Fatalf("gran 8 attached to leader %s; it is a different run", other.leaderID)
+	}
+	release <- struct{}{}
+	release <- struct{}{}
 	s.Drain(context.Background())
 }
 

@@ -84,7 +84,7 @@ func TestEngineRunRelativeBase(t *testing.T) {
 func TestFaultInjectorWiring(t *testing.T) {
 	d := design.New(design.SAMEn, design.Options{})
 	s := NewSystem(d)
-	s.Faults = DeadChipFault(3, 9)
+	s.Faults = deadChip(3, 9)
 	s.AddTable(imdb.NewTable(imdb.Ta(64), 1), false)
 	e := newEngine(s)
 	if len(e.injectors) != s.Channels() {
@@ -114,7 +114,7 @@ func TestFaultInjectorWiring(t *testing.T) {
 	// GS-DRAM (no ECC): every biting fault is silent corruption.
 	g := design.New(design.GSDRAM, design.Options{})
 	gs := NewSystem(g)
-	gs.Faults = DeadChipFault(3, 9)
+	gs.Faults = deadChip(3, 9)
 	gs.AddTable(imdb.NewTable(imdb.Ta(64), 2), false)
 	ge := newEngine(gs)
 	ge.injectors[0].DataBurst(dram.Command{Kind: dram.CmdRD}, 0)

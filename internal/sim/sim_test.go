@@ -5,10 +5,17 @@ import (
 	"testing"
 
 	"sam/internal/design"
+	"sam/internal/fault"
 	"sam/internal/imdb"
 	"sam/internal/sql"
 	"sam/internal/trace"
 )
+
+// deadChip is the single-dead-chip model (samsim -fault-chips N builds
+// the same): chip dead on every rank, everything else default.
+func deadChip(chip int, seed uint64) *FaultModel {
+	return &FaultModel{Seed: seed, DeadChips: []fault.ChipFault{{Rank: -1, Chip: chip}}}
+}
 
 func testSystem(kind design.Kind, taRecords, tbRecords int, colStore bool) *System {
 	d := design.New(kind, design.Options{})
@@ -576,7 +583,7 @@ func TestFaultInjectionChipkillVsGSDRAM(t *testing.T) {
 	// GS-DRAM, which gave up ECC, takes uncorrectable corruption.
 	run := func(kind design.Kind) RunStats {
 		s := testSystem(kind, 256, 256, false)
-		s.Faults = DeadChipFault(7, 42)
+		s.Faults = deadChip(7, 42)
 		r, err := s.RunQuery("SELECT SUM(f9) FROM Ta WHERE f10 > x", sel25())
 		if err != nil {
 			t.Fatal(err)

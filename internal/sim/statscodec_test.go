@@ -13,10 +13,10 @@ import (
 // every optional block the disk format must carry: non-empty Metrics
 // histograms, a Reliability counter block, retry/poison controller
 // counters, and nonzero fault-adjudication stats.
-func codecProbeResult(t *testing.T) *QueryResult {
+func codecProbeResult(t testing.TB) *QueryResult {
 	t.Helper()
 	s := testSystem(design.SAMEn, 256, 256, false)
-	s.Faults = DeadChipFault(7, 42)
+	s.Faults = deadChip(7, 42)
 	r, err := s.RunQuery("SELECT SUM(f9) FROM Ta WHERE f10 > x", sel25())
 	if err != nil {
 		t.Fatal(err)
@@ -125,4 +125,41 @@ func TestResultCodecRejections(t *testing.T) {
 	if _, err := DecodeResult([]byte(`{"v":1}`)); err == nil {
 		t.Fatal("envelope without result succeeded")
 	}
+}
+
+// FuzzDecodeResult fuzzes the memo disk tier's payload decoder: no input
+// panics it, and an input it accepts re-encodes to bytes that decode and
+// re-encode to themselves.
+func FuzzDecodeResult(f *testing.F) {
+	enc, err := EncodeResult(codecProbeResult(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc)
+	f.Add(enc[:len(enc)/2])
+	f.Add([]byte(`{"v":1,"result":{}}`))
+	f.Add([]byte(`{"v":1,"result":{"Rows":3,"Aggregates":[1.5]}} trailing`))
+	f.Add([]byte(`{"v":1}`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, err := DecodeResult(b)
+		if err != nil {
+			return
+		}
+		enc1, err := EncodeResult(r)
+		if err != nil {
+			t.Fatalf("accepted input does not re-encode: %v", err)
+		}
+		r2, err := DecodeResult(enc1)
+		if err != nil {
+			t.Fatalf("re-encoded result rejected: %v", err)
+		}
+		enc2, err := EncodeResult(r2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc1, enc2) {
+			t.Fatalf("re-encoding is unstable:\n%s\n%s", enc1, enc2)
+		}
+	})
 }

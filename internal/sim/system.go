@@ -109,13 +109,6 @@ type FaultModel = fault.Config
 // be removed when the benchmark next changes.
 func ShardObsSnapshot() *stats.Snapshot { return &stats.Snapshot{} }
 
-// DeadChipFault is the single-dead-chip model the tests use (samsim
-// -fault-chips N builds the same):
-// chip dead on every rank, everything else default.
-func DeadChipFault(chip int, seed uint64) *FaultModel {
-	return &FaultModel{Seed: seed, DeadChips: []fault.ChipFault{{Rank: -1, Chip: chip}}}
-}
-
 // NewSystem builds a system for the design.
 func NewSystem(d *design.Design) *System {
 	s := &System{
