@@ -456,6 +456,54 @@ func BenchmarkExtensionMultiChannel(b *testing.B) {
 	}
 }
 
+// BenchmarkWarmQueryMix measures one query on a warm system: each op runs
+// one pass of a mixed read/update query set on two long-lived 4-channel
+// systems (baseline, SAM-en) at SmallWorkload with transient faults at
+// 1e-3, after an untimed warm-up pass. What it times grows with what a
+// pass touches, not with the systems' history: fault-free bursts, clean
+// cache sets and never-updated fields cost next to nothing.
+func BenchmarkWarmQueryMix(b *testing.B) {
+	w := core.SmallWorkload()
+	var mix []core.BenchQuery
+	for _, name := range []string{"Q1", "Q3", "Q4", "Q9", "Q11", "Q12", "Qs2", "Qs4"} {
+		q, ok := core.BenchQueryByName(name)
+		if !ok {
+			b.Fatalf("unknown query %s", name)
+		}
+		mix = append(mix, q)
+	}
+	var systems []*sim.System
+	for _, k := range []design.Kind{design.Baseline, design.SAMEn} {
+		d := design.New(k, design.Options{})
+		d.Mem.Geometry.Channels = 4
+		s := sim.NewSystem(d)
+		s.AddTable(imdb.NewTable(imdb.Ta(w.TaRecords), w.Seed), false)
+		s.AddTable(imdb.NewTable(imdb.Tb(w.TbRecords), w.Seed+1), false)
+		s.Faults = &sim.FaultModel{Seed: w.Seed, Rate: 1e-3, MaxRetries: 3}
+		systems = append(systems, s)
+	}
+	var reqs uint64
+	pass := func() {
+		reqs = 0
+		for _, s := range systems {
+			for _, q := range mix {
+				r, err := core.RunOn(s, q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				reqs += r.Stats.MemRequests
+			}
+		}
+	}
+	pass()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.ReportMetric(float64(reqs), "sim-requests")
+}
+
 // BenchmarkSimulatorThroughputSampled is BenchmarkSimulatorThroughput with
 // the event ring and windowed sampler attached: every request lifecycle
 // and DRAM command is traced and every window boundary snapshots the

@@ -112,6 +112,11 @@ type Cache struct {
 	secBytes int
 	hitLat   int
 	Stats    Stats
+
+	// dirtySets has bit idx set once set idx may hold dirty sectors, so a
+	// flush visits only those sets. Allocated on the first dirty mark; a
+	// bit may outlive its set's dirty ways (eviction, MDA invalidation).
+	dirtySets []uint64
 }
 
 // New builds a level; it panics on invalid configuration.
@@ -268,6 +273,7 @@ func (c *Cache) access(addr uint64, size int, write bool) (probe, Outcome) {
 	s.touch(p.way)
 	if write {
 		s.dirty[p.way] |= mask
+		c.markDirty(p.idx)
 	}
 	return p, Hit
 }
@@ -297,6 +303,9 @@ func (c *Cache) fill(p probe, sectors uint64, markDirty, sectored bool) (ev Evic
 		strided = 1
 	}
 	s := c.set(p.idx)
+	if markDirty {
+		c.markDirty(p.idx)
+	}
 	w := p.way
 	if w >= 0 {
 		s.valid[w] |= sec
@@ -330,6 +339,14 @@ func (c *Cache) fill(p probe, sectors uint64, markDirty, sectored bool) (ev Evic
 	return ev, evicted
 }
 
+// markDirty records that set idx may hold dirty sectors.
+func (c *Cache) markDirty(idx int) {
+	if c.dirtySets == nil {
+		c.dirtySets = make([]uint64, (len(c.setOff)+63)/64)
+	}
+	c.dirtySets[idx/64] |= 1 << (idx % 64)
+}
+
 // victim picks the way a fill replaces: the first invalid way, else the
 // least recently used.
 func (c *Cache) victim(s *set) int {
@@ -357,6 +374,7 @@ func (c *Cache) Contains(addr uint64, size int) bool {
 // reuse.
 func (c *Cache) InvalidateAll() {
 	clear(c.setOff)
+	clear(c.dirtySets)
 	c.backing = c.backing[:0]
 }
 

@@ -1,6 +1,9 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // MemOp is a request the hierarchy sends to the memory system on misses and
 // writebacks.
@@ -174,22 +177,23 @@ func (h *Hierarchy) FlushDirty() []MemOp {
 	}
 	for _, lvl := range h.levels {
 		lvl.forDirty(func(s *set, _, w int) { s.dirty[w] = 0 })
+		clear(lvl.dirtySets)
 	}
 	h.ops = ops[:0]
 	return ops
 }
 
 // forDirty calls f for every valid way with dirty sectors, in set-index
-// then way order.
+// then way order. Only sets marked in dirtySets can hold such ways.
 func (c *Cache) forDirty(f func(s *set, idx, w int)) {
-	for idx, off := range c.setOff {
-		if off == 0 {
-			continue
-		}
-		s := &c.backing[off-1]
-		for w := 0; w < c.cfg.Ways; w++ {
-			if s.valid[w] != 0 && s.dirty[w] != 0 {
-				f(s, idx, w)
+	for wi, word := range c.dirtySets {
+		for ; word != 0; word &= word - 1 {
+			idx := wi*64 + bits.TrailingZeros64(word)
+			s := c.peek(idx)
+			for w := 0; w < c.cfg.Ways; w++ {
+				if s.valid[w] != 0 && s.dirty[w] != 0 {
+					f(s, idx, w)
+				}
 			}
 		}
 	}

@@ -132,6 +132,7 @@ type Injector struct {
 	Counters Counters
 
 	n       uint64 // burst index: the deterministic stream key
+	synth   uint64 // stream draws a burst's synthesis takes
 	payload []byte
 	decoded []byte
 	burst   *ecc.Burst
@@ -153,6 +154,10 @@ func New(cfg Config, scheme ecc.Scheme, hasECC bool) *Injector {
 		in.decoded = make([]byte, codec.DataBytes())
 	}
 	in.burst = ecc.NewBurst(in.chips)
+	in.synth = uint64(in.chips * ecc.BytesPerChip)
+	if hasECC {
+		in.synth = uint64(len(in.payload))
+	}
 	in.clean = make([][ecc.BytesPerChip]byte, in.chips)
 	in.Counters.PerChip = make([]uint64, in.chips)
 	return in
@@ -179,13 +184,17 @@ func (in *Injector) Reset(cfg Config) {
 // stream is a splitmix64 PRNG keyed per burst.
 type stream struct{ s uint64 }
 
+// gamma is splitmix64's state increment: every draw adds it once, so the
+// state after k draws is the start state plus k·gamma.
+const gamma = 0x9e3779b97f4a7c15
+
 func newStream(seed, idx uint64) stream {
 	// Pre-mix the key so consecutive indices land far apart.
-	return stream{s: (seed ^ 0x6a09e667f3bcc909) + idx*0x9e3779b97f4a7c15}
+	return stream{s: (seed ^ 0x6a09e667f3bcc909) + idx*gamma}
 }
 
 func (st *stream) next() uint64 {
-	st.s += 0x9e3779b97f4a7c15
+	st.s += gamma
 	z := st.s
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -204,11 +213,45 @@ func rankApplies(entryRank int, cmd dram.Command) bool {
 	return entryRank < 0 || entryRank == cmd.Rank || cmd.GangRanks
 }
 
+// mapCovers reports whether any persistent fault-map entry covers the
+// burst.
+func (in *Injector) mapCovers(cmd dram.Command) bool {
+	for _, f := range in.cfg.DeadChips {
+		if rankApplies(f.Rank, cmd) {
+			return true
+		}
+	}
+	for _, f := range in.cfg.StuckDQs {
+		if rankApplies(f.Rank, cmd) {
+			return true
+		}
+	}
+	return false
+}
+
+// transientFires reports whether burst idx draws a transient event when no
+// map entry covers it. Such a burst's stream makes exactly in.synth
+// synthesis draws before the transient draw, so the draw's state is reached
+// by one multiply-add instead of synthesizing the codeword.
+func (in *Injector) transientFires(idx uint64) bool {
+	if in.cfg.Rate <= 0 {
+		return false
+	}
+	st := newStream(in.cfg.Seed, idx)
+	st.s += in.synth * gamma
+	return st.float() < in.cfg.Rate
+}
+
 // DataBurst implements dram.BurstProbe: synthesize, corrupt, adjudicate.
+// A burst no fault can touch returns BurstOK without synthesizing: nothing
+// changes, so it would land in no class but Bursts anyway.
 func (in *Injector) DataBurst(cmd dram.Command, at dram.Cycle) dram.BurstVerdict {
 	idx := in.n
 	in.n++
 	in.Counters.Bursts++
+	if !in.mapCovers(cmd) && !in.transientFires(idx) {
+		return dram.BurstOK
+	}
 	st := newStream(in.cfg.Seed, idx)
 
 	// The injector's one burst workspace: both branches overwrite every bit,

@@ -64,6 +64,9 @@ type Table struct {
 	// overlay holds values changed by UPDATE/INSERT, keyed by
 	// record*Fields+field.
 	overlay map[uint64]uint64
+	// written marks the fields SetValue has written, so reads of any
+	// other base-record field skip the overlay. Allocated on first use.
+	written []bool
 	// extraRecords counts rows appended past Schema.Records by INSERT.
 	extraRecords int
 }
@@ -100,14 +103,14 @@ func (t *Table) Value(rec, field int) uint64 {
 		panic(fmt.Sprintf("imdb: value (%d,%d) out of range for %s", rec, field, t.Schema.Name))
 	}
 	k := t.key(rec, field)
-	// Read-only tables leave the overlay empty; skip the map probe then.
-	if len(t.overlay) > 0 {
+	if rec >= t.Schema.Records {
+		return t.overlay[k] // inserted records default to zero until written
+	}
+	// Only a field SetValue has written can have an overlay value.
+	if t.written != nil && t.written[field] {
 		if v, ok := t.overlay[k]; ok {
 			return v
 		}
-	}
-	if rec >= t.Schema.Records {
-		return 0 // inserted records default to zero until written
 	}
 	v := mix(t.seed ^ mix(k))
 	if card, ok := t.Schema.Categorical[field]; ok && card > 0 {
@@ -121,6 +124,10 @@ func (t *Table) SetValue(rec, field int, v uint64) {
 	if rec < 0 || rec >= t.Records() || field < 0 || field >= t.Schema.Fields {
 		panic(fmt.Sprintf("imdb: set (%d,%d) out of range for %s", rec, field, t.Schema.Name))
 	}
+	if t.written == nil {
+		t.written = make([]bool, t.Schema.Fields)
+	}
+	t.written[field] = true
 	t.overlay[t.key(rec, field)] = v
 }
 

@@ -68,6 +68,38 @@ func TestOverlayUpdate(t *testing.T) {
 	}
 }
 
+// TestOverlayWrittenFieldsOnly checks reads around a partial overlay: a
+// SetValue on one field leaves every other field (and that field of every
+// other record) at its generated value, and appended rows read back what
+// was appended, zeros included, plus later updates.
+func TestOverlayWrittenFieldsOnly(t *testing.T) {
+	tb, twin := NewTable(Tb(10), 1), NewTable(Tb(10), 1)
+	tb.SetValue(3, 5, 77)
+	vals := make([]uint64, 16)
+	for i := 1; i < len(vals); i += 2 {
+		vals[i] = uint64(i * 100)
+	}
+	rec := tb.Append(vals)
+	tb.SetValue(rec, 2, 9)
+	vals[2] = 9
+	for r := 0; r < 10; r++ {
+		for f := 0; f < 16; f++ {
+			want := twin.Value(r, f)
+			if r == 3 && f == 5 {
+				want = 77
+			}
+			if got := tb.Value(r, f); got != want {
+				t.Fatalf("Value(%d,%d) = %d, want %d", r, f, got, want)
+			}
+		}
+	}
+	for f, want := range vals {
+		if got := tb.Value(rec, f); got != want {
+			t.Fatalf("appended Value(%d,%d) = %d, want %d", rec, f, got, want)
+		}
+	}
+}
+
 func TestAppend(t *testing.T) {
 	tb := NewTable(Tb(10), 1)
 	vals := make([]uint64, 16)

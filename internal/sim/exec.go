@@ -337,8 +337,9 @@ func (s *System) runJoin(p *sql.Plan) (*QueryResult, error) {
 	// each key to the first and last inner record of its chain, and next
 	// links each record to the following one with the same key, so the
 	// build allocates no per-key slices and probes still visit matches in
-	// insertion order.
-	hash := make(map[uint64][2]int32)
+	// insertion order. The map is sized for one key per inner record, so
+	// the build never rehashes.
+	hash := make(map[uint64][2]int32, inner.Records())
 	next := make([]int32, inner.Records())
 	innerFields := dedup(append(append([]int{}, p.InnerPredFields...), p.InnerProj...))
 	for start := 0; start < inner.Records(); start += scanBatch {
