@@ -112,6 +112,24 @@ func BenchmarkFig12GmeanQ(b *testing.B) {
 	}
 }
 
+// BenchmarkFig12Grid regenerates the whole Fig. 12 grid at SmallWorkload,
+// as `samfig -exp fig12 -small` does, with a fresh in-memory memo per
+// iteration, so every cell simulates and designs that share a query's
+// front end share one simulation of it (BenchmarkFig12GmeanQ's per-design
+// comparisons never do).
+func BenchmarkFig12Grid(b *testing.B) {
+	b.ReportAllocs()
+	var gmean float64
+	for i := 0; i < b.N; i++ {
+		fig, err := core.Fig12(context.Background(), core.SmallWorkload(), core.Par{Memo: core.NewMemo(core.MemoOptions{})})
+		if err != nil {
+			b.Fatal(err)
+		}
+		gmean, _ = fig.Value("Gmean-Q", design.SAMEn.String())
+	}
+	b.ReportMetric(gmean, "SAM-en-gmean-Q")
+}
+
 // BenchmarkFig13Power reproduces the power/energy study for the read-Q
 // category on the designs Fig. 13 contrasts hardest: baseline vs SAM-IO vs
 // SAM-en.

@@ -126,12 +126,19 @@ func (s RunSpec) columnStore() bool {
 // the same run, cycle for cycle. Qs-class queries execute with
 // row-preferring full-record scans (see RunOn).
 func (s RunSpec) Run(attach ...func(*sim.System)) (*sim.QueryResult, error) {
-	sys := NewSystem(s.Design, s.Options, s.Workload, s.columnStore())
-	sys.Faults = s.Faults
+	sys := s.system()
 	for _, a := range attach {
 		a(sys)
 	}
 	return RunOn(sys, s.Query)
+}
+
+// system builds the spec's system: its design with both tables loaded,
+// and its fault model attached.
+func (s RunSpec) system() *sim.System {
+	sys := NewSystem(s.Design, s.Options, s.Workload, s.columnStore())
+	sys.Faults = s.Faults
+	return sys
 }
 
 // NewSystem builds a system for kind with both benchmark tables loaded.
@@ -155,6 +162,15 @@ func RunOneFaulted(kind design.Kind, opts design.Options, w Workload, q BenchQue
 // RunOn executes one benchmark query on an already-built system: it is
 // RunSpec.Run's plan step, and applies the Qs full-record scan rule.
 func RunOn(s *sim.System, q BenchQuery) (*sim.QueryResult, error) {
+	plan, err := compile(q)
+	if err != nil {
+		return nil, err
+	}
+	return s.RunPlan(plan)
+}
+
+// compile plans q with the Qs full-record scan rule applied.
+func compile(q BenchQuery) (*sql.Plan, error) {
 	stmt, err := sql.Parse(q.SQL)
 	if err != nil {
 		return nil, err
@@ -164,7 +180,7 @@ func RunOn(s *sim.System, q BenchQuery) (*sim.QueryResult, error) {
 		return nil, err
 	}
 	plan.FullScan = q.Class == ClassQs && plan.WholeRecord
-	return s.RunPlan(plan)
+	return plan, nil
 }
 
 // Par configures how the experiment drivers fan their simulation grids

@@ -84,19 +84,13 @@ func (f *Figure) Table() *stats.Table {
 // Fig12 reproduces the headline speedup comparison: every Table 3 query on
 // every design, normalized to the row-store baseline, plus per-class
 // geometric means. The whole (query x design) grid — baseline runs
-// included — is one flat parallel sweep.
+// included — is one flat parallel sweep, in which the designs that share a
+// query's front end simulate it once (runShared).
 func Fig12(ctx context.Context, w Workload, par Par) (*Figure, error) {
 	kinds := design.AllEvaluated()
 	queries := Benchmark()
 	runKinds := append([]design.Kind{design.Baseline}, kinds...)
-	grid, err := runner.Grid(ctx, queries, runKinds, par.opts(),
-		func(ctx context.Context, _, _ int, q BenchQuery, k design.Kind) (*sim.QueryResult, error) {
-			r, _, err := par.Memo.Run(ctx, RunSpec{Design: k, Workload: w, Query: q})
-			if err != nil {
-				return nil, fmt.Errorf("%s on %v: %w", q.Name, k, err)
-			}
-			return r, nil
-		})
+	grid, err := runShared(ctx, queries, runKinds, w, par)
 	if err != nil {
 		return nil, err
 	}

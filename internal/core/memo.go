@@ -176,15 +176,20 @@ func addFault(f *memo.Fingerprint, fm *sim.FaultModel) {
 func (s RunSpec) Key() string {
 	f := memo.NewFingerprint("bench")
 	addDesign(f, s.Design, s.Options)
-	f.I64("workload.ta", int64(s.Workload.TaRecords)).
-		I64("workload.tb", int64(s.Workload.TbRecords)).
-		U64("workload.seed", s.Workload.Seed).
-		Str("query.sql", s.Query.SQL).
-		I64("query.class", int64(s.Query.Class)).
-		Bool("colstore", s.columnStore())
+	addQuery(f, s.Workload, s.Query)
+	f.Bool("colstore", s.columnStore())
 	addParams(f, s.Query.Params)
 	addFault(f, s.Faults)
 	return f.Sum()
+}
+
+// addQuery fingerprints the Ta/Tb workload and the query text and class.
+func addQuery(f *memo.Fingerprint, w Workload, q BenchQuery) {
+	f.I64("workload.ta", int64(w.TaRecords)).
+		I64("workload.tb", int64(w.TbRecords)).
+		U64("workload.seed", w.Seed).
+		Str("query.sql", q.SQL).
+		I64("query.class", int64(q.Class))
 }
 
 // sweepRunKey fingerprints a Fig. 15 sweep-point run: a single generated

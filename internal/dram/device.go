@@ -591,6 +591,23 @@ type IssueResult struct {
 // is required to consult EarliestIssue first, and a violation is a
 // simulator bug, not a runtime condition.
 func (d *Device) Issue(cmd Command, at Cycle) IssueResult {
+	if e := d.EarliestIssue(cmd, at); e > at {
+		panic(fmt.Sprintf("dram: %v issued at %d, legal at %d", cmd, at, e))
+	}
+	return d.issueAt(cmd, at)
+}
+
+// IssueEarliest issues cmd at its earliest legal cycle >= now and returns
+// that cycle with the result: EarliestIssue then Issue, with the timing
+// constraints evaluated once.
+func (d *Device) IssueEarliest(cmd Command, now Cycle) (Cycle, IssueResult) {
+	at := d.EarliestIssue(cmd, now)
+	return at, d.issueAt(cmd, at)
+}
+
+// issueAt applies a command already known to be legal at cycle at and
+// reports it to the tracer.
+func (d *Device) issueAt(cmd Command, at Cycle) IssueResult {
 	res := d.apply(cmd, at)
 	if d.Trace != nil {
 		d.Trace.CommandIssued(cmd, at, res)
@@ -600,9 +617,6 @@ func (d *Device) Issue(cmd Command, at Cycle) IssueResult {
 
 // apply performs Issue's state transition and returns the result.
 func (d *Device) apply(cmd Command, at Cycle) IssueResult {
-	if e := d.EarliestIssue(cmd, at); e > at {
-		panic(fmt.Sprintf("dram: %v issued at %d, legal at %d", cmd, at, e))
-	}
 	t := &d.cfg.Timing
 	rk := &d.ranks[cmd.Rank]
 	switch cmd.Kind {

@@ -584,8 +584,7 @@ func (c *Controller) serviceRefresh() {
 // land at later times than a subsequently issued column command to another
 // bank, exactly as on a real C/A bus.
 func (c *Controller) issue(cmd dram.Command) dram.Cycle {
-	at := c.dev.EarliestIssue(cmd, c.now)
-	c.dev.Issue(cmd, at)
+	at, _ := c.dev.IssueEarliest(cmd, c.now)
 	if c.Audit != nil {
 		c.Audit.Record(cmd, at)
 	}
@@ -626,8 +625,7 @@ func (c *Controller) access(e *entry) Completion {
 		Kind: kind, Rank: co.Rank, Group: co.Group, Bank: co.Bank,
 		Row: co.Row, Col: co.Col, Mode: mode, GangRanks: r.Gang,
 	}
-	at := c.dev.EarliestIssue(cmd, c.now)
-	res := c.dev.Issue(cmd, at)
+	at, res := c.dev.IssueEarliest(cmd, c.now)
 	if c.Audit != nil {
 		c.Audit.Record(cmd, at)
 	}
@@ -650,8 +648,7 @@ func (c *Controller) access(e *entry) Completion {
 			c.Stats.Retries++
 			comp.Retries++
 			c.now = at
-			at = c.dev.EarliestIssue(cmd, c.now)
-			res = c.dev.Issue(cmd, at)
+			at, res = c.dev.IssueEarliest(cmd, c.now)
 			if c.Audit != nil {
 				c.Audit.Record(cmd, at)
 			}

@@ -77,16 +77,32 @@ const InsertCount = 1024
 const scanBatch = 256
 
 // RunPlan executes a compiled plan on the system.
-func (s *System) RunPlan(p *sql.Plan) (*QueryResult, error) {
+func (s *System) RunPlan(p *sql.Plan) (*QueryResult, error) { return s.runPlan(p, nil) }
+
+// FieldAccesses reports whether executing p may issue per-field
+// transactions, the only ones a strided design serves with a gather:
+// INSERTs, and scans that read whole records up front, touch records only.
+func FieldAccesses(p *sql.Plan) bool {
+	switch p.Kind {
+	case sql.PlanInsert:
+		return false
+	case sql.PlanScan, sql.PlanAggregate:
+		return !(p.FullScan && p.WholeRecord)
+	}
+	return true
+}
+
+// runPlan executes p, recording its front-end stream into log when set.
+func (s *System) runPlan(p *sql.Plan, log *MissLog) (*QueryResult, error) {
 	switch p.Kind {
 	case sql.PlanScan, sql.PlanAggregate:
-		return s.runScan(p)
+		return s.runScan(p, log)
 	case sql.PlanUpdate:
-		return s.runUpdate(p)
+		return s.runUpdate(p, log)
 	case sql.PlanInsert:
-		return s.runInsert(p)
+		return s.runInsert(p, log)
 	case sql.PlanJoin:
-		return s.runJoin(p)
+		return s.runJoin(p, log)
 	default:
 		return nil, fmt.Errorf("sim: cannot run plan kind %v", p.Kind)
 	}
@@ -163,13 +179,14 @@ func (c *scanContext) forEachMatchBatch(visit func(matches []int)) error {
 	return nil
 }
 
-func (s *System) runScan(p *sql.Plan) (*QueryResult, error) {
+func (s *System) runScan(p *sql.Plan, log *MissLog) (*QueryResult, error) {
 	t, err := s.Table(p.Table)
 	if err != nil {
 		return nil, err
 	}
 	pl := s.placers[p.Table]
 	e := newEngine(s)
+	e.log = log
 	res := &QueryResult{Aggregates: make([]float64, len(p.Aggs))}
 	global := make([]aggState, len(p.Aggs))
 	grouped := map[uint64][]aggState{}
@@ -252,13 +269,14 @@ func (s *System) runScan(p *sql.Plan) (*QueryResult, error) {
 	return res, nil
 }
 
-func (s *System) runUpdate(p *sql.Plan) (*QueryResult, error) {
+func (s *System) runUpdate(p *sql.Plan, log *MissLog) (*QueryResult, error) {
 	t, err := s.Table(p.Table)
 	if err != nil {
 		return nil, err
 	}
 	pl := s.placers[p.Table]
 	e := newEngine(s)
+	e.log = log
 	res := &QueryResult{}
 	ctx := &scanContext{s: s, e: e, plan: p, table: p.Table}
 	err = ctx.forEachMatchBatch(func(matches []int) {
@@ -278,7 +296,7 @@ func (s *System) runUpdate(p *sql.Plan) (*QueryResult, error) {
 	return res, nil
 }
 
-func (s *System) runInsert(p *sql.Plan) (*QueryResult, error) {
+func (s *System) runInsert(p *sql.Plan, log *MissLog) (*QueryResult, error) {
 	t, err := s.Table(p.Table)
 	if err != nil {
 		return nil, err
@@ -288,6 +306,7 @@ func (s *System) runInsert(p *sql.Plan) (*QueryResult, error) {
 		return nil, fmt.Errorf("sim: INSERT of %d values into %d-field table", len(p.InsertValues), t.Fields())
 	}
 	e := newEngine(s)
+	e.log = log
 	res := &QueryResult{}
 	row := make([]uint64, t.Fields())
 	copy(row, p.InsertValues)
@@ -306,7 +325,7 @@ func (s *System) runInsert(p *sql.Plan) (*QueryResult, error) {
 // outer, both scans vectorized column-at-a-time. The hash table itself is
 // modeled as cache-resident (its traffic is negligible next to the scans
 // at the paper's scale).
-func (s *System) runJoin(p *sql.Plan) (*QueryResult, error) {
+func (s *System) runJoin(p *sql.Plan, log *MissLog) (*QueryResult, error) {
 	outer, err := s.Table(p.Table)
 	if err != nil {
 		return nil, err
@@ -331,6 +350,7 @@ func (s *System) runJoin(p *sql.Plan) (*QueryResult, error) {
 	}
 
 	e := newEngine(s)
+	e.log = log
 	res := &QueryResult{}
 
 	// Build phase: column-at-a-time scan of the inner table. The hash maps
