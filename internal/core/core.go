@@ -112,6 +112,10 @@ type RunSpec struct {
 	// adjudicated through the design's chipkill codec with faults drawn
 	// from it. Nil or inactive runs fault-free.
 	Faults *sim.FaultModel
+	// Table, when non-nil, is the Fig. 15 sweep shape: the run loads one
+	// generated table of this schema, seeded sweepTableSeed, in place of
+	// the Ta/Tb pair, and Workload is unused.
+	Table *imdb.Schema
 }
 
 // columnStore reports whether the run uses the column store: the Ideal
@@ -123,20 +127,30 @@ func (s RunSpec) columnStore() bool {
 
 // Run executes the query on a fresh system. attach hooks see the built
 // system before the query runs (tracers, samplers); a hooked run is still
-// the same run, cycle for cycle. Qs-class queries execute with
-// row-preferring full-record scans (see RunOn).
+// the same run, cycle for cycle. Whole-record queries may execute as
+// row-wise full-record scans (see compile).
 func (s RunSpec) Run(attach ...func(*sim.System)) (*sim.QueryResult, error) {
+	plan, err := s.compile()
+	if err != nil {
+		return nil, err
+	}
 	sys := s.system()
 	for _, a := range attach {
 		a(sys)
 	}
-	return RunOn(sys, s.Query)
+	return sys.RunPlan(plan)
 }
 
-// system builds the spec's system: its design with both tables loaded,
+// system builds the spec's system: its design with its tables loaded,
 // and its fault model attached.
 func (s RunSpec) system() *sim.System {
-	sys := NewSystem(s.Design, s.Options, s.Workload, s.columnStore())
+	var sys *sim.System
+	if s.Table != nil {
+		sys = sim.NewSystem(design.New(s.Design, s.Options))
+		sys.AddTable(imdb.NewTable(*s.Table, sweepTableSeed), s.columnStore())
+	} else {
+		sys = NewSystem(s.Design, s.Options, s.Workload, s.columnStore())
+	}
 	sys.Faults = s.Faults
 	return sys
 }
@@ -159,27 +173,42 @@ func RunOneFaulted(kind design.Kind, opts design.Options, w Workload, q BenchQue
 	return RunSpec{Design: kind, Options: opts, Workload: w, Query: q, Faults: fm}.Run()
 }
 
-// RunOn executes one benchmark query on an already-built system: it is
+// RunOn executes one Table 3 query on an already-built system: it is
 // RunSpec.Run's plan step, and applies the Qs full-record scan rule.
 func RunOn(s *sim.System, q BenchQuery) (*sim.QueryResult, error) {
-	plan, err := compile(q)
+	plan, err := RunSpec{Query: q}.compile()
 	if err != nil {
 		return nil, err
 	}
 	return s.RunPlan(plan)
 }
 
-// compile plans q with the Qs full-record scan rule applied.
-func compile(q BenchQuery) (*sql.Plan, error) {
-	stmt, err := sql.Parse(q.SQL)
+// compile plans the spec's query. On the Ta/Tb pair a Qs-class query that
+// reads whole records scans them row-wise. On a sweep table, a row-store
+// query that touches at least 90% of the fields does: near-total
+// projectivity executes row-wise, like any engine that prefers a row
+// store for such queries.
+func (s RunSpec) compile() (*sql.Plan, error) {
+	stmt, err := sql.Parse(s.Query.SQL)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := sql.Compile(stmt, q.Params)
+	plan, err := sql.Compile(stmt, s.Query.Params)
 	if err != nil {
 		return nil, err
 	}
-	plan.FullScan = q.Class == ClassQs && plan.WholeRecord
+	if s.Table == nil {
+		plan.FullScan = s.Query.Class == ClassQs && plan.WholeRecord
+		return plan, nil
+	}
+	touched := map[int]bool{}
+	for _, f := range plan.PredFields {
+		touched[f] = true
+	}
+	for _, f := range plan.ProjFields {
+		touched[f] = true
+	}
+	plan.FullScan = !s.columnStore() && len(touched)*10 >= s.Table.Fields*9
 	return plan, nil
 }
 
@@ -188,7 +217,7 @@ func compile(q BenchQuery) (*sql.Plan, error) {
 // with GOMAXPROCS workers and no progress reporting; every driver is
 // deterministic for any worker count.
 type Par struct {
-	// Workers bounds concurrent simulations per sweep level; <= 0 means
+	// Workers bounds concurrent simulations; <= 0 means
 	// runtime.GOMAXPROCS(0). Workers = 1 reproduces serial execution.
 	Workers int
 	// Progress, when non-nil, receives (completed, total) after each
@@ -215,10 +244,6 @@ type Par struct {
 	Observer runner.SweepObserver
 }
 
-func (p Par) opts() runner.Options {
-	return runner.Options{Workers: p.Workers, OnProgress: p.Progress, Observer: p.Observer}
-}
-
 // SpeedupResult is one (query, design) cell of Fig. 12.
 type SpeedupResult struct {
 	Query   string
@@ -237,22 +262,19 @@ func checkFunctional(q BenchQuery, k design.Kind, base, r *sim.QueryResult) erro
 }
 
 // RunComparison runs the query on the baseline and every given design,
-// returning speedups normalized to the row-store baseline. All runs
-// (baseline included) share one bounded worker pool; every run owns a
-// fresh system, so nothing is shared between workers. On failure the
-// joined error lists every failing design, not just the first.
+// returning speedups normalized to the row-store baseline. The runs
+// (baseline included) are one grid row (runGrid). On failure the joined
+// error lists every failing design, not just the first.
 func RunComparison(ctx context.Context, kinds []design.Kind, opts design.Options, w Workload, q BenchQuery, par Par) ([]SpeedupResult, error) {
-	all := append([]design.Kind{design.Baseline}, kinds...)
-	runs, err := runner.Map(ctx, all, par.opts(), func(ctx context.Context, _ int, k design.Kind) (*sim.QueryResult, error) {
-		r, _, err := par.Memo.Run(ctx, RunSpec{Design: k, Options: opts, Workload: w, Query: q})
-		if err != nil {
-			return nil, fmt.Errorf("%s on %v: %w", q.Name, k, err)
-		}
-		return r, nil
-	})
+	row := []RunSpec{{Design: design.Baseline, Options: opts, Workload: w, Query: q}}
+	for _, k := range kinds {
+		row = append(row, RunSpec{Design: k, Options: opts, Workload: w, Query: q})
+	}
+	grid, err := runGrid(ctx, [][]RunSpec{row}, par)
 	if err != nil {
 		return nil, err
 	}
+	runs := grid[0]
 	base := runs[0]
 	out := make([]SpeedupResult, len(kinds))
 	var errs []error

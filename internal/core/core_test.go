@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sam/internal/design"
+	"sam/internal/sim"
 	"sam/internal/sql"
 )
 
@@ -261,6 +262,36 @@ func TestSweepAggregateTemplate(t *testing.T) {
 	}
 	if vals["SAM-en"] <= 1 {
 		t.Fatalf("aggregate sweep SAM-en = %.2f", vals["SAM-en"])
+	}
+}
+
+// TestSweepResultChecksFunctional checks the sweep aggregation: every
+// design of a point's row, ideal included, must match the baseline's rows,
+// projection and arithmetic checksums, and ideal's speedup is clamped to
+// at least 1.
+func TestSweepResultChecksFunctional(t *testing.T) {
+	q := BenchQuery{Name: "sweep", Class: ClassQ}
+	row := func() []*sim.QueryResult {
+		var rs []*sim.QueryResult
+		for range sweepKinds() {
+			rs = append(rs, &sim.QueryResult{Rows: 5, ProjChecks: 0xAB, ArithChecks: 0xCD, Stats: sim.RunStats{Cycles: 100}})
+		}
+		rs[0].Stats.Cycles = 50 // every design, ideal included, runs slower than the baseline
+		return rs
+	}
+	res, err := sweepResult(q, row())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Speedups["ideal"] != 1 || res.Speedups["SAM-en"] != 0.5 {
+		t.Fatalf("speedups %v, want ideal clamped to 1 and SAM-en at 0.5", res.Speedups)
+	}
+	for i, k := range sweepKinds()[1:] {
+		rs := row()
+		rs[i+1].ProjChecks ^= 1
+		if _, err := sweepResult(q, rs); err == nil || !strings.Contains(err.Error(), k.String()) {
+			t.Errorf("a projection mismatch on %v gave %v, want an error naming it", k, err)
+		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"sam/internal/area"
 	"sam/internal/design"
 	"sam/internal/imdb"
-	"sam/internal/runner"
 	"sam/internal/sim"
 	"sam/internal/sql"
 	"sam/internal/stats"
@@ -20,8 +19,9 @@ import (
 // (Section 6). Each Fig* function returns both the rendered table and the
 // raw series so tests and benches can assert on shapes.
 //
-// Every driver fans its grid of independent (query, design, sweep-point)
-// simulations out over the bounded worker pool in internal/runner: each
+// Every driver builds rows of RunSpecs and hands them to runGrid, which
+// fans them out over the bounded worker pool in internal/runner through
+// the run memo, sharing front ends between specs that have one: each
 // simulation owns a fresh sim.System (goroutine-confined for the whole
 // run), so the grid is embarrassingly parallel, and results are
 // aggregated in a fixed order so the emitted tables are byte-identical
@@ -83,14 +83,12 @@ func (f *Figure) Table() *stats.Table {
 
 // Fig12 reproduces the headline speedup comparison: every Table 3 query on
 // every design, normalized to the row-store baseline, plus per-class
-// geometric means. The whole (query x design) grid — baseline runs
-// included — is one flat parallel sweep, in which the designs that share a
-// query's front end simulate it once (runShared).
+// geometric means. The grid has one row per query: the baseline, then
+// every evaluated design.
 func Fig12(ctx context.Context, w Workload, par Par) (*Figure, error) {
 	kinds := design.AllEvaluated()
 	queries := Benchmark()
-	runKinds := append([]design.Kind{design.Baseline}, kinds...)
-	grid, err := runShared(ctx, queries, runKinds, w, par)
+	grid, err := runGrid(ctx, queryRows(queries, w, fig12Kinds()), par)
 	if err != nil {
 		return nil, err
 	}
@@ -132,6 +130,24 @@ func Fig12(ctx context.Context, w Workload, par Par) (*Figure, error) {
 	return fig, nil
 }
 
+// fig12Kinds is a Fig. 12 row's designs: the baseline, then every
+// evaluated design.
+func fig12Kinds() []design.Kind {
+	return append([]design.Kind{design.Baseline}, design.AllEvaluated()...)
+}
+
+// queryRows builds one grid row per query, with one default-option spec
+// per kind.
+func queryRows(queries []BenchQuery, w Workload, kinds []design.Kind) [][]RunSpec {
+	rows := make([][]RunSpec, len(queries))
+	for i, q := range queries {
+		for _, k := range kinds {
+			rows[i] = append(rows[i], RunSpec{Design: k, Workload: w, Query: q})
+		}
+	}
+	return rows
+}
+
 // PowerCategory groups queries as Fig. 13 does.
 type PowerCategory struct {
 	Name    string
@@ -161,45 +177,33 @@ type Fig13Row struct {
 	EnergyEff float64
 }
 
-// Fig13 reproduces the power/energy-efficiency study. All (design, query)
-// runs execute as one parallel grid; the category averages are then
-// aggregated sequentially in the paper's order.
+// Fig13 reproduces the power/energy-efficiency study. It runs Fig. 12's
+// grid; the category averages are then aggregated sequentially in the
+// paper's order.
 func Fig13(ctx context.Context, w Workload, par Par) ([]Fig13Row, error) {
 	queries := Benchmark()
-	kinds := append([]design.Kind{design.Baseline}, design.AllEvaluated()...)
-	grid, err := runner.Grid(ctx, kinds, queries, par.opts(),
-		func(ctx context.Context, _, _ int, kind design.Kind, q BenchQuery) (*sim.QueryResult, error) {
-			r, _, err := par.Memo.Run(ctx, RunSpec{Design: kind, Workload: w, Query: q})
-			if err != nil {
-				return nil, fmt.Errorf("fig13 %s %v: %w", q.Name, kind, err)
-			}
-			return r, nil
-		})
+	kinds := fig12Kinds()
+	grid, err := runGrid(ctx, queryRows(queries, w, kinds), par)
 	if err != nil {
 		return nil, err
 	}
-	res := map[string]map[string]*sim.QueryResult{} // design -> query -> result
-	for i, kind := range kinds {
-		byQuery := make(map[string]*sim.QueryResult, len(queries))
-		for j, q := range queries {
-			byQuery[q.Name] = grid[i][j]
-		}
-		res[kind.String()] = byQuery
+	byName := map[string][]*sim.QueryResult{} // query name -> its row of results
+	for qi, q := range queries {
+		byName[q.Name] = grid[qi]
 	}
-	baseRes := res[design.Baseline.String()]
 	var rows []Fig13Row
 	for _, cat := range Fig13Categories() {
-		for _, kind := range kinds {
+		for ki, kind := range kinds {
 			var bg, rw, act, total, energy, baseE float64
 			for _, name := range cat.Queries {
-				r := res[kind.String()][name]
+				r := byName[name][ki]
 				p := r.Stats.PowerMW
 				bg += p.Background
 				rw += p.RdWr
 				act += p.ActPre + p.Refresh
 				total += p.Background + p.RdWr + p.ActPre + p.Refresh
 				energy += r.Stats.Energy.Total()
-				baseE += baseRes[name].Stats.Energy.Total()
+				baseE += byName[name][0].Stats.Energy.Total()
 			}
 			n := float64(len(cat.Queries))
 			row := Fig13Row{
@@ -219,65 +223,20 @@ func Fig13(ctx context.Context, w Workload, par Par) ([]Fig13Row, error) {
 	return rows, nil
 }
 
-// figJob is one (query, design, options) simulation of a Fig. 14 sweep.
-type figJob struct {
-	q    BenchQuery
-	kind design.Kind
-	opts design.Options
-}
-
-// runJobs executes a flat job list on the worker pool.
-func runJobs(ctx context.Context, jobs []figJob, w Workload, par Par) ([]*sim.QueryResult, error) {
-	return runner.Map(ctx, jobs, par.opts(),
-		func(ctx context.Context, _ int, j figJob) (*sim.QueryResult, error) {
-			r, _, err := par.Memo.Run(ctx, RunSpec{Design: j.kind, Options: j.opts, Workload: w, Query: j.q})
-			if err != nil {
-				return nil, fmt.Errorf("%s on %v: %w", j.q.Name, j.kind, err)
-			}
-			return r, nil
-		})
-}
-
 // Fig14a reproduces the substrate swap: RC-NVM and SAM designs on both NVM
-// and DRAM, all-query geometric mean speedup. Baseline runs (normalization
-// is always against the plain DRAM baseline, like the paper) execute once
-// per query and share the same pool as the design runs.
+// and DRAM, all-query geometric mean speedup. Each query's row holds its
+// baseline (normalization is always against the plain DRAM baseline, like
+// the paper), then every design on each substrate.
 func Fig14a(ctx context.Context, w Workload, par Par) (*Figure, error) {
 	kinds := []design.Kind{design.RCNVMWd, design.SAMSub, design.SAMIO, design.SAMEn}
 	subs := []design.Substrate{design.NVM, design.DRAM}
-	queries := Benchmark()
-	var jobs []figJob
-	for _, q := range queries {
-		jobs = append(jobs, figJob{q: q, kind: design.Baseline})
+	opts := make([]design.Options, len(subs))
+	labels := make([]string, len(subs))
+	for i, sub := range subs {
+		opts[i] = design.Options{Substrate: sub, SubstrateSet: true}
+		labels[i] = sub.String()
 	}
-	for _, sub := range subs {
-		opts := design.Options{Substrate: sub, SubstrateSet: true}
-		for _, q := range queries {
-			for _, k := range kinds {
-				jobs = append(jobs, figJob{q: q, kind: k, opts: opts})
-			}
-		}
-	}
-	res, err := runJobs(ctx, jobs, w, par)
-	if err != nil {
-		return nil, err
-	}
-	fig := &Figure{ID: "fig14a"}
-	nq, nk := len(queries), len(kinds)
-	for si, sub := range subs {
-		gm := map[string][]float64{}
-		for qi := range queries {
-			base := res[qi]
-			for ki, k := range kinds {
-				r := res[nq+si*nq*nk+qi*nk+ki]
-				gm[k.String()] = append(gm[k.String()], sim.Speedup(base.Stats, r.Stats))
-			}
-		}
-		for _, k := range kinds {
-			fig.Cells = append(fig.Cells, Cell{X: sub.String(), Design: k.String(), Value: stats.Gmean(gm[k.String()])})
-		}
-	}
-	return fig, nil
+	return optionSweep(ctx, "fig14a", Benchmark(), kinds, opts, labels, w, par)
 }
 
 // Fig14b reproduces the strided-granularity sweep (16/8/4 bits per chip)
@@ -291,35 +250,40 @@ func Fig14b(ctx context.Context, w Workload, par Par) (*Figure, error) {
 			queries = append(queries, q)
 		}
 	}
-	var jobs []figJob
-	for _, q := range queries {
-		jobs = append(jobs, figJob{q: q, kind: design.Baseline})
+	opts := make([]design.Options, len(grans))
+	labels := make([]string, len(grans))
+	for i, g := range grans {
+		opts[i] = design.Options{Gran: g}
+		labels[i] = fmt.Sprintf("%d-bit", g.BitsPerChip)
 	}
-	for _, g := range grans {
-		for _, q := range queries {
+	return optionSweep(ctx, "fig14b", queries, kinds, opts, labels, w, par)
+}
+
+// optionSweep runs one row per query, the baseline then every kind under
+// every option variant, and reports each variant's geometric-mean speedup
+// over the queries, labelled by labels.
+func optionSweep(ctx context.Context, id string, queries []BenchQuery, kinds []design.Kind, opts []design.Options, labels []string, w Workload, par Par) (*Figure, error) {
+	rows := make([][]RunSpec, len(queries))
+	for qi, q := range queries {
+		rows[qi] = []RunSpec{{Design: design.Baseline, Workload: w, Query: q}}
+		for _, o := range opts {
 			for _, k := range kinds {
-				jobs = append(jobs, figJob{q: q, kind: k, opts: design.Options{Gran: g}})
+				rows[qi] = append(rows[qi], RunSpec{Design: k, Options: o, Workload: w, Query: q})
 			}
 		}
 	}
-	res, err := runJobs(ctx, jobs, w, par)
+	grid, err := runGrid(ctx, rows, par)
 	if err != nil {
 		return nil, err
 	}
-	fig := &Figure{ID: "fig14b"}
-	nq, nk := len(queries), len(kinds)
-	for gi, g := range grans {
-		gm := map[string][]float64{}
-		for qi := range queries {
-			base := res[qi]
-			for ki, k := range kinds {
-				r := res[nq+gi*nq*nk+qi*nk+ki]
-				gm[k.String()] = append(gm[k.String()], sim.Speedup(base.Stats, r.Stats))
+	fig := &Figure{ID: id}
+	for oi := range opts {
+		for ki, k := range kinds {
+			var sp []float64
+			for _, row := range grid {
+				sp = append(sp, sim.Speedup(row[0].Stats, row[1+oi*len(kinds)+ki].Stats))
 			}
-		}
-		label := fmt.Sprintf("%d-bit", g.BitsPerChip)
-		for _, k := range kinds {
-			fig.Cells = append(fig.Cells, Cell{X: label, Design: k.String(), Value: stats.Gmean(gm[k.String()])})
+			fig.Cells = append(fig.Cells, Cell{X: labels[oi], Design: k.String(), Value: stats.Gmean(sp)})
 		}
 	}
 	return fig, nil
@@ -391,7 +355,7 @@ func sweepSQL(p SweepPoint, tableFields int) string {
 }
 
 // sweepTableSeed seeds every Fig. 15 generated table (part of the sweep
-// cache key — see sweepRunKey).
+// memo key — see RunSpec.Key).
 const sweepTableSeed uint64 = 0xF15
 
 // SweepDesigns are the Fig. 15 representatives.
@@ -399,31 +363,29 @@ func SweepDesigns() []design.Kind {
 	return []design.Kind{design.RCNVMWd, design.GSDRAMecc, design.SAMEn}
 }
 
-// sweepDesignNames is the deterministic column order of every Fig. 15
-// figure: the sweep designs in paper order, then the ideal bound. Iterating
-// the RunSweepPoint map in this order (instead of Go's randomized map
-// range) is what keeps sweep tables byte-identical across runs and worker
-// counts.
-func sweepDesignNames() []string {
-	names := make([]string, 0, len(SweepDesigns())+1)
-	for _, k := range SweepDesigns() {
-		names = append(names, k.String())
-	}
-	return append(names, "ideal")
+// sweepKinds is a sweep point's row: the baseline, the sweep designs in
+// paper order, then the ideal bound. The designs after the baseline are
+// also the deterministic column order of every Fig. 15 figure: iterating
+// the speedup map in this order (instead of Go's randomized map range) is
+// what keeps sweep tables byte-identical across runs and worker counts.
+func sweepKinds() []design.Kind {
+	return append(append([]design.Kind{design.Baseline}, SweepDesigns()...), design.Ideal)
 }
 
-// RunSweepPoint measures all sweep designs (plus ideal) at one point,
-// returning speedups over the row-store baseline. The per-design runs
-// (baseline and ideal included) execute in parallel on the worker pool.
-func RunSweepPoint(ctx context.Context, p SweepPoint, records int, par Par) (map[string]float64, error) {
-	speedups, _, err := RunSweepPointStats(ctx, p, records, par)
-	return speedups, err
+// SweepResult is one Fig. 15 point's outcome.
+type SweepResult struct {
+	// Speedups maps each sweep design, and "ideal", to its speedup over
+	// the row-store baseline.
+	Speedups map[string]float64
+	// Stats holds every run's statistics, keyed like Speedups plus
+	// "baseline".
+	Stats map[string]sim.RunStats
 }
 
-// RunSweepPointStats is RunSweepPoint plus the raw per-design run
-// statistics (keyed like the speedup map, with an extra "baseline" entry),
-// for pipelines that dump per-point metrics alongside the figure values.
-func RunSweepPointStats(ctx context.Context, p SweepPoint, records int, par Par) (map[string]float64, map[string]sim.RunStats, error) {
+// specs builds the point's grid row (see sweepKinds). Every run reads its
+// own copy of one generated table; ideal runs on its preferred store, the
+// column store.
+func (p SweepPoint) specs(records int) ([]RunSpec, error) {
 	if p.Records > 0 {
 		records = p.Records
 	}
@@ -433,7 +395,7 @@ func RunSweepPointStats(ctx context.Context, p SweepPoint, records int, par Par)
 	}
 	fields := rb / imdb.FieldBytes
 	if fields < 1 {
-		return nil, nil, fmt.Errorf("core: record size %dB below one field", rb)
+		return nil, fmt.Errorf("core: record size %dB below one field", rb)
 	}
 	if p.Projected > fields {
 		p.Projected = fields
@@ -444,85 +406,78 @@ func RunSweepPointStats(ctx context.Context, p SweepPoint, records int, par Par)
 	if fields == 1 {
 		p.Projected = 1 // degenerate single-field record: project f0 itself
 	}
-	schema := imdb.Schema{Name: "T", Fields: fields, Records: records}
-	query := sweepSQL(p, fields)
-	params := sql.Params{"x": imdb.Percentile(p.Selectivity)}
+	table := &imdb.Schema{Name: "T", Fields: fields, Records: records}
+	q := BenchQuery{
+		Name:   "sweep",
+		SQL:    sweepSQL(p, fields),
+		Class:  ClassQ,
+		Params: sql.Params{"x": imdb.Percentile(p.Selectivity)},
+	}
+	var row []RunSpec
+	for _, k := range sweepKinds() {
+		row = append(row, RunSpec{Design: k, Query: q, Table: table})
+	}
+	return row, nil
+}
 
-	sim1 := func(kind design.Kind, colStore bool) (*sim.QueryResult, error) {
-		d := design.New(kind, design.Options{})
-		s := sim.NewSystem(d)
-		s.AddTable(imdb.NewTable(schema, sweepTableSeed), colStore)
-		stmt, err := sql.Parse(query)
-		if err != nil {
-			return nil, err
-		}
-		plan, err := sql.Compile(stmt, params)
-		if err != nil {
-			return nil, err
-		}
-		// Near-total projectivity executes row-wise (whole-record reads),
-		// like any engine that prefers a row store for such queries.
-		touched := map[int]bool{}
-		for _, f := range plan.PredFields {
-			touched[f] = true
-		}
-		for _, f := range plan.ProjFields {
-			touched[f] = true
-		}
-		plan.FullScan = !colStore && len(touched)*10 >= fields*9
-		return s.RunPlan(plan)
-	}
-	run := func(ctx context.Context, kind design.Kind, colStore bool) (*sim.QueryResult, error) {
-		key := sweepRunKey(kind, design.Options{}, schema, sweepTableSeed, query, params, colStore)
-		r, _, err := par.Memo.do(ctx, key, func() (*sim.QueryResult, error) { return sim1(kind, colStore) })
-		return r, err
-	}
-
-	type sweepRun struct {
-		kind     design.Kind
-		colStore bool
-	}
-	runs := []sweepRun{{design.Baseline, false}}
-	for _, k := range SweepDesigns() {
-		runs = append(runs, sweepRun{k, false})
-	}
-	// Ideal: preferred store — the better of row (baseline itself) and
-	// column placement.
-	runs = append(runs, sweepRun{design.Ideal, true})
-	res, err := runner.Map(ctx, runs, par.opts(),
-		func(ctx context.Context, _ int, sr sweepRun) (*sim.QueryResult, error) {
-			r, err := run(ctx, sr.kind, sr.colStore)
-			if err != nil {
-				return nil, fmt.Errorf("sweep on %v: %w", sr.kind, err)
-			}
-			return r, nil
-		})
-	if err != nil {
-		return nil, nil, err
-	}
-	base := res[0]
-	out := map[string]float64{}
-	sts := map[string]sim.RunStats{"baseline": base.Stats}
+// sweepResult aggregates one point's row of results (see sweepKinds) into
+// speedups over the baseline. Every design, ideal included, must return
+// the baseline's functional results; ideal's speedup is at least 1, since
+// the row store is also one of its stores.
+func sweepResult(q BenchQuery, row []*sim.QueryResult) (SweepResult, error) {
+	base := row[0]
+	out := SweepResult{Speedups: map[string]float64{}, Stats: map[string]sim.RunStats{"baseline": base.Stats}}
 	var errs []error
-	for i, k := range SweepDesigns() {
-		r := res[i+1]
-		if r.Rows != base.Rows || r.ArithChecks != base.ArithChecks {
-			errs = append(errs, fmt.Errorf("core: sweep functional mismatch on %v", k))
+	for i, k := range sweepKinds()[1:] {
+		r := row[i+1]
+		if err := checkFunctional(q, k, base, r); err != nil {
+			errs = append(errs, err)
 			continue
 		}
-		out[k.String()] = sim.Speedup(base.Stats, r.Stats)
-		sts[k.String()] = r.Stats
+		sp := sim.Speedup(base.Stats, r.Stats)
+		if k == design.Ideal && sp < 1 {
+			sp = 1
+		}
+		out.Speedups[k.String()] = sp
+		out.Stats[k.String()] = r.Stats
 	}
-	if len(errs) > 0 {
-		return nil, nil, errors.Join(errs...)
+	return out, errors.Join(errs...)
+}
+
+// RunSweep measures every point, one grid row each, as one grid. It is
+// the runner behind every Fig. 15 panel and samd's sweep jobs.
+func RunSweep(ctx context.Context, points []SweepPoint, records int, par Par) ([]SweepResult, error) {
+	rows := make([][]RunSpec, len(points))
+	for i, p := range points {
+		row, err := p.specs(records)
+		if err != nil {
+			return nil, err
+		}
+		rows[i] = row
 	}
-	ideal := sim.Speedup(base.Stats, res[len(res)-1].Stats)
-	if ideal < 1 {
-		ideal = 1
+	grid, err := runGrid(ctx, rows, par)
+	if err != nil {
+		return nil, err
 	}
-	out["ideal"] = ideal
-	sts["ideal"] = res[len(res)-1].Stats
-	return out, sts, nil
+	out := make([]SweepResult, len(points))
+	errs := make([]error, len(points))
+	for i, row := range grid {
+		out[i], errs[i] = sweepResult(rows[i][0].Query, row)
+	}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// RunSweepPoint measures all sweep designs (plus ideal) at one point,
+// returning speedups over the row-store baseline.
+func RunSweepPoint(ctx context.Context, p SweepPoint, records int, par Par) (map[string]float64, error) {
+	res, err := RunSweep(ctx, []SweepPoint{p}, records, par)
+	if err != nil {
+		return nil, err
+	}
+	return res[0].Speedups, nil
 }
 
 // Fig15Selectivities is the x axis of panels (a)-(c) and (g) — the paper
@@ -535,33 +490,23 @@ func Fig15Projectivities() []int { return []int{1, 2, 4, 8, 16, 32, 64, 96, 127}
 // Fig15RecordSizes is the x axis of panel (i).
 func Fig15RecordSizes() []int { return []int{8, 16, 32, 64, 128, 256, 512, 1024} }
 
-// sweepFigure runs one Fig. 15 sweep axis in parallel: points fan out on
-// the outer pool (which owns the progress callback), and each point's
-// per-design runs fan out on an inner pool with the same worker bound.
+// sweepFigure runs one Fig. 15 sweep axis as one grid (RunSweep).
 func sweepFigure(ctx context.Context, id string, points []SweepPoint, records int, labels func(i int) string, par Par) (*Figure, error) {
-	inner := Par{Workers: par.Workers, Memo: par.Memo, Observer: par.Observer} // progress reports whole points only
-	type pointResult struct {
-		speedups map[string]float64
-		stats    map[string]sim.RunStats
-	}
-	vals, err := runner.Map(ctx, points, par.opts(),
-		func(ctx context.Context, _ int, p SweepPoint) (pointResult, error) {
-			sp, st, err := RunSweepPointStats(ctx, p, records, inner)
-			return pointResult{sp, st}, err
-		})
+	res, err := RunSweep(ctx, points, records, par)
 	if err != nil {
 		return nil, err
 	}
 	fig := &Figure{ID: id}
-	for i := range points {
+	for i, r := range res {
 		x := labels(i)
 		if par.Metrics != nil {
-			par.Metrics(id, x, "baseline", vals[i].stats["baseline"])
+			par.Metrics(id, x, "baseline", r.Stats["baseline"])
 		}
-		for _, d := range sweepDesignNames() {
-			fig.Cells = append(fig.Cells, Cell{X: x, Design: d, Value: vals[i].speedups[d]})
+		for _, k := range sweepKinds()[1:] {
+			d := k.String()
+			fig.Cells = append(fig.Cells, Cell{X: x, Design: d, Value: r.Speedups[d]})
 			if par.Metrics != nil {
-				par.Metrics(id, x, d, vals[i].stats[d])
+				par.Metrics(id, x, d, r.Stats[d])
 			}
 		}
 	}

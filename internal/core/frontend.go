@@ -18,7 +18,7 @@ import (
 // geometry, the stripe layout (ColumnEngine, ChunkRecords), the strided
 // granularity's reach and sector size, the sector-cache geometry, the
 // store, the bus clock, the core and cache parameters, the
-// no-critical-word-first latency, the workload and the query. Runs with
+// no-critical-word-first latency, the tables and the query. Runs with
 // equal keys issue the same miss log (sim.MissLog), so one recording
 // replays exactly into each of their memory back ends. Everything else
 // about a design — timing, stride and gang flags, SubFieldSplit, embedded
@@ -28,7 +28,7 @@ func (s RunSpec) FrontEndKey() string {
 	// The no-critical-word-first latency is charged on gather misses only,
 	// and only field accesses of a strided row store gather.
 	gathers := d.SupportsStride() && !s.columnStore()
-	if plan, err := compile(s.Query); err == nil {
+	if plan, err := s.compile(); err == nil {
 		gathers = gathers && sim.FieldAccesses(plan)
 	}
 	f := memo.NewFingerprint("frontend")
@@ -47,14 +47,14 @@ func (s RunSpec) FrontEndKey() string {
 	if ncwf {
 		f.I64("ncwf.tbl", int64(d.Mem.Timing.TBL))
 	}
-	addQuery(f, s.Workload, s.Query)
+	s.addQuery(f)
 	addParams(f, s.Query.Params)
 	return f.Sum()
 }
 
 // record runs the spec live, like Run, and also returns its miss log.
 func (s RunSpec) record() (*sim.QueryResult, *sim.MissLog, error) {
-	plan, err := compile(s.Query)
+	plan, err := s.compile()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -153,26 +153,25 @@ func (t *frontEnds) release(key string) {
 	}
 }
 
-// runShared runs every (query, design) cell of the grid through the memo
-// and a sweep-scoped front-end table, returning results indexed
-// [query][design]. A memo hit skips the simulation entirely.
-func runShared(ctx context.Context, queries []BenchQuery, kinds []design.Kind, w Workload, par Par) ([][]*sim.QueryResult, error) {
+// runGrid is the one runner behind every figure: it runs each spec of
+// rows through the memo under its Key and returns the results indexed like
+// rows. A memo hit skips the simulation entirely. Specs with equal
+// FrontEndKey, anywhere in the grid, share one recorded miss log. Within
+// each row, the first spec of each front-end class runs before the specs
+// that replay it, so a replaying spec rarely waits on a recording in
+// flight, and only about one row's logs are alive at a time.
+func runGrid(ctx context.Context, rows [][]RunSpec, par Par) ([][]*sim.QueryResult, error) {
 	type cell struct {
-		qi, ki int
-		spec   RunSpec
+		ri, ci int
 		key    string
 	}
-	// Each query's first-of-class cells run before the cells that replay
-	// them, so a replaying cell rarely waits on a recording in flight, and
-	// only about one query's logs are alive at a time.
 	var keys []string
 	var order []cell
-	for qi, q := range queries {
+	for ri, row := range rows {
 		seen := map[string]bool{}
 		var follow []cell
-		for ki, k := range kinds {
-			c := cell{qi: qi, ki: ki, spec: RunSpec{Design: k, Workload: w, Query: q}}
-			c.key = c.spec.FrontEndKey()
+		for ci, spec := range row {
+			c := cell{ri: ri, ci: ci, key: spec.FrontEndKey()}
 			keys = append(keys, c.key)
 			if seen[c.key] {
 				follow = append(follow, c)
@@ -184,23 +183,25 @@ func runShared(ctx context.Context, queries []BenchQuery, kinds []design.Kind, w
 		order = append(order, follow...)
 	}
 	fe := newFrontEnds(keys)
-	flat, err := runner.Map(ctx, order, par.opts(), func(ctx context.Context, _ int, c cell) (*sim.QueryResult, error) {
+	opts := runner.Options{Workers: par.Workers, OnProgress: par.Progress, Observer: par.Observer}
+	flat, err := runner.Map(ctx, order, opts, func(ctx context.Context, _ int, c cell) (*sim.QueryResult, error) {
 		defer fe.release(c.key)
-		r, _, err := par.Memo.do(ctx, c.spec.Key(), func() (*sim.QueryResult, error) { return fe.run(ctx, c.spec, c.key) })
+		spec := rows[c.ri][c.ci]
+		r, _, err := par.Memo.do(ctx, spec.Key(), func() (*sim.QueryResult, error) { return fe.run(ctx, spec, c.key) })
 		if err != nil {
-			return nil, fmt.Errorf("%s on %v: %w", c.spec.Query.Name, c.spec.Design, err)
+			return nil, fmt.Errorf("%s on %v: %w", spec.Query.Name, spec.Design, err)
 		}
 		return r, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	grid := make([][]*sim.QueryResult, len(queries))
-	for qi := range grid {
-		grid[qi] = make([]*sim.QueryResult, len(kinds))
+	grid := make([][]*sim.QueryResult, len(rows))
+	for ri, row := range rows {
+		grid[ri] = make([]*sim.QueryResult, len(row))
 	}
 	for i, c := range order {
-		grid[c.qi][c.ki] = flat[i]
+		grid[c.ri][c.ci] = flat[i]
 	}
 	return grid, nil
 }

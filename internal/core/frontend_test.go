@@ -12,11 +12,6 @@ import (
 	"sam/internal/sim"
 )
 
-// fig12Kinds is the Fig. 12 grid's columns in grid order.
-func fig12Kinds() []design.Kind {
-	return append([]design.Kind{design.Baseline}, design.AllEvaluated()...)
-}
-
 // recording is one spec's live run with its miss log.
 type recording struct {
 	spec RunSpec
@@ -58,23 +53,20 @@ func partition(recs []recording, f func(recording) string) string {
 	return strings.Join(parts, " ")
 }
 
-// TestFrontEndKeySound checks that equal front-end keys mean equal front
-// ends: over every design × Table 3 query at SmallWorkload, with the
-// default options and with Fig. 14a's substrate swap, specs that share a
-// key record identical miss logs. The swap puts RC-NVM on DRAM next to
-// SAM-sub, so the stripe's ChunkRecords is all that tells them apart. It
-// also pins the default Fig. 12 classes. The key may split runs whose logs
-// match (on Qs queries the baseline's log equals GS-DRAM's, as no gather
-// ever fires), but it must never merge runs whose logs differ.
-func TestFrontEndKeySound(t *testing.T) {
-	w := SmallWorkload()
-	swap := func(k design.Kind) design.Options {
-		sub := design.NVM
-		if (design.Options{}).Canon(k).Substrate == design.NVM {
-			sub = design.DRAM
-		}
-		return design.Options{Substrate: sub, SubstrateSet: true}
+// swap is Fig. 14a's substrate swap for k: NVM for a DRAM design and
+// DRAM for an NVM one.
+func swap(k design.Kind) design.Options {
+	sub := design.NVM
+	if (design.Options{}).Canon(k).Substrate == design.NVM {
+		sub = design.DRAM
 	}
+	return design.Options{Substrate: sub, SubstrateSet: true}
+}
+
+// fig12Shapes is every design × Table 3 query at SmallWorkload, each with
+// the default options followed by the substrate swap.
+func fig12Shapes() []RunSpec {
+	w := SmallWorkload()
 	var specs []RunSpec
 	for _, q := range Benchmark() {
 		for _, k := range fig12Kinds() {
@@ -83,7 +75,86 @@ func TestFrontEndKeySound(t *testing.T) {
 				RunSpec{Design: k, Options: swap(k), Workload: w, Query: q})
 		}
 	}
-	recs := recordAll(t, specs)
+	return specs
+}
+
+// fig15TestRecords sizes the sweep tables of the front-end tests.
+const fig15TestRecords = 256
+
+// fig15Panels lists the points of every default Fig. 15 panel, as samfig
+// runs them (panels a to i).
+func fig15Panels() [][]SweepPoint {
+	sel := func(kind SweepQueryKind, projected int) []SweepPoint {
+		var ps []SweepPoint
+		for _, s := range Fig15Selectivities() {
+			ps = append(ps, SweepPoint{Query: kind, Selectivity: s, Projected: projected})
+		}
+		return ps
+	}
+	proj := func(kind SweepQueryKind, selectivity float64) []SweepPoint {
+		var ps []SweepPoint
+		for _, p := range Fig15Projectivities() {
+			ps = append(ps, SweepPoint{Query: kind, Selectivity: selectivity, Projected: p})
+		}
+		return ps
+	}
+	var sizes []SweepPoint
+	for _, rb := range Fig15RecordSizes() {
+		sizes = append(sizes, SweepPoint{Query: Arithmetic, Selectivity: 1.0, Projected: rb / 8, RecordBytes: rb})
+	}
+	return [][]SweepPoint{
+		sel(Arithmetic, 8), sel(Arithmetic, 64), sel(Arithmetic, 128),
+		proj(Arithmetic, 0.10), proj(Arithmetic, 0.50), proj(Arithmetic, 1.00),
+		sel(Aggregate, 8), proj(Aggregate, 1.00), sizes,
+	}
+}
+
+// gridShapes is every spec shape beyond Fig. 12's that runGrid shares
+// front ends for: Fig. 14b's granularities, the default reliability cells
+// (which carry faults), and every default Fig. 15 point's row.
+func gridShapes(t *testing.T) []RunSpec {
+	t.Helper()
+	var specs []RunSpec
+	for _, q := range Benchmark() {
+		if q.Class != ClassQ {
+			continue
+		}
+		for _, g := range []design.Granularity{design.Gran16, design.Gran8, design.Gran4} {
+			for _, k := range []design.Kind{design.RCNVMWd, design.GSDRAMecc, design.SAMEn} {
+				specs = append(specs, RunSpec{Design: k, Options: design.Options{Gran: g}, Workload: SmallWorkload(), Query: q})
+			}
+		}
+	}
+	camp := DefaultReliabilityCampaign()
+	for i, cell := range camp.Cells() {
+		specs = append(specs, camp.spec(cell, i))
+	}
+	for _, panel := range fig15Panels() {
+		for _, p := range panel {
+			row, err := p.specs(fig15TestRecords)
+			if err != nil {
+				t.Fatal(err)
+			}
+			specs = append(specs, row...)
+		}
+	}
+	return specs
+}
+
+// TestFrontEndKeySound checks that equal front-end keys mean equal front
+// ends: over every design × Table 3 query at SmallWorkload, with the
+// default options and with Fig. 14a's substrate swap, and over every
+// other shape runGrid shares (gridShapes), specs that share a key record
+// identical miss logs. The swap puts RC-NVM on DRAM next to SAM-sub, so
+// the stripe's ChunkRecords is all that tells them apart. It also pins
+// the default Fig. 12 classes and the reliability campaign's class count.
+// The key may split runs whose logs match (on Qs queries the baseline's
+// log equals GS-DRAM's, as no gather ever fires), but it must never merge
+// runs whose logs differ.
+func TestFrontEndKeySound(t *testing.T) {
+	specs := fig12Shapes()
+	nFig12 := len(specs)
+	recs := recordAll(t, append(specs, gridShapes(t)...))
 	byKey := map[string]recording{}
 	for _, r := range recs {
 		first, ok := byKey[r.key]
@@ -101,7 +172,7 @@ func TestFrontEndKeySound(t *testing.T) {
 		ClassQ:  "{baseline} {RC-NVM-bit RC-NVM-wd} {GS-DRAM GS-DRAM-ecc SAM-IO} {SAM-sub} {SAM-en} {ideal}",
 		ClassQs: "{baseline ideal} {RC-NVM-bit RC-NVM-wd} {GS-DRAM GS-DRAM-ecc SAM-IO SAM-en} {SAM-sub}",
 	}
-	for i := 0; i < len(recs); i += 2 * len(fig12Kinds()) {
+	for i := 0; i < nFig12; i += 2 * len(fig12Kinds()) {
 		var defaults []recording
 		for j := i; j < i+2*len(fig12Kinds()); j += 2 {
 			defaults = append(defaults, recs[j])
@@ -110,6 +181,15 @@ func TestFrontEndKeySound(t *testing.T) {
 		if got := partition(defaults, func(r recording) string { return r.key }); got != want[q.Class] {
 			t.Errorf("%s: front-end key classes %s, want %s", q.Name, got, want[q.Class])
 		}
+	}
+
+	camp := DefaultReliabilityCampaign()
+	classes := map[string]bool{}
+	for i, cell := range camp.Cells() {
+		classes[camp.spec(cell, i).FrontEndKey()] = true
+	}
+	if n := len(classes); n != 7 {
+		t.Errorf("the reliability campaign's %d cells fall into %d front-end classes, want 7", len(camp.Cells()), n)
 	}
 }
 
@@ -165,20 +245,16 @@ func encode(r *sim.QueryResult) []byte {
 const maxLogBytes = 1536 << 10
 
 // TestReplayExact is the replay differential: every design × Table 3
-// query at SmallWorkload, and Q7, Q11 and Qs4 at DefaultWorkload, replay
-// their class's shared miss log to the live run's exact result.
+// query at SmallWorkload, with default options and with the substrate
+// swap, every other shape runGrid shares (gridShapes), and Q7, Q11 and
+// Qs4 at DefaultWorkload, replay their class's shared miss log to the live
+// run's exact result.
 func TestReplayExact(t *testing.T) {
-	var specs []RunSpec
-	for _, q := range Benchmark() {
-		for _, k := range fig12Kinds() {
-			specs = append(specs, RunSpec{Design: k, Workload: SmallWorkload(), Query: q})
-		}
-	}
-	checkReplayExact(t, specs)
+	checkReplayExact(t, append(fig12Shapes(), gridShapes(t)...))
 	if testing.Short() {
 		t.Skip("DefaultWorkload replays skipped in -short mode")
 	}
-	specs = specs[:0]
+	var specs []RunSpec
 	for _, name := range []string{"Q7", "Q11", "Qs4"} {
 		q, _ := BenchQueryByName(name)
 		for _, k := range fig12Kinds() {
@@ -188,29 +264,30 @@ func TestReplayExact(t *testing.T) {
 	checkReplayExact(t, specs)
 }
 
-// TestFig12SharesFrontEnds checks the Fig. 12 sweep against per-cell
-// runs through the same memo: every cell, shared front end or not, holds
-// exactly what its own RunSpec produces.
+// TestFig12SharesFrontEnds checks the Fig. 12 grid against per-cell
+// runs: every cell, shared front end or not, holds exactly what its own
+// RunSpec produces.
 func TestFig12SharesFrontEnds(t *testing.T) {
-	w := SmallWorkload()
-	queries := Benchmark()
-	grid, err := runShared(context.Background(), queries, fig12Kinds(), w, Par{Workers: 2})
+	rows := queryRows(Benchmark(), SmallWorkload(), fig12Kinds())
+	grid, err := runGrid(context.Background(), rows, Par{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := runner.Grid(context.Background(), queries, fig12Kinds(), runner.Options{},
-		func(_ context.Context, _, _ int, q BenchQuery, k design.Kind) (*sim.QueryResult, error) {
-			return RunSpec{Design: k, Workload: w, Query: q}.Run()
+	_, err = runner.Map(context.Background(), rows, runner.Options{},
+		func(_ context.Context, ri int, row []RunSpec) (struct{}, error) {
+			for ci, spec := range row {
+				live, err := spec.Run()
+				if err != nil {
+					return struct{}{}, err
+				}
+				if !bytes.Equal(encode(grid[ri][ci]), encode(live)) {
+					t.Errorf("%s on %v: shared grid differs from the spec's own run", spec.Query.Name, spec.Design)
+				}
+			}
+			return struct{}{}, nil
 		})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for qi, q := range queries {
-		for ki, k := range fig12Kinds() {
-			if !bytes.Equal(encode(grid[qi][ki]), encode(live[qi][ki])) {
-				t.Errorf("%s on %v: shared sweep differs from the spec's own run", q.Name, k)
-			}
-		}
 	}
 }
 

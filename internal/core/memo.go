@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"sam/internal/design"
-	"sam/internal/imdb"
 	"sam/internal/memo"
 	"sam/internal/runner"
 	"sam/internal/sim"
@@ -170,41 +169,41 @@ func addFault(f *memo.Fingerprint, fm *sim.FaultModel) {
 	}
 }
 
-// Key fingerprints the run: the standard Ta/Tb workload pair, one Table 3
-// query, the store the design runs it on, optional fault injection. It is
-// the run memo's key and samd's dedup key for a bench job.
+// Key fingerprints the run: its tables and query, the store the design
+// runs it on, optional fault injection. It is the run memo's key and
+// samd's dedup key for a bench job. A Ta/Tb run keys under "bench", a
+// sweep-table run under "sweep".
 func (s RunSpec) Key() string {
-	f := memo.NewFingerprint("bench")
+	domain := "bench"
+	if s.Table != nil {
+		domain = "sweep"
+	}
+	f := memo.NewFingerprint(domain)
 	addDesign(f, s.Design, s.Options)
-	addQuery(f, s.Workload, s.Query)
+	s.addQuery(f)
 	f.Bool("colstore", s.columnStore())
 	addParams(f, s.Query.Params)
 	addFault(f, s.Faults)
 	return f.Sum()
 }
 
-// addQuery fingerprints the Ta/Tb workload and the query text and class.
-func addQuery(f *memo.Fingerprint, w Workload, q BenchQuery) {
+// addQuery fingerprints the run's tables and query: the Ta/Tb workload
+// with the query text and class, or the sweep table's schema and seed with
+// the query text (a sweep query's class only selects the store, which the
+// key covers on its own).
+func (s RunSpec) addQuery(f *memo.Fingerprint) {
+	if t := s.Table; t != nil {
+		f.Str("table.name", t.Name).
+			I64("table.fields", int64(t.Fields)).
+			I64("table.records", int64(t.Records)).
+			U64("table.seed", sweepTableSeed).
+			Str("query.sql", s.Query.SQL)
+		return
+	}
+	w := s.Workload
 	f.I64("workload.ta", int64(w.TaRecords)).
 		I64("workload.tb", int64(w.TbRecords)).
 		U64("workload.seed", w.Seed).
-		Str("query.sql", q.SQL).
-		I64("query.class", int64(q.Class))
-}
-
-// sweepRunKey fingerprints a Fig. 15 sweep-point run: a single generated
-// table with its own schema and seed, the generated sweep query, and the
-// store orientation (which also drives the row-wise FullScan rule).
-func sweepRunKey(kind design.Kind, opts design.Options, schema imdb.Schema, tableSeed uint64, query string, params sql.Params, colStore bool) string {
-	f := memo.NewFingerprint("sweep")
-	addDesign(f, kind, opts)
-	f.Str("table.name", schema.Name).
-		I64("table.fields", int64(schema.Fields)).
-		I64("table.records", int64(schema.Records)).
-		U64("table.seed", tableSeed).
-		Str("query.sql", query).
-		Bool("colstore", colStore)
-	addParams(f, params)
-	addFault(f, nil)
-	return f.Sum()
+		Str("query.sql", s.Query.SQL).
+		I64("query.class", int64(s.Query.Class))
 }

@@ -69,7 +69,9 @@ func TestMemoKeyCanonicalization(t *testing.T) {
 		distinct("fault-weights", with(func(s *RunSpec) {
 			s.Faults = &sim.FaultModel{Rate: 1e-3, BitWeight: 1, ChipWeight: 1, CorrelatedWeight: 1}
 		}))
-		distinct("sweep-shape", sweepRunKey(design.SAMEn, design.Options{}, testSweepSchema(), sweepTableSeed, q.SQL, q.Params, false))
+		distinct("sweep-shape", with(func(s *RunSpec) { s.Table = &imdb.Schema{Name: "T", Fields: 128, Records: 512} }))
+		distinct("sweep-fields", with(func(s *RunSpec) { s.Table = &imdb.Schema{Name: "T", Fields: 64, Records: 512} }))
+		distinct("sweep-records", with(func(s *RunSpec) { s.Table = &imdb.Schema{Name: "T", Fields: 128, Records: 256} }))
 	})
 
 	t.Run("collisions", func(t *testing.T) {
@@ -115,10 +117,6 @@ func TestMemoKeyCanonicalization(t *testing.T) {
 // same): chip dead on every rank, everything else default.
 func deadChip(chip int, seed uint64) *sim.FaultModel {
 	return &sim.FaultModel{Seed: seed, DeadChips: []fault.ChipFault{{Rank: -1, Chip: chip}}}
-}
-
-func testSweepSchema() imdb.Schema {
-	return imdb.Schema{Name: "T", Fields: 128, Records: 512}
 }
 
 // TestMemoCachedRunsMatch: a memoized run returns results equivalent to

@@ -18,10 +18,11 @@ import (
 func TestSweepPointStatsDeterministicAcrossWorkers(t *testing.T) {
 	p := SweepPoint{Query: Arithmetic, Selectivity: 0.5, Projected: 8}
 	run := func(workers int) ([]byte, map[string]float64) {
-		speedups, sts, err := RunSweepPointStats(context.Background(), p, 256, Par{Workers: workers})
+		res, err := RunSweep(context.Background(), []SweepPoint{p}, 256, Par{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
+		speedups, sts := res[0].Speedups, res[0].Stats
 		enc, err := json.Marshal(sts)
 		if err != nil {
 			t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"sam/internal/design"
 	"sam/internal/ecc"
 	"sam/internal/fault"
-	"sam/internal/runner"
 	"sam/internal/sim"
 )
 
@@ -179,32 +178,46 @@ func (c ReliabilityCampaign) spec(cell ReliabilityCell, i int) RunSpec {
 	}
 }
 
-// RunReliability executes the campaign on the worker pool. Results arrive
-// in cell order and are bit-identical for any worker count: each cell owns
-// a fresh system and a seed derived only from (campaign seed, cell index).
+// RunReliability executes the campaign as one grid with a row per
+// (design, granularity): a row's cells differ only in their faults, which
+// the back end alone sees, so they share one front end. Results arrive in
+// cell order and are bit-identical for any worker count: each cell owns a
+// fresh system and a seed derived only from (campaign seed, cell index).
 func RunReliability(ctx context.Context, camp ReliabilityCampaign, par Par) ([]ReliabilityResult, error) {
 	cells := camp.Cells()
-	return runner.Map(ctx, cells, par.opts(), func(ctx context.Context, i int, cell ReliabilityCell) (ReliabilityResult, error) {
-		r, _, err := par.Memo.Run(ctx, camp.spec(cell, i))
-		if err != nil {
-			return ReliabilityResult{}, fmt.Errorf("%s: %w", cell.Label(), err)
+	var rows [][]RunSpec
+	for i, cell := range cells {
+		if i == 0 || cell.Design != cells[i-1].Design || cell.Gran != cells[i-1].Gran {
+			rows = append(rows, nil)
 		}
-		rel := r.Stats.Reliability
-		if rel == nil {
-			return ReliabilityResult{}, fmt.Errorf("%s: run carried no reliability block", cell.Label())
+		rows[len(rows)-1] = append(rows[len(rows)-1], camp.spec(cell, i))
+	}
+	grid, err := runGrid(ctx, rows, par)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]ReliabilityResult, 0, len(cells))
+	for _, row := range grid {
+		for _, r := range row {
+			cell := cells[len(out)]
+			rel := r.Stats.Reliability
+			if rel == nil {
+				return nil, fmt.Errorf("%s: run carried no reliability block", cell.Label())
+			}
+			out = append(out, ReliabilityResult{
+				Design:   cell.Design.String(),
+				Bits:     cell.Gran.BitsPerChip,
+				Scheme:   cell.Scheme().String(),
+				Model:    cell.Model,
+				Rate:     cell.Rate,
+				Counters: *rel,
+				Retries:  r.Stats.Controller.Retries,
+				Poisoned: r.Stats.Controller.Poisoned,
+				Cycles:   int64(r.Stats.Cycles),
+			})
 		}
-		return ReliabilityResult{
-			Design:   cell.Design.String(),
-			Bits:     cell.Gran.BitsPerChip,
-			Scheme:   cell.Scheme().String(),
-			Model:    cell.Model,
-			Rate:     cell.Rate,
-			Counters: *rel,
-			Retries:  r.Stats.Controller.Retries,
-			Poisoned: r.Stats.Controller.Poisoned,
-			Cycles:   int64(r.Stats.Cycles),
-		}, nil
-	})
+	}
+	return out, nil
 }
 
 // ReliabilitySummary is the campaign's JSON summary, the payload of

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"sam/internal/design"
+	"sam/internal/imdb"
 	"sam/internal/memo"
 	"sam/internal/sim"
+	"sam/internal/sql"
 )
 
 // frozenBenchRunKey is a frozen copy of the bench-run fingerprint as it
@@ -92,6 +94,69 @@ func TestRunSpecKeyFrozen(t *testing.T) {
 		want := frozenBenchRunKey(cell.Design, design.Options{Gran: cell.Gran}, camp.Workload, camp.Query, false, camp.faultsFor(cell, i))
 		if got := spec.Key(); got != want {
 			t.Fatalf("reliability cell %s: key %s, frozen %s", cell.Label(), got, want)
+		}
+	}
+}
+
+// frozenSweepRunKey is a frozen copy of the Fig. 15 sweep-point
+// fingerprint as it stood before sweep runs became RunSpecs, field for
+// field. Disk caches written by earlier builds hold sweep entries under
+// these keys; TestSweepRunKeyFrozen keeps RunSpec.Key on the same bytes.
+// Never edit it to follow a change in RunSpec.Key.
+func frozenSweepRunKey(kind design.Kind, opts design.Options, schema imdb.Schema, tableSeed uint64, query string, params sql.Params, colStore bool) string {
+	f := memo.NewFingerprint("sweep")
+	c := opts.Canon(kind)
+	f.I64("design.kind", int64(kind)).
+		I64("design.gran.bits", int64(c.Gran.BitsPerChip)).
+		I64("design.gran.sector", int64(c.Gran.SectorBytes)).
+		I64("design.gran.reach", int64(c.Gran.Reach)).
+		Bool("design.gran.gang", c.Gran.Gang).
+		I64("design.substrate", int64(c.Substrate))
+	f.Str("table.name", schema.Name).
+		I64("table.fields", int64(schema.Fields)).
+		I64("table.records", int64(schema.Records)).
+		U64("table.seed", tableSeed).
+		Str("query.sql", query).
+		Bool("colstore", colStore)
+	names := make([]string, 0, len(params))
+	for n := range params {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	f.I64("params.n", int64(len(names)))
+	for _, n := range names {
+		f.Str("param.name", n).U64("param.value", params[n])
+	}
+	f.Bool("fault.active", false)
+	return f.Sum()
+}
+
+// TestSweepRunKeyFrozen pins RunSpec.Key for every run of every point of
+// every default Fig. 15 panel, at samfig's default -sweep-records and at
+// the test scale, to the frozen sweep fingerprint. Every sweep run used
+// the default options, and only ideal ran on the column store, over a
+// table of RecordBytes/8 fields (1 KiB records by default) seeded 0xF15.
+func TestSweepRunKeyFrozen(t *testing.T) {
+	for _, records := range []int{2048, fig15TestRecords} {
+		for _, panel := range fig15Panels() {
+			for _, p := range panel {
+				row, err := p.specs(records)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rb := p.RecordBytes
+				if rb == 0 {
+					rb = 1024
+				}
+				schema := imdb.Schema{Name: "T", Fields: rb / 8, Records: records}
+				for _, spec := range row {
+					want := frozenSweepRunKey(spec.Design, design.Options{}, schema, 0xF15,
+						spec.Query.SQL, spec.Query.Params, spec.Design == design.Ideal)
+					if got := spec.Key(); got != want {
+						t.Fatalf("%+v on %v at %d records: key %s, frozen %s", p, spec.Design, records, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"sam/internal/design"
 	"sam/internal/dram"
-	"sam/internal/sql"
 	"sam/internal/stats"
 )
 
@@ -92,15 +91,7 @@ func Table2() *stats.Table {
 func Table3() (*stats.Table, error) {
 	tb := stats.NewTable("query", "class", "plan", "pred fields", "proj fields", "sql")
 	for _, q := range Benchmark() {
-		stmt, err := sql.Parse(q.SQL)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", q.Name, err)
-		}
-		params := q.Params
-		if params == nil {
-			params = sql.Params{}
-		}
-		plan, err := sql.Compile(stmt, params)
+		plan, err := RunSpec{Query: q}.compile()
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", q.Name, err)
 		}

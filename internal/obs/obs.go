@@ -92,8 +92,8 @@ type job struct {
 	stalled         bool
 }
 
-// sweepScope accumulates every Map/Grid call sharing one label (nested
-// sweeps reuse their figure's label); each call appends a block of jobs
+// sweepScope accumulates every Map call sharing one label (samd's jobs
+// of one kind reuse theirs); each call appends a block of jobs
 // at its base offset, so job indices in the event log are scope-wide.
 type sweepScope struct {
 	label  string
@@ -153,7 +153,7 @@ func NewTracker(cfg Config) *Tracker {
 
 // Event is one JSONL log record. Ev selects the shape:
 //
-//	enqueue  sweep, jobs, base        — a Map/Grid call enqueued jobs
+//	enqueue  sweep, jobs, base        — a Map call enqueued jobs
 //	start    sweep, job, worker       — job began executing
 //	finish   sweep, job, worker, queue_ns, run_ns, memo
 //	fail     finish fields + err
@@ -226,7 +226,7 @@ func (o scopedObserver) SweepStarted(total int) runner.SweepSpan {
 	return o.t.sweepStarted(o.label, total)
 }
 
-// sweepStarted opens one Map/Grid call's block of jobs.
+// sweepStarted opens one Map call's block of jobs.
 func (t *Tracker) sweepStarted(label string, total int) runner.SweepSpan {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -247,7 +247,7 @@ func (t *Tracker) sweepStarted(label string, total int) runner.SweepSpan {
 	return &span{t: t, s: s, base: base}
 }
 
-// span is one Map/Grid call's SweepSpan.
+// span is one Map call's SweepSpan.
 type span struct {
 	t    *Tracker
 	s    *sweepScope

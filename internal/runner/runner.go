@@ -39,7 +39,7 @@ import (
 	"sync"
 )
 
-// Options configures one Map or Grid call.
+// Options configures one Map call.
 type Options struct {
 	// Workers bounds the number of concurrently running items.
 	// Zero or negative means runtime.GOMAXPROCS(0).
@@ -50,19 +50,19 @@ type Options struct {
 	// goroutines and should be cheap.
 	OnProgress func(done, total int)
 	// Observer, when non-nil, receives run-lifecycle callbacks for the
-	// sweep: one SweepStarted per Map/Grid call, then per-item
+	// sweep: one SweepStarted per Map call, then per-item
 	// started/finished callbacks from the worker goroutines (the observer
 	// must be goroutine-safe). A nil Observer costs nothing — the fast
 	// path has no per-item allocation or indirection.
 	Observer SweepObserver
 }
 
-// SweepObserver receives run-lifecycle callbacks from Map and Grid — the
+// SweepObserver receives run-lifecycle callbacks from Map — the
 // hook the observability plane (internal/obs) uses to track job spans,
 // queue waits, and worker occupancy without the pool knowing anything
 // about metrics or logging.
 type SweepObserver interface {
-	// SweepStarted is called once per Map/Grid invocation, before any item
+	// SweepStarted is called once per Map invocation, before any item
 	// runs, with the item count. Every item is considered enqueued at this
 	// point. The returned span receives the per-item callbacks; returning
 	// nil disables them for this sweep.
@@ -98,7 +98,7 @@ type jobRef struct {
 }
 
 // Annotate attaches key=value to the sweep item driving ctx, if ctx
-// descends from an observed Map/Grid call; otherwise it is a no-op. This
+// descends from an observed Map call; otherwise it is a no-op. This
 // is how code inside an item function reports per-job attribution (memo
 // hit/miss, retry counts) without threading the observer through every
 // signature.
@@ -249,27 +249,4 @@ func runOne[T, R any](ctx context.Context, i int, item T, fn func(context.Contex
 	}
 	*out = r
 	return nil
-}
-
-// Grid applies fn to the cross product as x bs on one shared worker pool
-// and returns results indexed [i][j] like the nested loops it replaces.
-// Ordering, error aggregation, cancellation, and panic handling follow
-// Map; the whole grid is a single flat sweep, so a slow row cannot
-// serialize the rows behind it.
-func Grid[A, B, R any](ctx context.Context, as []A, bs []B, opts Options, fn func(ctx context.Context, i, j int, a A, b B) (R, error)) ([][]R, error) {
-	type cell struct{ i, j int }
-	cells := make([]cell, 0, len(as)*len(bs))
-	for i := range as {
-		for j := range bs {
-			cells = append(cells, cell{i, j})
-		}
-	}
-	flat, err := Map(ctx, cells, opts, func(ctx context.Context, _ int, c cell) (R, error) {
-		return fn(ctx, c.i, c.j, as[c.i], bs[c.j])
-	})
-	out := make([][]R, len(as))
-	for i := range out {
-		out[i] = flat[i*len(bs) : (i+1)*len(bs)]
-	}
-	return out, err
 }

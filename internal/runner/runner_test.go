@@ -197,41 +197,6 @@ func TestMapEmpty(t *testing.T) {
 	}
 }
 
-func TestGridShapeAndOrder(t *testing.T) {
-	as := []string{"a", "b", "c"}
-	bs := []int{10, 20}
-	res, err := Grid(context.Background(), as, bs, Options{Workers: 4},
-		func(_ context.Context, i, j int, a string, b int) (string, error) {
-			return fmt.Sprintf("%s%d", a, b), nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != len(as) {
-		t.Fatalf("%d rows", len(res))
-	}
-	for i, a := range as {
-		for j, b := range bs {
-			if want := fmt.Sprintf("%s%d", a, b); res[i][j] != want {
-				t.Fatalf("res[%d][%d] = %q, want %q", i, j, res[i][j], want)
-			}
-		}
-	}
-}
-
-func TestGridErrorsCarryCoordinates(t *testing.T) {
-	_, err := Grid(context.Background(), []int{0, 1}, []int{0, 1}, Options{},
-		func(_ context.Context, i, j int, a, b int) (int, error) {
-			if i == 1 && j == 0 {
-				return 0, fmt.Errorf("cell (%d,%d) failed", i, j)
-			}
-			return 0, nil
-		})
-	if err == nil || !strings.Contains(err.Error(), "cell (1,0) failed") {
-		t.Fatalf("grid error lost coordinates: %v", err)
-	}
-}
-
 func TestOptionsWorkerClamp(t *testing.T) {
 	cases := []struct{ workers, n, want int }{
 		{0, 100, -1}, // GOMAXPROCS: just assert >= 1 below

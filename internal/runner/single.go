@@ -30,7 +30,7 @@ type flightCall[V any] struct {
 // and receive the leader's result with shared=true. Errors propagate to
 // every waiter. A panic in fn is converted into a join on the leader only;
 // waiters would deadlock, so fn must not panic — the runner pool's
-// recovery wrapper (Map/Grid) already guarantees that for simulation work,
+// recovery wrapper (Map) already guarantees that for simulation work,
 // and the memo layer passes only error-returning closures.
 func (f *Flight[V]) Do(key string, fn func() (V, error)) (v V, shared bool, err error) {
 	f.mu.Lock()

@@ -525,3 +525,35 @@ func TestTelemetryEndpoints(t *testing.T) {
 		t.Fatalf("/progress has no completed samd jobs: %+v", rep)
 	}
 }
+
+// TestSweepJobCancelled checks that a sweep job cancelled mid-grid (a
+// forced drain) fails with the context's error alone, and that an
+// uncancelled job lists its points in request order.
+func TestSweepJobCancelled(t *testing.T) {
+	req := &SubmitRequest{Kind: KindSweep, Sweep: &SweepReq{
+		Query: "arith", Selectivities: []float64{0.25, 0.5}, Projectivities: []int{4, 8}, Records: 256,
+	}}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	par := core.Par{Workers: 2, Progress: func(done, total int) { cancel() }}
+	if _, err := computeSweep(ctx, req, par); err != context.Canceled {
+		t.Fatalf("cancelled sweep job returned %v, want context.Canceled itself", err)
+	}
+	res, err := computeSweep(context.Background(), req, core.Par{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []sweepPointOut
+	if err := json.Unmarshal(res.Body, &out); err != nil {
+		t.Fatal(err)
+	}
+	want := [][2]float64{{0.25, 4}, {0.25, 8}, {0.5, 4}, {0.5, 8}}
+	if len(out) != len(want) {
+		t.Fatalf("%d points, want %d", len(out), len(want))
+	}
+	for i, p := range out {
+		if p.Selectivity != want[i][0] || float64(p.Projectivity) != want[i][1] || len(p.Speedups) != 4 {
+			t.Fatalf("point %d: %+v, want selectivity %v projectivity %v with 4 speedups", i, p, want[i][0], want[i][1])
+		}
+	}
+}

@@ -20,7 +20,7 @@ import (
 // renders its table from its cells, which are memo hits on a repeat.
 //
 // Determinism contract: every payload byte is derived from sweeps that
-// are worker-count-invariant (runner.Map/Grid ordered results) and from
+// are worker-count-invariant (runner.Map's ordered results) and from
 // codecs that are map-order-stable (sim.EncodeResult, sorted sweep keys),
 // so N concurrent clients observe byte-identical results for identical
 // submissions regardless of arrival order, dedup, and cache state — the
@@ -159,35 +159,29 @@ func computeSweep(ctx context.Context, req *SubmitRequest, par core.Par) (jobRes
 	if records == 0 {
 		records = 2048
 	}
-	type cell struct {
-		sel  float64
-		proj int
-	}
-	var cells []cell
+	var points []core.SweepPoint
 	for _, sel := range req.Sweep.Selectivities {
 		for _, p := range req.Sweep.Projectivities {
-			cells = append(cells, cell{sel, p})
+			points = append(points, core.SweepPoint{
+				Query:       kind,
+				Selectivity: sel,
+				Projected:   p,
+				RecordBytes: req.Sweep.RecordBytes,
+			})
 		}
 	}
-	out := make([]sweepPointOut, len(cells))
-	// Points run serially; each point's per-design runs fan out on the
-	// inner pool (mirroring samfig's fig15 loop). The ctx check between
-	// points is the forced-drain cancellation boundary.
-	for i, c := range cells {
-		if err := ctx.Err(); err != nil {
-			return jobResult{}, err
+	// Every point runs in one grid, like a samfig fig15 panel. A cancelled
+	// job (forced drain) reports the context's error alone.
+	res, err := core.RunSweep(ctx, points, records, par)
+	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return jobResult{}, cerr
 		}
-		p := core.SweepPoint{
-			Query:       kind,
-			Selectivity: c.sel,
-			Projected:   c.proj,
-			RecordBytes: req.Sweep.RecordBytes,
-		}
-		speedups, _, err := core.RunSweepPointStats(ctx, p, records, par)
-		if err != nil {
-			return jobResult{}, err
-		}
-		out[i] = sweepPointOut{Selectivity: c.sel, Projectivity: c.proj, Speedups: speedups}
+		return jobResult{}, err
+	}
+	out := make([]sweepPointOut, len(points))
+	for i, p := range points {
+		out[i] = sweepPointOut{Selectivity: p.Selectivity, Projectivity: p.Projected, Speedups: res[i].Speedups}
 	}
 	body, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
