@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"sam/internal/cpu"
@@ -14,113 +15,257 @@ import (
 )
 
 // FrontEndKey fingerprints exactly what the run's front end — executor,
-// cache hierarchy, stride gathers and core clock — reads: the placer
-// geometry, the stripe layout (ColumnEngine, ChunkRecords), the strided
-// granularity's reach and sector size, the sector-cache geometry, the
-// store, the bus clock, the core and cache parameters, the
-// no-critical-word-first latency, the tables and the query. Runs with
-// equal keys issue the same miss log (sim.MissLog), so one recording
-// replays exactly into each of their memory back ends. Everything else
-// about a design — timing, stride and gang flags, SubFieldSplit, embedded
-// ECC, power, faults — is the back end's.
-func (s RunSpec) FrontEndKey() string {
+// cache hierarchy, stride gathers and core clock — reads, up to its
+// critical-word delivery: the placer geometry, the stripe layout
+// (ColumnEngine, ChunkRecords, and the stripe's row count), the store,
+// the bus clock, the core and cache parameters, the tables and the query,
+// and, only when a gather can fire, the strided granularity's reach and
+// sector size and the sector-cache geometry. Runs with equal keys issue
+// the same miss log (sim.MissLog), at one clock per critical-word
+// variant, so one recording replays exactly into each of their memory
+// back ends. Everything else about a design — timing, stride and gang
+// flags, SubFieldSplit, embedded ECC, power, faults — is the back end's
+// (BackEndKey).
+func (s RunSpec) FrontEndKey() string { return s.sharing().front }
+
+// BackEndKey fingerprints what the run's memory back end reads besides the
+// front-end stream: the memory geometry (channel count included), timing
+// and bus clock, the regular power terms, the embedded-ECC period of
+// regular fills, the fault model (with the burst scheme and ECC presence
+// when faults are on), and, only when a gather can fire, the strided
+// granularity, the I/O-mode, sub-field-split and embedded-ECC gather
+// terms, the stride power terms and the critical-word clock the back end
+// is fed. Runs with equal front-end and back-end keys are one simulation.
+func (s RunSpec) BackEndKey() string { return s.sharing().back }
+
+// sharing is how runGrid shares a spec's work: its front-end and back-end
+// keys, and the clock variant its front end ticks.
+type sharing struct {
+	front, back string
+	clock       sim.ClockVariant
+}
+
+// run keys the spec's whole simulation: specs with equal run keys give
+// byte-equal results.
+func (sh sharing) run() string { return sh.front + "/" + sh.back }
+
+// sharing computes the spec's keys.
+func (s RunSpec) sharing() sharing {
 	d := design.New(s.Design, s.Options)
-	// The no-critical-word-first latency is charged on gather misses only,
-	// and only field accesses of a strided row store gather.
+	// Only field accesses of a strided row store gather.
 	gathers := d.SupportsStride() && !s.columnStore()
 	if plan, err := s.compile(); err == nil {
 		gathers = gathers && sim.FieldAccesses(plan)
 	}
+	sh := sharing{front: s.frontEndKey(d, gathers)}
+	if gathers {
+		// The no-critical-word-first latency is charged on gather misses
+		// only.
+		sh.clock = sim.ClockVariantOf(d)
+	}
+	sh.back = s.backEndKey(d, gathers, sh.clock)
+	return sh
+}
+
+func (s RunSpec) frontEndKey(d *design.Design, gathers bool) string {
 	f := memo.NewFingerprint("frontend")
 	f.Str("geometry", fmt.Sprintf("%+v", d.Mem.Geometry)).
 		F64("bus.mhz", d.Mem.ClockMHz).
 		Bool("layout.column_engine", d.ColumnEngine).
-		I64("layout.chunk_records", int64(d.ChunkRecords)).
-		I64("gran.reach", int64(d.Gran.Reach)).
-		I64("gran.sector", int64(d.Gran.SectorBytes)).
-		I64("cache.sectors", int64(d.SectorsPerLine())).
-		Bool("colstore", s.columnStore()).
+		I64("layout.chunk_records", int64(d.ChunkRecords))
+	if d.ColumnEngine {
+		// A stripe spans Reach rows of a bank.
+		f.I64("layout.stripe_rows", int64(d.Gran.Reach))
+	}
+	if gathers {
+		f.I64("gran.reach", int64(d.Gran.Reach)).
+			I64("gran.sector", int64(d.Gran.SectorBytes)).
+			I64("cache.sectors", int64(d.SectorsPerLine()))
+	}
+	f.Bool("colstore", s.columnStore()).
 		Str("cpu", fmt.Sprintf("%+v", cpu.Default())).
 		Str("caches", fmt.Sprintf("%+v", sim.DefaultCaches()))
-	ncwf := gathers && d.NoCriticalWordFirst
-	f.Bool("ncwf", ncwf)
-	if ncwf {
-		f.I64("ncwf.tbl", int64(d.Mem.Timing.TBL))
-	}
 	s.addQuery(f)
 	addParams(f, s.Query.Params)
 	return f.Sum()
 }
 
-// record runs the spec live, like Run, and also returns its miss log.
-func (s RunSpec) record() (*sim.QueryResult, *sim.MissLog, error) {
+func (s RunSpec) backEndKey(d *design.Design, gathers bool, clock sim.ClockVariant) string {
+	p := d.Power
+	f := memo.NewFingerprint("backend")
+	f.Str("geometry", fmt.Sprintf("%+v", d.Mem.Geometry)).
+		Str("timing", fmt.Sprintf("%+v", d.Mem.Timing)).
+		F64("bus.mhz", d.Mem.ClockMHz).
+		Str("power.regular", fmt.Sprintf("%+v", p.Regular)).
+		F64("power.vdd", p.VDD).
+		I64("power.chips", int64(p.Chips)).
+		Str("power.timing", fmt.Sprintf("%d/%d/%d/%v", p.TRC, p.TBL, p.TRFC, p.ClockMHz)).
+		F64("power.act_chip_fraction", p.ActChipFraction).
+		F64("power.background_scale", p.BackgroundScale).
+		I64("ecc.regular_period", int64(d.ECCRegularPeriod))
+	addFault(f, s.Faults)
+	if s.Faults != nil && s.Faults.Active() {
+		f.I64("fault.scheme", int64(d.BurstScheme())).Bool("fault.ecc", d.HasECC)
+	}
+	f.Bool("gathers", gathers)
+	if gathers {
+		f.Str("gran", fmt.Sprintf("%+v", d.Gran)).
+			Bool("mode_switch", d.ModeSwitch).
+			I64("subfield_split", int64(d.SubFieldSplit)).
+			I64("ecc.read_period", int64(d.ECCReadPeriod)).
+			Bool("ecc.write_rmw", d.ECCWriteRMW).
+			Str("power.stride", fmt.Sprintf("%+v", p.Stride)).
+			I64("clock", int64(clock))
+	}
+	return f.Sum()
+}
+
+// record runs the spec live, like Run, and also returns its miss log with
+// one clock per variant in clocks.
+func (s RunSpec) record(clocks []sim.ClockVariant) (*sim.QueryResult, *sim.MissLog, error) {
 	plan, err := s.compile()
 	if err != nil {
 		return nil, nil, err
 	}
-	return s.system().RecordPlan(plan)
+	return s.system().RecordPlan(plan, clocks...)
 }
 
-// replay runs a miss log recorded under the spec's front-end key through
-// a fresh memory back end of the spec's design. The result equals Run's.
-func (s RunSpec) replay(l *sim.MissLog) *sim.QueryResult {
+// replay runs a miss log recorded under the spec's front-end key, at the
+// spec's own clock variant, through a fresh memory back end of the spec's
+// design. The result equals Run's.
+func (s RunSpec) replay(l *sim.MissLog, clock sim.ClockVariant) *sim.QueryResult {
 	sys := sim.NewSystem(design.New(s.Design, s.Options))
 	sys.Faults = s.Faults
-	return sys.Replay(l)
+	return sys.Replay(l, clock)
 }
 
-// frontEnds shares front ends within one sweep. Each class of specs with
-// equal front-end keys simulates its front end once: the first member to
-// run records the miss log while running live, and every later member
-// replays it into its own back end. A class's log is freed once its last
-// member has finished.
+// frontEnds shares work within one grid. Each class of specs with equal
+// front-end keys simulates its front end once: the first member to run
+// records the miss log, with one clock per variant of the class, while
+// running live, and every later member replays it, at its own clock, into
+// its own back end. A class's log is freed once its last member has
+// finished. Specs with equal front-end and back-end keys simulate once
+// between them: the first to run hands its result to the others.
 type frontEnds struct {
 	mu      sync.Mutex
-	classes map[string]*frontEnd
+	classes map[string]*frontEnd // by front-end key
+	runs    map[string]*sameRun  // by run key
 }
 
 // frontEnd is one class's shared recording.
 type frontEnd struct {
-	left int           // members not yet finished
-	done chan struct{} // closed once log or err is set; nil until recording starts
-	log  *sim.MissLog
-	err  error
+	left   int                // members not yet finished
+	clocks []sim.ClockVariant // the members' clock variants, ascending
+	done   chan struct{}      // closed once log or err is set; nil until recording starts
+	log    *sim.MissLog
+	err    error
 }
 
-var errRecordAborted = errors.New("core: front-end recording aborted")
+// sameRun is one group of identical runs' shared result.
+type sameRun struct {
+	done    chan struct{} // closed once settled; nil until a member claims the run
+	settled bool
+	res     *sim.QueryResult
+	err     error
+}
 
-// newFrontEnds tracks the classes among keys that have more than one
-// member.
-func newFrontEnds(keys []string) *frontEnds {
-	n := map[string]int{}
-	for _, k := range keys {
-		n[k]++
+var (
+	errRecordAborted = errors.New("core: front-end recording aborted")
+	errRunAborted    = errors.New("core: shared run aborted")
+)
+
+// newFrontEnds tracks the classes of specs whose front-end key more than
+// one distinct run shares, and the groups of more than one identical run.
+func newFrontEnds(shares []sharing) *frontEnds {
+	members := map[string]int{}
+	runs := map[string]int{}
+	clocks := map[string][]sim.ClockVariant{}
+	for _, sh := range shares {
+		members[sh.front]++
+		if runs[sh.run()]++; runs[sh.run()] == 1 {
+			clocks[sh.front] = append(clocks[sh.front], sh.clock)
+		}
 	}
-	t := &frontEnds{classes: map[string]*frontEnd{}}
-	for k, c := range n {
-		if c > 1 {
-			t.classes[k] = &frontEnd{left: c}
+	t := &frontEnds{classes: map[string]*frontEnd{}, runs: map[string]*sameRun{}}
+	for k, cs := range clocks {
+		if len(cs) > 1 {
+			slices.Sort(cs)
+			t.classes[k] = &frontEnd{left: members[k], clocks: slices.Compact(cs)}
+		}
+	}
+	for k, n := range runs {
+		if n > 1 {
+			t.runs[k] = &sameRun{}
 		}
 	}
 	return t
 }
 
-// run simulates spec, whose front-end key is key: live for a class of
-// one, else by recording or replaying the class's miss log. A member that
-// arrives while the log is being recorded waits for it, or for ctx.
-func (t *frontEnds) run(ctx context.Context, spec RunSpec, key string) (*sim.QueryResult, error) {
+// run simulates spec, whose keys are sh, and tags the job span ctx
+// carries with how (sim=plain|record|replay|shared). A spec whose
+// identical run another member has claimed waits for its result, or for
+// ctx; one that claims it shares its result once simulated.
+func (t *frontEnds) run(ctx context.Context, spec RunSpec, sh sharing) (r *sim.QueryResult, err error) {
 	t.mu.Lock()
-	c := t.classes[key]
+	g := t.runs[sh.run()]
+	if g == nil {
+		t.mu.Unlock()
+		return t.simulate(ctx, spec, sh)
+	}
+	if g.done != nil {
+		t.mu.Unlock()
+		runner.Annotate(ctx, "sim", "shared")
+		select {
+		case <-g.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return g.res, g.err
+	}
+	g.done = make(chan struct{})
+	t.mu.Unlock()
+	// A run that panics leaves the waiting members an error instead of
+	// blocking them.
+	err = errRunAborted
+	defer func() { t.settle(sh, r, err) }()
+	return t.simulate(ctx, spec, sh)
+}
+
+// settle hands the result of spec sh's run — simulated, or served by the
+// memo — to the members of its identical group, unless one already has.
+func (t *frontEnds) settle(sh sharing, r *sim.QueryResult, err error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	g := t.runs[sh.run()]
+	if g == nil || g.settled {
+		return
+	}
+	if g.done == nil {
+		g.done = make(chan struct{})
+	}
+	g.res, g.err, g.settled = r, err, true
+	close(g.done)
+}
+
+// simulate runs spec's front end live for a class of one, else by
+// recording or replaying the class's miss log. A member that arrives
+// while the log is being recorded waits for it, or for ctx.
+func (t *frontEnds) simulate(ctx context.Context, spec RunSpec, sh sharing) (*sim.QueryResult, error) {
+	t.mu.Lock()
+	c := t.classes[sh.front]
 	if c == nil {
 		t.mu.Unlock()
+		runner.Annotate(ctx, "sim", "plain")
 		return spec.Run()
 	}
 	if c.done == nil {
 		c.done = make(chan struct{})
 		t.mu.Unlock()
+		runner.Annotate(ctx, "sim", "record")
 		return c.lead(spec)
 	}
 	t.mu.Unlock()
+	runner.Annotate(ctx, "sim", "replay")
 	select {
 	case <-c.done:
 	case <-ctx.Done():
@@ -129,7 +274,7 @@ func (t *frontEnds) run(ctx context.Context, spec RunSpec, key string) (*sim.Que
 	if c.err != nil {
 		return nil, c.err
 	}
-	return spec.replay(c.log), nil
+	return spec.replay(c.log, sh.clock), nil
 }
 
 // lead records the class's log; a recording that panics leaves the waiting
@@ -137,12 +282,12 @@ func (t *frontEnds) run(ctx context.Context, spec RunSpec, key string) (*sim.Que
 func (c *frontEnd) lead(spec RunSpec) (r *sim.QueryResult, err error) {
 	c.err = errRecordAborted
 	defer close(c.done)
-	r, c.log, c.err = spec.record()
+	r, c.log, c.err = spec.record(c.clocks)
 	return r, c.err
 }
 
-// release marks one member of key's class finished, hit or miss; the last
-// one frees the class's log.
+// release marks one member of front-end class key finished, hit or miss;
+// the last one frees the class's log.
 func (t *frontEnds) release(key string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -156,41 +301,48 @@ func (t *frontEnds) release(key string) {
 // runGrid is the one runner behind every figure: it runs each spec of
 // rows through the memo under its Key and returns the results indexed like
 // rows. A memo hit skips the simulation entirely. Specs with equal
-// FrontEndKey, anywhere in the grid, share one recorded miss log. Within
-// each row, the first spec of each front-end class runs before the specs
-// that replay it, so a replaying spec rarely waits on a recording in
-// flight, and only about one row's logs are alive at a time.
+// FrontEndKey, anywhere in the grid, share one recorded miss log, and
+// specs with equal FrontEndKey and BackEndKey share one result. Within
+// each row, the specs that start a front-end class run first, then those
+// that replay one, then those that take another's result, so a spec
+// rarely waits on work in flight, and only about one row's logs are alive
+// at a time.
 func runGrid(ctx context.Context, rows [][]RunSpec, par Par) ([][]*sim.QueryResult, error) {
 	type cell struct {
 		ri, ci int
-		key    string
+		sh     sharing
 	}
-	var keys []string
+	var shares []sharing
 	var order []cell
+	fronts, runs := map[string]bool{}, map[string]bool{}
 	for ri, row := range rows {
-		seen := map[string]bool{}
-		var follow []cell
+		var lead, replay, shared []cell
 		for ci, spec := range row {
-			c := cell{ri: ri, ci: ci, key: spec.FrontEndKey()}
-			keys = append(keys, c.key)
-			if seen[c.key] {
-				follow = append(follow, c)
-			} else {
-				seen[c.key] = true
-				order = append(order, c)
+			c := cell{ri: ri, ci: ci, sh: spec.sharing()}
+			shares = append(shares, c.sh)
+			switch {
+			case runs[c.sh.run()]:
+				shared = append(shared, c)
+			case fronts[c.sh.front]:
+				replay = append(replay, c)
+			default:
+				lead = append(lead, c)
 			}
+			fronts[c.sh.front], runs[c.sh.run()] = true, true
 		}
-		order = append(order, follow...)
+		order = append(append(append(order, lead...), replay...), shared...)
 	}
-	fe := newFrontEnds(keys)
+	fe := newFrontEnds(shares)
 	opts := runner.Options{Workers: par.Workers, OnProgress: par.Progress, Observer: par.Observer}
 	flat, err := runner.Map(ctx, order, opts, func(ctx context.Context, _ int, c cell) (*sim.QueryResult, error) {
-		defer fe.release(c.key)
+		defer fe.release(c.sh.front)
 		spec := rows[c.ri][c.ci]
-		r, _, err := par.Memo.do(ctx, spec.Key(), func() (*sim.QueryResult, error) { return fe.run(ctx, spec, c.key) })
+		r, _, err := par.Memo.do(ctx, spec.Key(), func() (*sim.QueryResult, error) { return fe.run(ctx, spec, c.sh) })
 		if err != nil {
 			return nil, fmt.Errorf("%s on %v: %w", spec.Query.Name, spec.Design, err)
 		}
+		// A memo hit's result serves the identical runs too.
+		fe.settle(c.sh, r, nil)
 		return r, nil
 	})
 	if err != nil {

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"sam/internal/design"
@@ -15,18 +18,29 @@ import (
 // recording is one spec's live run with its miss log.
 type recording struct {
 	spec RunSpec
-	key  string
+	sh   sharing
 	res  *sim.QueryResult
 	log  *sim.MissLog
 }
 
-// recordAll records every spec live, in parallel.
+// recordAll records every spec live, in parallel, each with one clock per
+// variant of its front-end class, as runGrid's recordings keep.
 func recordAll(t *testing.T, specs []RunSpec) []recording {
 	t.Helper()
+	shares := make([]sharing, len(specs))
+	clocks := map[string][]sim.ClockVariant{}
+	for i, s := range specs {
+		shares[i] = s.sharing()
+		clocks[shares[i].front] = append(clocks[shares[i].front], shares[i].clock)
+	}
+	for k, cs := range clocks {
+		slices.Sort(cs)
+		clocks[k] = slices.Compact(cs)
+	}
 	out, err := runner.Map(context.Background(), specs, runner.Options{},
-		func(_ context.Context, _ int, s RunSpec) (recording, error) {
-			r, l, err := s.record()
-			return recording{spec: s, key: s.FrontEndKey(), res: r, log: l}, err
+		func(_ context.Context, i int, s RunSpec) (recording, error) {
+			r, l, err := s.record(clocks[shares[i].front])
+			return recording{spec: s, sh: shares[i], res: r, log: l}, err
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -145,21 +159,20 @@ func gridShapes(t *testing.T) []RunSpec {
 // ends: over every design × Table 3 query at SmallWorkload, with the
 // default options and with Fig. 14a's substrate swap, and over every
 // other shape runGrid shares (gridShapes), specs that share a key record
-// identical miss logs. The swap puts RC-NVM on DRAM next to SAM-sub, so
-// the stripe's ChunkRecords is all that tells them apart. It also pins
-// the default Fig. 12 classes and the reliability campaign's class count.
-// The key may split runs whose logs match (on Qs queries the baseline's
-// log equals GS-DRAM's, as no gather ever fires), but it must never merge
-// runs whose logs differ.
+// identical miss logs, at every clock of the class. The swap puts RC-NVM
+// on DRAM next to SAM-sub, so the stripe's ChunkRecords is all that tells
+// them apart. It also pins the default Fig. 12 classes and the
+// reliability campaign's class count. The key may split runs whose logs
+// match, but it must never merge runs whose logs differ.
 func TestFrontEndKeySound(t *testing.T) {
 	specs := fig12Shapes()
 	nFig12 := len(specs)
 	recs := recordAll(t, append(specs, gridShapes(t)...))
 	byKey := map[string]recording{}
 	for _, r := range recs {
-		first, ok := byKey[r.key]
+		first, ok := byKey[r.sh.front]
 		if !ok {
-			byKey[r.key] = r
+			byKey[r.sh.front] = r
 			continue
 		}
 		if first.log.Digest() != r.log.Digest() {
@@ -169,16 +182,12 @@ func TestFrontEndKeySound(t *testing.T) {
 	}
 
 	want := map[QueryClass]string{
-		ClassQ:  "{baseline} {RC-NVM-bit RC-NVM-wd} {GS-DRAM GS-DRAM-ecc SAM-IO} {SAM-sub} {SAM-en} {ideal}",
-		ClassQs: "{baseline ideal} {RC-NVM-bit RC-NVM-wd} {GS-DRAM GS-DRAM-ecc SAM-IO SAM-en} {SAM-sub}",
+		ClassQ:  "{baseline} {RC-NVM-bit RC-NVM-wd} {GS-DRAM GS-DRAM-ecc SAM-IO SAM-en} {SAM-sub} {ideal}",
+		ClassQs: "{baseline GS-DRAM GS-DRAM-ecc SAM-IO SAM-en ideal} {RC-NVM-bit RC-NVM-wd} {SAM-sub}",
 	}
-	for i := 0; i < nFig12; i += 2 * len(fig12Kinds()) {
-		var defaults []recording
-		for j := i; j < i+2*len(fig12Kinds()); j += 2 {
-			defaults = append(defaults, recs[j])
-		}
+	for _, defaults := range fig12Defaults(recs[:nFig12]) {
 		q := defaults[0].spec.Query
-		if got := partition(defaults, func(r recording) string { return r.key }); got != want[q.Class] {
+		if got := partition(defaults, func(r recording) string { return r.sh.front }); got != want[q.Class] {
 			t.Errorf("%s: front-end key classes %s, want %s", q.Name, got, want[q.Class])
 		}
 	}
@@ -188,22 +197,71 @@ func TestFrontEndKeySound(t *testing.T) {
 	for i, cell := range camp.Cells() {
 		classes[camp.spec(cell, i).FrontEndKey()] = true
 	}
-	if n := len(classes); n != 7 {
-		t.Errorf("the reliability campaign's %d cells fall into %d front-end classes, want 7", len(camp.Cells()), n)
+	if n := len(classes); n != 4 {
+		t.Errorf("the reliability campaign's %d cells fall into %d front-end classes, want 4", len(camp.Cells()), n)
+	}
+}
+
+// fig12Defaults splits fig12Shapes' recordings into one row per query of
+// the default-option specs, in fig12Kinds order.
+func fig12Defaults(recs []recording) [][]recording {
+	var rows [][]recording
+	n := 2 * len(fig12Kinds())
+	for i := 0; i < len(recs); i += n {
+		var row []recording
+		for j := i; j < i+n; j += 2 {
+			row = append(row, recs[j])
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// TestSameRunIdentical checks that equal front-end and back-end keys mean
+// equal runs: over the shapes of TestFrontEndKeySound, specs that share
+// both keys give byte-equal encoded results. It also pins which default
+// Fig. 12 specs are one run: on Qs queries, which fire no gather, the
+// baseline, GS-DRAM, SAM-IO and ideal.
+func TestSameRunIdentical(t *testing.T) {
+	specs := fig12Shapes()
+	nFig12 := len(specs)
+	recs := recordAll(t, append(specs, gridShapes(t)...))
+	byRun := map[string]recording{}
+	for _, r := range recs {
+		first, ok := byRun[r.sh.run()]
+		if !ok {
+			byRun[r.sh.run()] = r
+			continue
+		}
+		if !bytes.Equal(encode(first.res), encode(r.res)) {
+			t.Errorf("%s: %v %+v and %v %+v share both keys but not a result",
+				r.spec.Query.Name, first.spec.Design, first.spec.Options, r.spec.Design, r.spec.Options)
+		}
+	}
+
+	want := map[QueryClass]string{
+		ClassQ:  "{baseline} {RC-NVM-bit} {RC-NVM-wd} {GS-DRAM} {GS-DRAM-ecc} {SAM-sub} {SAM-IO} {SAM-en} {ideal}",
+		ClassQs: "{baseline GS-DRAM SAM-IO ideal} {RC-NVM-bit} {RC-NVM-wd} {GS-DRAM-ecc} {SAM-sub} {SAM-en}",
+	}
+	for _, defaults := range fig12Defaults(recs[:nFig12]) {
+		q := defaults[0].spec.Query
+		if got := partition(defaults, func(r recording) string { return r.sh.run() }); got != want[q.Class] {
+			t.Errorf("%s: identical-run groups %s, want %s", q.Name, got, want[q.Class])
+		}
 	}
 }
 
 // checkReplayExact runs each spec live, then replays the miss log of its
-// class's first member into it: the replayed result must encode to the
-// live run's bytes, and so must the recording run's own result. Every log
-// must stay under maxLogBytes.
+// class's first member into it, at the spec's own clock: the replayed
+// result must encode to the live run's bytes, and so must the recording
+// run's own result. Every log must stay under maxLogBytes.
 func checkReplayExact(t *testing.T, specs []RunSpec) {
 	t.Helper()
 	recs := recordAll(t, specs)
 	leader := map[string]*sim.MissLog{}
 	for _, r := range recs {
-		if leader[r.key] == nil {
-			leader[r.key] = r.log
+		if leader[r.sh.front] == nil {
+			leader[r.sh.front] = r.log
 		}
 		if n := r.log.Bytes(); n > maxLogBytes {
 			t.Errorf("%s on %v: %d-byte miss log, over %d", r.spec.Query.Name, r.spec.Design, n, maxLogBytes)
@@ -220,7 +278,7 @@ func checkReplayExact(t *testing.T, specs []RunSpec) {
 			if got := encode(r.res); !bytes.Equal(got, want) {
 				t.Errorf("%s on %v: recording changed the live run", r.spec.Query.Name, r.spec.Design)
 			}
-			if got := encode(r.spec.replay(leader[r.key])); !bytes.Equal(got, want) {
+			if got := encode(r.spec.replay(leader[r.sh.front], r.sh.clock)); !bytes.Equal(got, want) {
 				t.Errorf("%s on %v: replayed run differs from the live run", r.spec.Query.Name, r.spec.Design)
 			}
 			return struct{}{}, nil
@@ -241,7 +299,7 @@ func encode(r *sim.QueryResult) []byte {
 }
 
 // maxLogBytes bounds one miss log. Qs4 at DefaultWorkload has the largest
-// shared logs, 262K operations each.
+// shared logs, 262K operations each at one clock.
 const maxLogBytes = 1536 << 10
 
 // TestReplayExact is the replay differential: every design × Table 3
@@ -291,29 +349,151 @@ func TestFig12SharesFrontEnds(t *testing.T) {
 	}
 }
 
-// TestFrontEndsAbortedRecording checks that a recording that panics hands
-// the class's waiting members an error instead of blocking them, and that
-// a waiting member gives up with its context.
+// TestFrontEndsAbortedRecording checks the failure paths of shared work:
+// a recording that panics hands the class's waiting members an error
+// instead of blocking them, and so does the first run of an identical
+// group; a waiting member, of either kind, gives up with its context.
 func TestFrontEndsAbortedRecording(t *testing.T) {
-	fe := newFrontEnds([]string{"k", "k", "k"})
 	bad := RunSpec{Design: design.Kind(99), Workload: SmallWorkload(), Query: Benchmark()[0]}
-	func() {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
 		defer func() {
 			if recover() == nil {
-				t.Fatal("recording an unknown design did not panic")
+				t.Fatalf("%s an unknown design did not panic", what)
 			}
 		}()
-		fe.run(context.Background(), bad, "k")
-	}()
-	if _, err := fe.run(context.Background(), bad, "k"); !errors.Is(err, errRecordAborted) {
+		f()
+	}
+
+	// Three distinct runs of one front-end class.
+	runs := []sharing{{front: "k", back: "a"}, {front: "k", back: "b"}, {front: "k", back: "c"}}
+	fe := newFrontEnds(runs)
+	mustPanic("recording", func() { fe.run(context.Background(), bad, runs[0]) })
+	if _, err := fe.run(context.Background(), bad, runs[1]); !errors.Is(err, errRecordAborted) {
 		t.Fatalf("member after an aborted recording got %v, want errRecordAborted", err)
 	}
 
-	fe = newFrontEnds([]string{"k", "k"})
+	fe = newFrontEnds(runs[:2])
 	fe.classes["k"].done = make(chan struct{}) // a recording in flight
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := fe.run(ctx, bad, "k"); !errors.Is(err, context.Canceled) {
+	if _, err := fe.run(ctx, bad, runs[1]); !errors.Is(err, context.Canceled) {
 		t.Fatalf("waiting member with a cancelled context got %v", err)
+	}
+
+	// Three members of one identical run.
+	same := []sharing{runs[0], runs[0], runs[0]}
+	fe = newFrontEnds(same)
+	mustPanic("running", func() { fe.run(context.Background(), bad, same[0]) })
+	if _, err := fe.run(context.Background(), bad, same[1]); !errors.Is(err, errRunAborted) {
+		t.Fatalf("member after an aborted shared run got %v, want errRunAborted", err)
+	}
+
+	fe = newFrontEnds(same[:2])
+	fe.runs[same[0].run()].done = make(chan struct{}) // a run in flight
+	if _, err := fe.run(ctx, bad, same[1]); !errors.Is(err, context.Canceled) {
+		t.Fatalf("waiting follower with a cancelled context got %v", err)
+	}
+}
+
+// TestSameRunServedByMemoHit checks that an identical group whose first
+// member is a memo hit still serves its followers — or lets one of them
+// compute — with exactly what each follower's own run gives.
+func TestSameRunServedByMemoHit(t *testing.T) {
+	q, _ := BenchQueryByName("Qs1")
+	var row []RunSpec
+	for _, k := range []design.Kind{design.Baseline, design.GSDRAM, design.SAMIO, design.Ideal} {
+		row = append(row, RunSpec{Design: k, Workload: SmallWorkload(), Query: q})
+	}
+	for _, workers := range []int{1, 4} {
+		m := NewMemo(MemoOptions{})
+		if _, _, err := m.Run(context.Background(), row[0]); err != nil {
+			t.Fatal(err)
+		}
+		tags := &simTags{}
+		grid, err := runGrid(context.Background(), [][]RunSpec{row}, Par{Workers: workers, Memo: m, Observer: tags})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ci, spec := range row {
+			live, err := spec.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(encode(grid[0][ci]), encode(live)) {
+				t.Errorf("%d workers: %v differs from its own run", workers, spec.Design)
+			}
+		}
+		if got := m.Counters().Misses; got != 4 {
+			t.Errorf("%d workers: %d memo misses, want the warming run's and 3", workers, got)
+		}
+		if workers == 1 {
+			if got := tags.counts(); got != "shared=3" {
+				t.Errorf("1 worker: followers of a memo hit ran %s, want shared=3", got)
+			}
+		}
+	}
+}
+
+// simTags is a sweep observer that collects the sim=… job tags.
+type simTags struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func (o *simTags) SweepStarted(int) runner.SweepSpan { return o }
+func (o *simTags) JobStarted(int, int)               {}
+func (o *simTags) JobFinished(int, int, error)       {}
+
+func (o *simTags) JobAnnotate(_ int, key, value string) {
+	if key != "sim" {
+		return
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.n == nil {
+		o.n = map[string]int{}
+	}
+	o.n[value]++
+}
+
+// counts renders the tag counts as "value=n …" in plain, record,
+// replay, shared order, leaving out zeros.
+func (o *simTags) counts() string {
+	var parts []string
+	for _, v := range []string{"plain", "record", "replay", "shared"} {
+		if n := o.n[v]; n > 0 {
+			parts = append(parts, fmt.Sprintf("%s=%d", v, n))
+		}
+	}
+	return strings.Join(parts, " ")
+}
+
+// TestFig12SimTags checks the grid's work attribution on a cold memo:
+// every simulated cell is tagged plain, record, replay or shared, the
+// tags sum to the memo's misses, and the default Fig. 12 grid splits
+// 42/36/66/18, at SmallWorkload and at DefaultWorkload.
+func TestFig12SimTags(t *testing.T) {
+	ws := []Workload{SmallWorkload()}
+	if !testing.Short() {
+		ws = append(ws, DefaultWorkload())
+	}
+	for _, w := range ws {
+		m := NewMemo(MemoOptions{})
+		tags := &simTags{}
+		if _, err := Fig12(context.Background(), w, Par{Memo: m, Observer: tags}); err != nil {
+			t.Fatal(err)
+		}
+		const want = "plain=42 record=36 replay=66 shared=18"
+		if got := tags.counts(); got != want {
+			t.Errorf("%+v: Fig. 12 cells ran %s, want %s", w, got, want)
+		}
+		sum := 0
+		for _, n := range tags.n {
+			sum += n
+		}
+		if misses := m.Counters().Misses; uint64(sum) != misses {
+			t.Errorf("%+v: %d tagged cells, %d memo misses", w, sum, misses)
+		}
 	}
 }

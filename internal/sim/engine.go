@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sam/internal/cpu"
 	"sam/internal/design"
 	"sam/internal/dram"
 )
@@ -16,38 +17,103 @@ import (
 // gathers and core clock — feeding its embedded back end (backend.go)
 // directly. No memory timing flows back: the clock advances on compute and
 // cache latency alone, so the front end's operation stream is the same on
-// every design that shares its layout, caches and core (see MissLog).
+// every design that shares its layout, caches and core, and only its
+// clock depends on the design's critical-word delivery (see MissLog).
 type engine struct {
 	backEnd
 
-	clock  dram.Cycle
-	frac   float64 // sub-cycle compute accumulator
-	busMHz float64
+	// clocks are the core clocks the front end ticks: the run's own at
+	// clocks[0] and, when it records, one per variant its log keeps.
+	// charges[i] is what a gather miss adds to clocks[i], in bus cycles.
+	clocks  []coreClock
+	charges []float64
+	busMHz  float64
 
 	// log, when set, records the operation stream as it is issued.
 	log *MissLog
-}
 
-func newEngine(s *System) *engine {
-	return &engine{backEnd: newBackEnd(s), busMHz: s.Design.Mem.ClockMHz}
-}
-
-// spend advances the clock by a CPU-cycle cost.
-func (e *engine) spend(cpuCycles float64) {
-	e.frac += e.sys.CPU.BusCyclesPer(cpuCycles, e.busMHz)
-	if e.frac >= 1 {
-		whole := int64(e.frac)
-		e.clock += whole
-		e.frac -= float64(whole)
+	// own backs clocks and charges for a run that records nothing.
+	own struct {
+		clock  [1]coreClock
+		charge [1]float64
 	}
 }
 
-// emit stamps op with the clock, records it when a log is attached, and
-// hands it to the back end.
+// coreClock is a simple-core clock in bus cycles: the whole cycles, and
+// the sub-cycle compute accumulator.
+type coreClock struct {
+	now  dram.Cycle
+	frac float64
+}
+
+// add advances the clock by a bus-cycle cost.
+func (c *coreClock) add(busCycles float64) {
+	c.frac += busCycles
+	if c.frac >= 1 {
+		whole := int64(c.frac)
+		c.now += whole
+		c.frac -= float64(whole)
+	}
+}
+
+// ClockVariant names one of the core clocks a front end can tick: the
+// burst length TBL, in bus cycles, that a design without critical-word-
+// first delivery waits on every gather miss, or 0 for a design that
+// delivers the critical word first. Front ends that differ only in it
+// issue the same operations, at different clocks.
+type ClockVariant int
+
+// ClockVariantOf returns the clock d's front end ticks.
+func ClockVariantOf(d *design.Design) ClockVariant {
+	if d.NoCriticalWordFirst {
+		return ClockVariant(d.Mem.Timing.TBL)
+	}
+	return 0
+}
+
+// criticalWordCycles is what a gather miss charges variant v's clock, in
+// bus cycles, on core p at bus clock busMHz: the requested word lands at
+// the end of the burst, and the extra serialization latency is charged
+// like any other access latency.
+func criticalWordCycles(p cpu.Params, busMHz float64, v ClockVariant) float64 {
+	extraCPU := float64(v) * p.ClockGHz * 1e3 / busMHz
+	return p.BusCyclesPer(extraCPU*p.LatencyOverlap, busMHz)
+}
+
+// newEngine starts a run on s that records nothing.
+func newEngine(s *System) *engine { return newLogEngine(s, nil) }
+
+// newLogEngine starts a run on s that records its stream into log, when
+// set, at every clock the log keeps.
+func newLogEngine(s *System, log *MissLog) *engine {
+	e := &engine{backEnd: newBackEnd(s), busMHz: s.Design.Mem.ClockMHz, log: log}
+	e.clocks, e.charges = e.own.clock[:], e.own.charge[:]
+	if log != nil {
+		e.clocks = make([]coreClock, 1+len(log.variants))
+		e.charges = make([]float64, 1+len(log.variants))
+		for i, v := range log.variants {
+			e.charges[1+i] = criticalWordCycles(s.CPU, e.busMHz, v)
+		}
+	}
+	e.charges[0] = criticalWordCycles(s.CPU, e.busMHz, ClockVariantOf(s.Design))
+	return e
+}
+
+// spend advances every clock by a CPU-cycle cost. One loop over them all,
+// the run's own included, keeps spend small enough to inline.
+func (e *engine) spend(cpuCycles float64) {
+	bus := e.sys.CPU.BusCyclesPer(cpuCycles, e.busMHz)
+	for i := range e.clocks {
+		e.clocks[i].add(bus)
+	}
+}
+
+// emit stamps op with the run's clock, records it when a log is attached,
+// and hands it to the back end.
 func (e *engine) emit(op missOp) {
-	op.clock = e.clock
+	op.clock = e.clocks[0].now
 	if e.log != nil {
-		e.log.append(op)
+		e.log.append(op, e.clocks[1:])
 	}
 	e.issue(op)
 }
@@ -84,11 +150,9 @@ func (e *engine) do(t design.Txn) {
 			e.emit(missOp{kind: opWriteback, addr: op.Addr, sectored: op.Sectored, lane: lane})
 		}
 	}
-	if e.sys.Design.NoCriticalWordFirst {
-		// The requested word lands at the end of the burst: the extra
-		// serialization latency is charged like any other access latency.
-		extraCPU := float64(e.sys.Design.Mem.Timing.TBL) * e.sys.CPU.ClockGHz * 1e3 / e.busMHz
-		e.spend(extraCPU * e.sys.CPU.LatencyOverlap)
+	// A critical-word-first clock's charge is 0, which adds nothing.
+	for i := range e.clocks {
+		e.clocks[i].add(e.charges[i])
 	}
 	e.emit(missOp{kind: opGather, addr: g.ReqAddr, write: t.Write, lane: lane})
 	// Sibling fills: the burst delivered the same sector of every line in
@@ -114,7 +178,7 @@ func (e *engine) finish() RunStats {
 		e.emit(missOp{kind: opWriteback, addr: op.Addr, sectored: op.Sectored})
 	}
 	if e.log != nil {
-		e.log.end = e.clock
+		e.log.finish(e.clocks[1:])
 	}
-	return e.finishAt(e.clock)
+	return e.finishAt(e.clocks[0].now)
 }

@@ -35,12 +35,13 @@ func TestSpendAccumulatesFractions(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		e.spend(1)
 	}
-	total := float64(e.clock) + e.frac
+	c := e.clocks[0]
+	total := float64(c.now) + c.frac
 	if total < 2.999 || total > 3.001 {
 		t.Fatalf("clock+frac = %v after 40x1 CPU cycles, want ~3", total)
 	}
-	if e.frac < 0 || e.frac >= 1 {
-		t.Fatalf("fraction accumulator out of range: %v", e.frac)
+	if c.frac < 0 || c.frac >= 1 {
+		t.Fatalf("fraction accumulator out of range: %v", c.frac)
 	}
 }
 

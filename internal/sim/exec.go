@@ -185,8 +185,7 @@ func (s *System) runScan(p *sql.Plan, log *MissLog) (*QueryResult, error) {
 		return nil, err
 	}
 	pl := s.placers[p.Table]
-	e := newEngine(s)
-	e.log = log
+	e := newLogEngine(s, log)
 	res := &QueryResult{Aggregates: make([]float64, len(p.Aggs))}
 	global := make([]aggState, len(p.Aggs))
 	grouped := map[uint64][]aggState{}
@@ -275,8 +274,7 @@ func (s *System) runUpdate(p *sql.Plan, log *MissLog) (*QueryResult, error) {
 		return nil, err
 	}
 	pl := s.placers[p.Table]
-	e := newEngine(s)
-	e.log = log
+	e := newLogEngine(s, log)
 	res := &QueryResult{}
 	ctx := &scanContext{s: s, e: e, plan: p, table: p.Table}
 	err = ctx.forEachMatchBatch(func(matches []int) {
@@ -305,8 +303,7 @@ func (s *System) runInsert(p *sql.Plan, log *MissLog) (*QueryResult, error) {
 	if len(p.InsertValues) > t.Fields() {
 		return nil, fmt.Errorf("sim: INSERT of %d values into %d-field table", len(p.InsertValues), t.Fields())
 	}
-	e := newEngine(s)
-	e.log = log
+	e := newLogEngine(s, log)
 	res := &QueryResult{}
 	row := make([]uint64, t.Fields())
 	copy(row, p.InsertValues)
@@ -349,8 +346,7 @@ func (s *System) runJoin(p *sql.Plan, log *MissLog) (*QueryResult, error) {
 		return nil, fmt.Errorf("sim: join requires one equality predicate")
 	}
 
-	e := newEngine(s)
-	e.log = log
+	e := newLogEngine(s, log)
 	res := &QueryResult{}
 
 	// Build phase: column-at-a-time scan of the inner table. The hash maps
