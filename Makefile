@@ -8,8 +8,11 @@ build:
 test:
 	$(GO) test ./...
 
+# vet runs go vet and fails on any file gofmt would change.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 # race runs the whole tree under the race detector.
 race:

@@ -548,48 +548,6 @@ func BenchmarkSimulatorThroughputSampled(b *testing.B) {
 	b.ReportMetric(float64(samples), "samples")
 }
 
-// BenchmarkExtensionHybridStore contrasts three ways to accelerate the same
-// field scan: SAM-en hardware on a row store, a software hybrid layout with
-// the scanned fields stored columnar (no new hardware, but a fixed layout
-// decision), and the plain row store.
-func BenchmarkExtensionHybridStore(b *testing.B) {
-	w := benchWorkload()
-	query := "SELECT SUM(f9) FROM Ta WHERE f10 > 2"
-	mk := func(kind design.Kind, hot []int) *sim.System {
-		d := design.New(kind, design.Options{})
-		s := sim.NewSystem(d)
-		t := imdb.NewTable(imdb.Ta(w.TaRecords), w.Seed)
-		if hot != nil {
-			s.AddTableHybrid(t, hot)
-		} else {
-			s.AddTable(t, false)
-		}
-		return s
-	}
-	cases := []struct {
-		name string
-		kind design.Kind
-		hot  []int
-	}{
-		{"row-store", design.Baseline, nil},
-		{"hybrid", design.Baseline, []int{9, 10}},
-		{"SAM-en", design.SAMEn, nil},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			var cycles float64
-			for i := 0; i < b.N; i++ {
-				r, err := mk(c.kind, c.hot).RunQuery(query, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles = float64(r.Stats.Cycles)
-			}
-			b.ReportMetric(cycles, "cycles")
-		})
-	}
-}
-
 // BenchmarkFig15AggregateProjectivity covers panel (h): the aggregate query
 // at full selectivity across the projectivity axis ends.
 func BenchmarkFig15AggregateProjectivity(b *testing.B) {

@@ -5,8 +5,8 @@
 // whole cachelines around.
 //
 // The caches are timing/traffic models: they track tags and sector state,
-// not payload bytes (the functional data path lives in dram.SparseMem and is
-// validated separately).
+// not payload bytes (the executor reads and writes values in imdb.Table
+// directly).
 package cache
 
 import (
@@ -115,7 +115,7 @@ type Cache struct {
 
 	// dirtySets has bit idx set once set idx may hold dirty sectors, so a
 	// flush visits only those sets. Allocated on the first dirty mark; a
-	// bit may outlive its set's dirty ways (eviction, MDA invalidation).
+	// bit may outlive its set's dirty ways (eviction).
 	dirtySets []uint64
 }
 

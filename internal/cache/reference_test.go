@@ -453,17 +453,3 @@ func (h *refHierarchy) InvalidateAll() {
 func (c *refCache) lineAddr(addr uint64) uint64 {
 	return addr &^ (1<<c.lineBits - 1)
 }
-
-// invalidateLine drops one line (no writeback — MDA coherence is modeled
-// as invalidate-on-write; a production design would forward dirty data).
-func (c *refCache) invalidateLine(addr uint64) {
-	setIdx, tag := c.locate(addr)
-	set := c.peek(setIdx)
-	for i := range set {
-		ln := &set[i]
-		if ln.valid != 0 && ln.tag == tag {
-			*ln = refLine{}
-			return
-		}
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sam/internal/design"
@@ -47,7 +48,7 @@ func refEval(stmt sql.Stmt, params sql.Params, tables map[string]*imdb.Table) (*
 		return res, nil
 	case *sql.SelectStmt:
 		if len(s.Tables) == 2 {
-			return refJoin(s, tables)
+			return refJoin(s, params, tables)
 		}
 		return refSelect(s, tables[s.Tables[0]], func(rec int) bool { return match(tables[s.Tables[0]], rec, s.Where) }), nil
 	}
@@ -175,8 +176,20 @@ func refSelect(s *sql.SelectStmt, t *imdb.Table, match func(int) bool) *sim.Quer
 
 // refJoin evaluates a two-table equi-join as a nested loop: every pair of
 // records that satisfies every column comparison is one row, and the
-// projection check folds each side's distinct projected columns.
-func refJoin(s *sql.SelectStmt, tables map[string]*imdb.Table) (*sim.QueryResult, error) {
+// projection check folds each side's distinct projected columns. The hash
+// join evaluates no single-table filter and no LIMIT, so for a join with
+// either the reference requires Compile to refuse it and returns that error.
+func refJoin(s *sql.SelectStmt, params sql.Params, tables map[string]*imdb.Table) (*sim.QueryResult, error) {
+	refused := s.Limit != -1
+	for _, w := range s.Where {
+		refused = refused || w.Right.Col == nil
+	}
+	if refused {
+		if _, err := sql.Compile(s, params); err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("reference: Compile accepts a join filter or LIMIT the hash join ignores")
+	}
 	outer, inner := tables[s.Tables[0]], tables[s.Tables[1]]
 	proj := map[string]map[int]bool{s.Tables[0]: {}, s.Tables[1]: {}}
 	for _, item := range s.Items {
@@ -193,9 +206,6 @@ func refJoin(s *sql.SelectStmt, tables map[string]*imdb.Table) (*sim.QueryResult
 		for i := 0; i < inner.Records(); i++ {
 			ok := true
 			for _, w := range s.Where {
-				if w.Right.Col == nil {
-					return nil, fmt.Errorf("reference: join filters are not evaluated")
-				}
 				l, r := side(w.Left, o, i), side(*w.Right.Col, o, i)
 				if !(w.Op == ">" && l > r || w.Op == "<" && l < r || w.Op == "=" && l == r) {
 					ok = false
@@ -307,5 +317,23 @@ func TestReferenceOracleBenchmark(t *testing.T) {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
 		checkOracle(t, q.Name, got, want)
+	}
+}
+
+// TestReferenceJoinFiltersRefused runs the join forms the hash join does
+// not evaluate, a single-table filter and a LIMIT, through the reference:
+// it must come back with Compile's refusal.
+func TestReferenceJoinFiltersRefused(t *testing.T) {
+	tables := map[string]*imdb.Table{
+		"Ta": imdb.NewTable(imdb.Ta(16), 1),
+		"Tb": imdb.NewTable(imdb.Tb(16), 2),
+	}
+	for _, q := range []string{
+		"SELECT Ta.f3, Tb.f4 FROM Ta, Tb WHERE Ta.f10 = Tb.f10 AND Ta.f10 > 2",
+		"SELECT Ta.f3, Tb.f4 FROM Ta, Tb WHERE Ta.f10 = Tb.f10 LIMIT 5",
+	} {
+		if _, err := refEval(sql.MustParse(q), nil, tables); err == nil || strings.HasPrefix(err.Error(), "reference:") {
+			t.Errorf("%q: reference error %v, want Compile's refusal", q, err)
+		}
 	}
 }

@@ -71,13 +71,6 @@ type Placer struct {
 	banksPerRank int
 	bankGroups   int
 
-	// Hybrid layout state (nil unless built with NewPlacerHybrid).
-	hotFields       []int
-	hotIdx          map[int]int
-	coldOff         map[int]int
-	coldRecordBytes int
-	coldBase        uint64
-
 	// Stripe geometry (column engines).
 	recordsPerStripe int
 	totalBanks       int
@@ -246,8 +239,6 @@ func (p *Placer) encodeBankRow(bank, row, byteInRow int) uint64 {
 // indexed by.
 func (p *Placer) canonAddr(rec, field int) uint64 {
 	switch {
-	case p.hotIdx != nil:
-		return p.hybridAddr(rec, field)
 	case p.ColStore:
 		return p.colAddr(rec, field)
 	case p.D.ColumnEngine:
@@ -345,7 +336,7 @@ func (p *Placer) fieldTxn(rec, field int, write bool) Txn {
 		Size:  imdb.FieldBytes,
 		Write: write,
 	}
-	if p.D.SupportsStride() && !p.ColStore && p.hotIdx == nil {
+	if p.D.SupportsStride() && !p.ColStore {
 		t.Sectored = true
 		t.p, t.rec, t.field = p, int32(rec), int32(field)
 	}
@@ -362,20 +353,12 @@ func (p *Placer) WriteField(rec, field int) Txn { return p.fieldTxn(rec, field, 
 // recordTxns covers a whole record line by line (row-wise access).
 func (p *Placer) recordTxns(rec int, write bool) []Txn {
 	txns := p.scratchTxns[:0]
-	switch {
-	case p.hotIdx != nil:
-		// Hybrid: hot fields scattered across their columns, cold fields in
-		// one contiguous shrunken record.
-		for _, f := range p.hotFields {
-			txns = append(txns, Txn{Addr: p.hybridAddr(rec, f), Size: imdb.FieldBytes, Write: write})
-		}
-		txns = p.appendLineTxns(txns, p.coldBase+uint64(rec)*uint64(p.coldRecordBytes), p.coldRecordBytes, write)
-	case p.ColStore:
+	if p.ColStore {
 		// Column store scatters the record across field columns.
 		for f := 0; f < p.Schema.Fields; f++ {
 			txns = append(txns, Txn{Addr: p.colAddr(rec, f), Size: imdb.FieldBytes, Write: write})
 		}
-	default:
+	} else {
 		txns = p.appendLineTxns(txns, p.canonAddr(rec, 0), p.Schema.RecordBytes(), write)
 	}
 	p.scratchTxns = txns[:0]
@@ -404,63 +387,3 @@ func (p *Placer) ReadRecord(rec int) []Txn { return p.recordTxns(rec, false) }
 // WriteRecord returns the transactions writing a whole record (INSERT),
 // in the same scratch as ReadRecord.
 func (p *Placer) WriteRecord(rec int) []Txn { return p.recordTxns(rec, true) }
-
-// ECCReadCompanion returns the embedded-ECC read that accompanies every
-// ECCReadPeriod-th strided fetch on GS-DRAM-ecc: the check bits live in the
-// same page, one line over.
-func (p *Placer) ECCReadCompanion(g *StrideGroup) uint64 {
-	return g.ReqAddr + uint64(p.lineBytes)
-}
-
-// Footprint returns the table's byte footprint under this layout (used by
-// capacity checks; stripe layouts are accounted in row regions instead).
-func (p *Placer) Footprint() uint64 {
-	return uint64(p.Schema.Records) * uint64(p.Schema.RecordBytes())
-}
-
-// Hybrid storage (the H2O/Peloton-style scenario Section 6.2's sweeps
-// motivate): a chosen subset of hot fields is stored column-major while
-// the remaining cold fields stay row-major. Scans of hot fields get
-// column-store efficiency without SAM hardware; everything else pays the
-// split-record cost.
-
-// NewPlacerHybrid builds a placer whose hot fields are columnar. It panics
-// if hotFields repeats or exceeds the schema.
-func NewPlacerHybrid(d *Design, schema imdb.Schema, slot int, hotFields []int) *Placer {
-	p := NewPlacer(d, schema, slot, false)
-	seen := map[int]bool{}
-	for _, f := range hotFields {
-		if f < 0 || f >= schema.Fields || seen[f] {
-			panic(fmt.Sprintf("design: bad hybrid hot field %d", f))
-		}
-		seen[f] = true
-	}
-	p.hotFields = append([]int(nil), hotFields...)
-	p.hotIdx = make(map[int]int, len(hotFields))
-	for i, f := range hotFields {
-		p.hotIdx[f] = i
-	}
-	// Cold fields keep their relative order, packed into shrunken records.
-	p.coldOff = make(map[int]int, schema.Fields-len(hotFields))
-	off := 0
-	for f := 0; f < schema.Fields; f++ {
-		if !seen[f] {
-			p.coldOff[f] = off
-			off += imdb.FieldBytes
-		}
-	}
-	p.coldRecordBytes = off
-	p.coldBase = p.base + uint64(len(hotFields))*uint64(schema.Records)*imdb.FieldBytes
-	return p
-}
-
-// Hybrid reports whether the placer uses the hybrid layout.
-func (p *Placer) Hybrid() bool { return p.hotIdx != nil }
-
-// hybridAddr resolves (rec, field) under the hybrid layout.
-func (p *Placer) hybridAddr(rec, field int) uint64 {
-	if i, hot := p.hotIdx[field]; hot {
-		return p.base + (uint64(i)*uint64(p.Schema.Records)+uint64(rec))*imdb.FieldBytes
-	}
-	return p.coldBase + uint64(rec)*uint64(p.coldRecordBytes) + uint64(p.coldOff[field])
-}

@@ -1,6 +1,7 @@
 package design
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -295,27 +296,6 @@ func TestOversizeRecordPanics(t *testing.T) {
 	NewPlacer(d, imdb.Schema{Name: "huge", Fields: 4096, Records: 4}, 0, false)
 }
 
-func TestFootprint(t *testing.T) {
-	p := taPlacer(Baseline, 1000)
-	if p.Footprint() != 1000*1024 {
-		t.Fatalf("footprint = %d", p.Footprint())
-	}
-}
-
-func TestECCReadCompanionNearby(t *testing.T) {
-	p := taPlacer(GSDRAMecc, 256)
-	g := p.ReadField(0, 10).Group()
-	companion := p.ECCReadCompanion(g)
-	if companion == g.ReqAddr {
-		t.Fatal("ECC companion must be a different line")
-	}
-	am := mc.NewAddrMap(p.D.Mem.Geometry)
-	a, b := am.Decode(g.ReqAddr), am.Decode(companion)
-	if a.Row != b.Row || a.Bank != b.Bank {
-		t.Fatal("embedded ECC lives in the same page/row as its data")
-	}
-}
-
 func TestSubFieldSplitBursts(t *testing.T) {
 	bit := taPlacer(RCNVMBit, 256)
 	wd := taPlacer(RCNVMWd, 256)
@@ -324,92 +304,56 @@ func TestSubFieldSplitBursts(t *testing.T) {
 	}
 }
 
-func TestHybridLayoutAddresses(t *testing.T) {
-	d := New(Baseline, Options{})
-	p := NewPlacerHybrid(d, imdb.Ta(1024), 0, []int{10, 3})
-	if !p.Hybrid() {
-		t.Fatal("not hybrid")
-	}
-	// Hot field 10 is column 0: consecutive records 8B apart.
-	a0 := p.ReadField(0, 10).Addr
-	a1 := p.ReadField(1, 10).Addr
-	if a1-a0 != imdb.FieldBytes {
-		t.Fatalf("hot column stride %d", a1-a0)
-	}
-	// Hot field 3 is column 1, a full column after.
-	b0 := p.ReadField(0, 3).Addr
-	if b0-a0 != 1024*imdb.FieldBytes {
-		t.Fatalf("second hot column at +%d", b0-a0)
-	}
-	// Cold fields are packed into shrunken (126-field) records.
-	c0 := p.ReadField(0, 0).Addr
-	c1 := p.ReadField(1, 0).Addr
-	if c1-c0 != 126*imdb.FieldBytes {
-		t.Fatalf("cold record stride %d, want %d", c1-c0, 126*imdb.FieldBytes)
-	}
-	// Field 4 (cold) sits right after fields 0,1,2 (field 3 is hot).
-	if p.ReadField(0, 4).Addr-c0 != 3*imdb.FieldBytes {
-		t.Fatal("cold packing skipped hot fields incorrectly")
-	}
+// fig10Swap is a test-only copy of the Fig. 10 stride-mode bit swap of
+// Section 5.2: the log2(reach) line-index bits above the sector-index bits
+// of an address trade places with them, so the same-offset sectors of reach
+// group-aligned lines land side by side in one line.
+func fig10Swap(addr uint64, sectorBytes, reach, lineBytes int) uint64 {
+	secSize := uint(bits.TrailingZeros(uint(sectorBytes)))
+	secBits := uint(bits.TrailingZeros(uint(lineBytes / sectorBytes)))
+	reachBits := uint(bits.TrailingZeros(uint(reach)))
+	low := addr & (1<<secSize - 1)
+	sector := (addr >> secSize) & (1<<secBits - 1)
+	line := (addr >> (secSize + secBits)) & (1<<reachBits - 1)
+	out := addr >> (secSize + secBits + reachBits)
+	out = out<<secBits | sector
+	out = out<<reachBits | line
+	return out<<secSize | low
 }
 
-func TestHybridLayoutInjective(t *testing.T) {
-	d := New(Baseline, Options{})
-	p := NewPlacerHybrid(d, imdb.Tb(512), 0, []int{10})
-	seen := map[uint64]bool{}
-	for rec := 0; rec < 512; rec++ {
-		for f := 0; f < 16; f++ {
-			a := p.ReadField(rec, f).Addr
-			if seen[a] {
-				t.Fatalf("hybrid collision at (%d,%d)", rec, f)
-			}
-			seen[a] = true
-		}
-	}
-}
-
-func TestHybridRecordTxnsDeterministic(t *testing.T) {
-	d := New(Baseline, Options{})
-	p := NewPlacerHybrid(d, imdb.Ta(64), 0, []int{10, 3, 77})
-	// ReadRecord returns the placer's scratch; keep a copy of the first
-	// call so the second cannot overwrite it.
-	a := append([]Txn(nil), p.ReadRecord(5)...)
-	b := p.ReadRecord(5)
-	if len(a) != len(b) {
-		t.Fatal("txn counts differ")
-	}
-	total := 0
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("hybrid record txns nondeterministic")
-		}
-		total += a[i].Size
-	}
-	if total != 1024 {
-		t.Fatalf("hybrid record covers %dB", total)
-	}
-}
-
-func TestHybridNeverStrides(t *testing.T) {
-	// Hybrid is a software layout: even on a SAM design it reads its hot
-	// columns with regular accesses.
+// TestGatherAgreesWithDesignLayout checks the cross-layer contract that
+// lets an IMDB lay records out for SAM: for line-sized records, the lines
+// whose same-offset sectors the Fig. 10 remap packs into one line are
+// exactly the lines the design's gather group fills.
+func TestGatherAgreesWithDesignLayout(t *testing.T) {
 	d := New(SAMEn, Options{})
-	p := NewPlacerHybrid(d, imdb.Ta(64), 0, []int{10})
-	if txn := p.ReadField(0, 10); txn.Group() != nil || txn.Sectored {
-		t.Fatal("hybrid layout emitted strided transactions")
-	}
-}
-
-func TestHybridValidation(t *testing.T) {
-	d := New(Baseline, Options{})
-	for _, bad := range [][]int{{-1}, {128}, {3, 3}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("hot fields %v accepted", bad)
-				}
-			}()
-			NewPlacerHybrid(d, imdb.Ta(64), 0, bad)
-		}()
+	schema := imdb.Schema{Name: "T", Fields: 8, Records: 256} // 64B records
+	p := NewPlacer(d, schema, 0, false)
+	lb, reach := uint64(d.Mem.Geometry.LineBytes), uint64(d.Gran.Reach)
+	const field = 5
+	for _, rec := range []int{0, 7, 64, 200} {
+		g := p.ReadField(rec, field).Group()
+		if g == nil {
+			t.Fatal("no gather group")
+		}
+		if len(g.Fills) != int(reach) {
+			t.Fatalf("rec %d: design gathers %d lines, the remap packs %d", rec, len(g.Fills), reach)
+		}
+		lines := map[uint64]bool{}
+		for _, f := range g.Fills {
+			lines[f.LineAddr] = true
+		}
+		va := uint64(rec)*lb + field*imdb.FieldBytes
+		first := va - va%(reach*lb) + va%lb // same offset in the group's first line
+		packed := fig10Swap(first, d.Gran.SectorBytes, d.Gran.Reach, int(lb))
+		for i := uint64(0); i < reach; i++ {
+			a := first + i*lb
+			if !lines[a&^(lb-1)] {
+				t.Fatalf("rec %d: the remap packs line %#x the design gather lacks", rec, a&^(lb-1))
+			}
+			if got, want := fig10Swap(a, d.Gran.SectorBytes, d.Gran.Reach, int(lb)), packed+i*uint64(d.Gran.SectorBytes); got != want {
+				t.Fatalf("rec %d: line %d remaps to %#x, want %#x in one line", rec, i, got, want)
+			}
+		}
 	}
 }

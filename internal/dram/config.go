@@ -1,7 +1,7 @@
 // Package dram models a DDR4-class memory device at command/cycle level:
 // channel/rank/bank-group/bank geometry, the JEDEC timing state machine,
-// mode registers (including SAM's stride I/O modes), the common-die I/O
-// buffer datapath (functional), and a sparse functional data store.
+// mode registers (including SAM's stride I/O modes), and the common-die
+// I/O buffer datapath (functional).
 //
 // All times are in memory bus clock cycles (DDR4-2400: 1200 MHz, so one
 // cycle is 0.833 ns and a BL8 burst occupies tBL = 4 cycles of data bus).

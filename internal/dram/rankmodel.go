@@ -15,7 +15,7 @@ import (
 // are exactly the bytes whole chipkill codewords occupy.
 //
 // The timing model (Device) and this functional model are deliberately
-// independent; tests and the reliability example wire them together.
+// independent; tests wire them together.
 type RankModel struct {
 	chips    int
 	rowBytes int // rank-level row size

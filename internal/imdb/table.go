@@ -181,36 +181,3 @@ func SelectivityThreshold(frac float64) uint64 {
 func Percentile(frac float64) uint64 {
 	return fracOfMax(frac)
 }
-
-// Alignment describes the record alignment a design requires (Fig. 11):
-// records padded and grouped so that every group of GroupRecords records
-// starts at a GroupBytes boundary.
-type Alignment struct {
-	GroupRecords int // N records per aligned group (SAM: stride reach)
-	SegmentBytes int // GS-DRAM: records split into cacheline segments
-}
-
-// GroupOf returns the aligned group index of a record.
-func (a Alignment) GroupOf(rec int) int {
-	if a.GroupRecords <= 0 {
-		return rec
-	}
-	return rec / a.GroupRecords
-}
-
-// Fragmentation estimates the wasted fraction when a table of the given
-// record size is aligned in units of alignBytes (RC-NVM's KB-scale
-// alignment wastes space whenever records do not pack evenly).
-func Fragmentation(recordBytes, alignBytes int) float64 {
-	if alignBytes <= 0 || recordBytes <= 0 {
-		return 0
-	}
-	perUnit := alignBytes / recordBytes
-	if perUnit == 0 {
-		// Record larger than the unit: round up to whole units.
-		units := (recordBytes + alignBytes - 1) / alignBytes
-		return float64(units*alignBytes-recordBytes) / float64(units*alignBytes)
-	}
-	used := perUnit * recordBytes
-	return float64(alignBytes-used) / float64(alignBytes)
-}

@@ -214,35 +214,6 @@ func TestFracScalingEdges(t *testing.T) {
 	}
 }
 
-func TestAlignmentGroups(t *testing.T) {
-	a := Alignment{GroupRecords: 4}
-	if a.GroupOf(0) != 0 || a.GroupOf(3) != 0 || a.GroupOf(4) != 1 {
-		t.Fatal("group mapping")
-	}
-	none := Alignment{}
-	if none.GroupOf(7) != 7 {
-		t.Fatal("no grouping should be identity")
-	}
-}
-
-func TestFragmentation(t *testing.T) {
-	// 128B records in 1KB units pack perfectly.
-	if f := Fragmentation(128, 1024); f != 0 {
-		t.Fatalf("perfect packing wastes %v", f)
-	}
-	// 100B records in 1KB units: 10 fit, 24B wasted.
-	if f := Fragmentation(100, 1024); math.Abs(f-24.0/1024) > 1e-12 {
-		t.Fatalf("fragmentation = %v", f)
-	}
-	// 1000B record in 512B units: 2 units, 24B wasted.
-	if f := Fragmentation(1000, 512); math.Abs(f-24.0/1024) > 1e-12 {
-		t.Fatalf("oversize fragmentation = %v", f)
-	}
-	if Fragmentation(0, 10) != 0 || Fragmentation(10, 0) != 0 {
-		t.Fatal("degenerate inputs")
-	}
-}
-
 func TestMixAvalanche(t *testing.T) {
 	// Neighbouring keys must produce wildly different values (no strides in
 	// the synthetic data itself).

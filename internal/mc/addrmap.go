@@ -150,52 +150,3 @@ func (m *AddrMap) LineAddr(addr uint64) uint64 {
 
 // LineBytes returns the cacheline size the map was built for.
 func (m *AddrMap) LineBytes() int { return m.geo.LineBytes }
-
-// StrideRemap implements the stride-mode virtual-to-physical bit swap of
-// Fig. 10: under stride mode, a small segment of the page offset exchanges
-// places with the bits selecting consecutive cachelines' rows/sub-rows, so
-// that the same-offset sectors of N group-aligned cachelines land in the
-// positions one strided burst gathers.
-//
-// Concretely, reachBits = log2(N) line-index bits are swapped with the
-// sector-index bits directly above the sector offset. The transform is an
-// involution (applying it twice yields the original address).
-type StrideRemap struct {
-	SectorBytes int // strided granularity in bytes (16 for SSC 8-bit/chip)
-	Reach       int // cachelines gathered per strided burst (N = 4 or 8)
-	LineBytes   int
-}
-
-// Remap applies the bit swap. With sectorBits = log2(LineBytes/SectorBytes)
-// sector-index bits sitting above log2(SectorBytes) offset bits, and
-// reachBits line-index bits above those, the two fields exchange places.
-func (s StrideRemap) Remap(addr uint64) uint64 {
-	secSize := uint(bits.TrailingZeros(uint(s.SectorBytes)))
-	secBits := uint(bits.TrailingZeros(uint(s.LineBytes / s.SectorBytes)))
-	reachBits := uint(bits.TrailingZeros(uint(s.Reach)))
-
-	low := addr & (1<<secSize - 1)                             // offset within sector
-	sector := (addr >> secSize) & (1<<secBits - 1)             // sector index within line
-	line := (addr >> (secSize + secBits)) & (1<<reachBits - 1) // line index within group
-	high := addr >> (secSize + secBits + reachBits)
-
-	// Swap the sector and line fields.
-	out := high
-	out = out<<secBits | sector
-	out = out<<reachBits | line
-	out = out<<secSize | low
-	return out
-}
-
-// Valid reports whether the remap geometry is self-consistent.
-func (s StrideRemap) Valid() bool {
-	pow2 := func(v int) bool { return v > 0 && v&(v-1) == 0 }
-	return pow2(s.SectorBytes) && pow2(s.Reach) && pow2(s.LineBytes) &&
-		s.SectorBytes <= s.LineBytes &&
-		s.LineBytes%s.SectorBytes == 0 &&
-		// The swap only works when both fields have equal total width or,
-		// as here, we relocate fields of possibly different widths — the
-		// transform above is a bijection regardless, but reach and sector
-		// counts must each fit their fields.
-		s.Reach >= 1
-}

@@ -63,64 +63,6 @@ func TestLineAddr(t *testing.T) {
 	}
 }
 
-func TestStrideRemapInvolution(t *testing.T) {
-	// For all paper configurations sector-index and line-index fields have
-	// equal width (G = LineBytes/Reach), making the remap an involution.
-	for _, cfg := range []StrideRemap{
-		{SectorBytes: 16, Reach: 4, LineBytes: 64},
-		{SectorBytes: 8, Reach: 8, LineBytes: 64},
-		{SectorBytes: 32, Reach: 2, LineBytes: 64},
-	} {
-		if !cfg.Valid() {
-			t.Fatalf("config %+v invalid", cfg)
-		}
-		f := func(addr uint64) bool {
-			return cfg.Remap(cfg.Remap(addr)) == addr
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-			t.Errorf("%+v: %v", cfg, err)
-		}
-	}
-}
-
-func TestStrideRemapGathersReach(t *testing.T) {
-	// The defining property (Fig. 10): after remapping, the same-offset
-	// sectors of the N group-aligned cachelines occupy N consecutive
-	// sector slots of one line — i.e. one strided burst's worth.
-	cfg := StrideRemap{SectorBytes: 16, Reach: 4, LineBytes: 64}
-	base := uint64(0x100000)
-	sector := 2 // pick sector 2 of each line
-	var remapped []uint64
-	for line := 0; line < cfg.Reach; line++ {
-		va := base + uint64(line*cfg.LineBytes+sector*cfg.SectorBytes)
-		remapped = append(remapped, cfg.Remap(va))
-	}
-	lineOf := func(a uint64) uint64 { return a / uint64(cfg.LineBytes) }
-	for i := 1; i < len(remapped); i++ {
-		if lineOf(remapped[i]) != lineOf(remapped[0]) {
-			t.Fatalf("remapped sectors span lines: %x vs %x", remapped[i], remapped[0])
-		}
-		if remapped[i] != remapped[i-1]+uint64(cfg.SectorBytes) {
-			t.Fatalf("remapped sectors not consecutive: %x after %x", remapped[i], remapped[i-1])
-		}
-	}
-}
-
-func TestStrideRemapBijectionOnPage(t *testing.T) {
-	cfg := StrideRemap{SectorBytes: 16, Reach: 4, LineBytes: 64}
-	seen := make(map[uint64]bool, 4096)
-	for a := uint64(0); a < 4096; a++ {
-		r := cfg.Remap(a)
-		if r >= 4096 {
-			t.Fatalf("remap leaves the page: %x -> %x", a, r)
-		}
-		if seen[r] {
-			t.Fatalf("remap collision at %x", r)
-		}
-		seen[r] = true
-	}
-}
-
 func TestControllerSingleRead(t *testing.T) {
 	c := newTestController()
 	c.Enqueue(Request{ID: 1, Addr: 0x1000, Arrival: 0})

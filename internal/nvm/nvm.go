@@ -1,14 +1,9 @@
-// Package nvm holds the crossbar-RRAM personality RC-NVM runs on: Table 2
-// timing (CL-tRCD-tRP = 17-35-1), write-pulse occupancy, the reshaped
-// square subarray of RC-NVM-wd, and the dual-addressing geometry helpers
-// behind the row/column symmetric access model.
+// Package nvm holds the reshaped square subarray RC-NVM-wd runs on. The
+// baseline crossbar-RRAM personality (Table 2 timing, CL-tRCD-tRP =
+// 17-35-1, and write-pulse occupancy) is dram.RRAM.
 package nvm
 
 import "sam/internal/dram"
-
-// RRAM returns the baseline crossbar configuration (re-exported from the
-// device model so every consumer names it through this package).
-func RRAM() dram.Config { return dram.RRAM() }
 
 // ReshapedSquare returns the RC-NVM-wd configuration: subarrays reshaped to
 // a square (2K x 2K cells per mat) so the column direction matches the row
@@ -27,42 +22,3 @@ func ReshapedSquare() dram.Config {
 	c.Geometry.SubarraysPerBank = 128
 	return c
 }
-
-// Crossbar describes one crossbar mat for the dual-addressing model.
-type Crossbar struct {
-	Rows, Cols int // cell grid
-}
-
-// Square reports whether row- and column-direction accesses are symmetric.
-func (x Crossbar) Square() bool { return x.Rows == x.Cols }
-
-// RowAccessBits returns the bits one row-direction activation exposes.
-func (x Crossbar) RowAccessBits() int { return x.Cols }
-
-// ColAccessBits returns the bits one column-direction activation exposes;
-// zero when the structure is not symmetric (RC-NVM requires the reshape or
-// pays the bit-level gather cost).
-func (x Crossbar) ColAccessBits() int {
-	if !x.Square() {
-		return 0
-	}
-	return x.Rows
-}
-
-// BitGatherAccesses returns how many column-direction accesses a
-// word-granularity gather needs when the symmetry is at bit level: one per
-// bit plane of the word (RC-NVM-bit, Section 3.3.2).
-func BitGatherAccesses(wordBits, planeBits int) int {
-	if planeBits <= 0 {
-		return wordBits
-	}
-	n := wordBits / planeBits
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// WriteEnergyRatio is the RRAM write-to-read energy ratio class the power
-// model encodes (crossbar write pulses against near-zero standby).
-func WriteEnergyRatio() float64 { return 3.25 }

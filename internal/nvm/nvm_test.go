@@ -7,7 +7,7 @@ import (
 )
 
 func TestRRAMPersonality(t *testing.T) {
-	c := RRAM()
+	c := dram.RRAM()
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -31,43 +31,13 @@ func TestReshapedSquare(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Geometry.RowBytes >= RRAM().Geometry.RowBytes {
+	if c.Geometry.RowBytes >= dram.RRAM().Geometry.RowBytes {
 		t.Error("reshaped square should expose smaller rows")
 	}
 	// Capacity must be preserved by the reshape (same cells, new aspect).
-	cap1 := RRAM().Geometry.RowsPerBank() * RRAM().Geometry.RowBytes
+	cap1 := dram.RRAM().Geometry.RowsPerBank() * dram.RRAM().Geometry.RowBytes
 	cap2 := c.Geometry.RowsPerBank() * c.Geometry.RowBytes
 	if cap1 != cap2 {
 		t.Errorf("reshape changed capacity: %d vs %d", cap1, cap2)
-	}
-}
-
-func TestCrossbarSymmetry(t *testing.T) {
-	sq := Crossbar{Rows: 2048, Cols: 2048}
-	if !sq.Square() || sq.ColAccessBits() != 2048 || sq.RowAccessBits() != 2048 {
-		t.Error("square crossbar should be fully symmetric")
-	}
-	rect := Crossbar{Rows: 512, Cols: 8192}
-	if rect.Square() || rect.ColAccessBits() != 0 {
-		t.Error("rectangular crossbar has no word-level column access")
-	}
-}
-
-func TestBitGatherAccesses(t *testing.T) {
-	// A 64-bit field gathered from 32-bit planes needs 2 accesses.
-	if n := BitGatherAccesses(64, 32); n != 2 {
-		t.Fatalf("gather = %d, want 2", n)
-	}
-	if n := BitGatherAccesses(64, 0); n != 64 {
-		t.Fatal("bit-level symmetry needs one access per bit")
-	}
-	if n := BitGatherAccesses(8, 64); n != 1 {
-		t.Fatal("plane wider than word still needs one access")
-	}
-}
-
-func TestWriteEnergyRatio(t *testing.T) {
-	if WriteEnergyRatio() <= 1 {
-		t.Fatal("RRAM writes must cost more than reads")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sam/internal/design"
+	"sam/internal/dram"
 	"sam/internal/fault"
 	"sam/internal/imdb"
 	"sam/internal/sql"
@@ -127,6 +128,49 @@ func TestProtocolAuditEndToEnd(t *testing.T) {
 		}
 		if !s.Controller.Audit.Ok() {
 			t.Fatalf("%v: protocol violations; first: %s", k, s.Controller.Audit.Violations[0])
+		}
+	}
+}
+
+// TestEmbeddedECCReadSameRow checks the embedded-ECC read GS-DRAM-ecc
+// adds to every ECCReadPeriod-th strided fetch, as the controller issues
+// it: a regular read of the line after the gathered one, in the same bank
+// and row, so its check bits cost a column access and not an activation.
+func TestEmbeddedECCReadSameRow(t *testing.T) {
+	d := design.New(design.GSDRAMecc, design.Options{})
+	s := NewSystem(d)
+	s.Audit = true
+	s.reset()
+	s.AddTable(imdb.NewTable(imdb.Ta(512), 7), false)
+	if _, err := s.RunQuery("SELECT SUM(f9) FROM Ta WHERE f10 > x", sel25()); err != nil {
+		t.Fatal(err)
+	}
+	type cell struct{ rank, group, bank, row, col int }
+	var gathers, companions []cell
+	for _, tc := range s.ChannelController(0).Audit.History() {
+		c := tc.Cmd
+		if c.Kind != dram.CmdRD {
+			continue
+		}
+		at := cell{c.Rank, c.Group, c.Bank, c.Row, c.Col}
+		if c.Mode.IsStride() {
+			gathers = append(gathers, at)
+		} else {
+			companions = append(companions, at)
+		}
+	}
+	if len(companions) == 0 || len(companions) != len(gathers)/d.ECCReadPeriod {
+		t.Fatalf("%d companion reads for %d strided reads, want one per %d",
+			len(companions), len(gathers), d.ECCReadPeriod)
+	}
+	data := make(map[cell]bool, len(gathers))
+	for _, g := range gathers {
+		data[g] = true
+	}
+	for _, c := range companions {
+		c.col--
+		if !data[c] {
+			t.Fatalf("companion read at %+v has no strided read one line before it in its bank and row", c)
 		}
 	}
 }
@@ -469,35 +513,6 @@ func TestWarmSystemRunRelativeStats(t *testing.T) {
 	}
 	if second.Stats.Device.StrideReads >= first.Stats.Device.StrideReads {
 		t.Fatal("device stats not run-relative")
-	}
-}
-
-func TestHybridTableFunctionalAndFast(t *testing.T) {
-	// A hybrid layout with the scanned fields columnar must answer exactly
-	// like the row store and scan faster on plain DRAM.
-	query := "SELECT SUM(f9) FROM Ta WHERE f10 > x"
-	row := testSystem(design.Baseline, 1024, 64, false)
-	rowRes, err := row.RunQuery(query, sel25())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	d := design.New(design.Baseline, design.Options{})
-	s := NewSystem(d)
-	s.AddTableHybrid(imdb.NewTable(imdb.Ta(1024), 0x5EED), []int{9, 10})
-	s.AddTable(imdb.NewTable(imdb.Tb(64), 0x5EED+1), false)
-	hyRes, err := s.RunQuery(query, sel25())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hyRes.Rows != rowRes.Rows || hyRes.Aggregates[0] != rowRes.Aggregates[0] {
-		t.Fatal("hybrid layout changed the answer")
-	}
-	if hyRes.Stats.Cycles >= rowRes.Stats.Cycles {
-		t.Fatalf("hybrid columnar scan not faster: %d vs %d", hyRes.Stats.Cycles, rowRes.Stats.Cycles)
-	}
-	if hyRes.Stats.Device.StrideReads != 0 {
-		t.Fatal("hybrid layout must not use stride bursts")
 	}
 }
 

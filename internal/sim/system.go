@@ -204,20 +204,10 @@ func (s *System) AuditOK() bool {
 // AddTable registers a table; colStore selects column-major placement (the
 // ideal design's choice for column-preferring queries).
 func (s *System) AddTable(t *imdb.Table, colStore bool) {
-	s.addTable(t, design.NewPlacer(s.Design, t.Schema, s.slots, colStore))
-}
-
-// AddTableHybrid registers a table under the hybrid layout: hotFields are
-// stored column-major, everything else row-major (the software alternative
-// the Fig. 15 sweeps motivate).
-func (s *System) AddTableHybrid(t *imdb.Table, hotFields []int) {
-	s.addTable(t, design.NewPlacerHybrid(s.Design, t.Schema, s.slots, hotFields))
-}
-
-func (s *System) addTable(t *imdb.Table, p *design.Placer) {
 	if _, dup := s.tables[t.Schema.Name]; dup {
 		panic(fmt.Sprintf("sim: duplicate table %q", t.Schema.Name))
 	}
+	p := design.NewPlacer(s.Design, t.Schema, s.slots, colStore)
 	p.BindTable(t)
 	s.tables[t.Schema.Name] = t
 	s.placers[t.Schema.Name] = p

@@ -24,7 +24,8 @@ func fig15SQL(n int) []string {
 }
 
 // FuzzParse feeds arbitrary text to the parser and planner, seeded with
-// every Table 3 query and the Fig. 15 templates: SQL is an input surface
+// every Table 3 query, the Fig. 15 templates and the join forms Compile
+// refuses (a single-table filter, a LIMIT): SQL is an input surface
 // (samdb accepts any text), so neither step may panic, whatever it is
 // given.
 func FuzzParse(f *testing.F) {
@@ -36,6 +37,8 @@ func FuzzParse(f *testing.F) {
 			f.Add(s)
 		}
 	}
+	f.Add("SELECT Ta.f3, Tb.f4 FROM Ta, Tb WHERE Ta.f10 = Tb.f10 AND Ta.f10 > 2")
+	f.Add("SELECT Ta.f3, Tb.f4 FROM Ta, Tb WHERE Ta.f10 = Tb.f10 LIMIT 5")
 	params := sql.Params{"x": 2, "y": 2, "z": 3}
 	f.Fuzz(func(t *testing.T, src string) {
 		if stmt, err := sql.Parse(src); err == nil {

@@ -161,7 +161,7 @@ func Compile(stmt Stmt, params Params) (*Plan, error) {
 
 func compileSelect(s *SelectStmt, params Params) (*Plan, error) {
 	if len(s.Tables) == 2 {
-		return compileJoin(s, params)
+		return compileJoin(s)
 	}
 	if len(s.Tables) != 1 {
 		return nil, fmt.Errorf("sql: SELECT needs 1 or 2 tables, got %d", len(s.Tables))
@@ -206,12 +206,15 @@ func compileSelect(s *SelectStmt, params Params) (*Plan, error) {
 	return p, nil
 }
 
-func compileJoin(s *SelectStmt, params Params) (*Plan, error) {
+func compileJoin(s *SelectStmt) (*Plan, error) {
 	outer, inner := s.Tables[0], s.Tables[1]
 	if s.GroupBy != nil {
 		return nil, fmt.Errorf("sql: GROUP BY is not supported on joins")
 	}
-	p := &Plan{Kind: PlanJoin, Table: outer, InnerTable: inner, Limit: s.Limit, GroupBy: -1}
+	if s.Limit != -1 {
+		return nil, fmt.Errorf("sql: LIMIT is not supported on joins")
+	}
+	p := &Plan{Kind: PlanJoin, Table: outer, InnerTable: inner, Limit: -1, GroupBy: -1}
 	for _, item := range s.Items {
 		if item.Star || item.Agg != "" || len(item.Cols) != 1 {
 			return nil, fmt.Errorf("sql: join projections must be plain qualified columns")
@@ -228,21 +231,7 @@ func compileJoin(s *SelectStmt, params Params) (*Plan, error) {
 	}
 	for _, w := range s.Where {
 		if w.Right.Col == nil {
-			// Single-table filter inside a join WHERE.
-			v, err := params.resolve(w.Right)
-			if err != nil {
-				return nil, err
-			}
-			p.Preds = append(p.Preds, CompiledPred{Field: w.Left.Field, Op: w.Op, Value: v})
-			switch w.Left.Table {
-			case outer:
-				p.OuterPredFields = append(p.OuterPredFields, w.Left.Field)
-			case inner:
-				p.InnerPredFields = append(p.InnerPredFields, w.Left.Field)
-			default:
-				return nil, fmt.Errorf("sql: predicate table %q not in FROM", w.Left.Table)
-			}
-			continue
+			return nil, fmt.Errorf("sql: single-table filters are not supported on joins")
 		}
 		l, r := w.Left, *w.Right.Col
 		op := w.Op
@@ -321,15 +310,4 @@ func (p *Plan) Match(value func(field int) uint64) bool {
 		}
 	}
 	return true
-}
-
-// PrefersColumnStore reports whether the query touches a small subset of
-// fields (and so benefits from column access), the heuristic separating Q
-// from Qs queries.
-func (p *Plan) PrefersColumnStore(tableFields int) bool {
-	if p.WholeRecord || p.Kind == PlanInsert {
-		return false
-	}
-	touched := len(p.PredFields) + len(p.ProjFields)
-	return touched*2 < tableFields
 }

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -208,21 +209,6 @@ func TestCompileUpdateAndInsert(t *testing.T) {
 	}
 }
 
-func TestPrefersColumnStore(t *testing.T) {
-	narrow, _ := Compile(MustParse("SELECT f3 FROM Ta WHERE f10 > x"), Params{"x": 0})
-	if !narrow.PrefersColumnStore(128) {
-		t.Fatal("narrow projection should prefer column store")
-	}
-	star, _ := Compile(MustParse("SELECT * FROM Ta WHERE f10 > x"), Params{"x": 0})
-	if star.PrefersColumnStore(128) {
-		t.Fatal("SELECT * should prefer row store")
-	}
-	wideOnNarrowTable, _ := Compile(MustParse("SELECT f1, f2, f3, f4, f5, f6, f7, f8 FROM Tb WHERE f10 > x"), Params{"x": 0})
-	if wideOnNarrowTable.PrefersColumnStore(16) {
-		t.Fatal("9 of 16 fields should prefer row store")
-	}
-}
-
 func TestPlanKindString(t *testing.T) {
 	for k, want := range map[PlanKind]string{
 		PlanScan: "scan", PlanAggregate: "aggregate", PlanUpdate: "update",
@@ -338,10 +324,16 @@ func TestCompileJoinErrors(t *testing.T) {
 			t.Errorf("compiled %q", q)
 		}
 	}
-	// Unbound parameter inside a join filter.
-	stmt := MustParse("SELECT Ta.f1, Tb.f2 FROM Ta, Tb WHERE Ta.f1 = Tb.f1 AND Ta.f3 > q")
-	if _, err := Compile(stmt, nil); err == nil {
-		t.Error("unbound join filter parameter accepted")
+	// The hash join evaluates neither a single-table filter nor a LIMIT, so
+	// Compile refuses both and names the construct.
+	for q, construct := range map[string]string{
+		"SELECT Ta.f3, Tb.f4 FROM Ta, Tb WHERE Ta.f10 = Tb.f10 AND Ta.f10 > 2": "single-table filter",
+		"SELECT Ta.f3, Tb.f4 FROM Ta, Tb WHERE Tb.f3 > x AND Ta.f10 = Tb.f10":  "single-table filter",
+		"SELECT Ta.f3, Tb.f4 FROM Ta, Tb WHERE Ta.f10 = Tb.f10 LIMIT 5":        "LIMIT",
+	} {
+		if _, err := Compile(MustParse(q), Params{"x": 1}); err == nil || !strings.Contains(err.Error(), construct) {
+			t.Errorf("%q: error %v, want one naming the %s", q, err, construct)
+		}
 	}
 	// Three tables.
 	if _, err := Compile(MustParse("SELECT f1 FROM Ta, Tb, Tc"), nil); err == nil {
