@@ -14,7 +14,6 @@ import (
 	"sam/internal/dram"
 	"sam/internal/etrace"
 	"sam/internal/imdb"
-	"sam/internal/mc"
 	"sam/internal/sim"
 	"sam/internal/stats"
 )
@@ -320,36 +319,6 @@ func BenchmarkAblationModeSwitch(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationWriteQueue sweeps the write-drain watermarks on the
-// update workload (Q11), an MC design choice DESIGN.md calls out.
-func BenchmarkAblationWriteQueue(b *testing.B) {
-	w := benchWorkload()
-	q := core.Benchmark()[10] // Q11
-	for _, high := range []int{8, 24} {
-		b.Run(fmt.Sprintf("drainHigh%d", high), func(b *testing.B) {
-			var cycles float64
-			for i := 0; i < b.N; i++ {
-				d := design.New(design.SAMEn, design.Options{})
-				s := sim.NewSystem(d)
-				dev := dram.NewDevice(d.Mem)
-				cfg := mc.DefaultConfig()
-				cfg.WriteDrainHigh = high
-				cfg.WriteDrainLow = high / 4
-				s.Device = dev
-				s.Controller = mc.NewController(dev, cfg)
-				s.AddTable(imdb.NewTable(imdb.Ta(w.TaRecords), w.Seed), false)
-				s.AddTable(imdb.NewTable(imdb.Tb(w.TbRecords), w.Seed+1), false)
-				r, err := s.RunQuery(q.SQL, q.Params)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles = float64(r.Stats.Cycles)
-			}
-			b.ReportMetric(cycles, "cycles")
-		})
-	}
-}
-
 // BenchmarkSimulatorThroughput measures raw simulation speed: simulated
 // memory requests per wall-second for a Q3 scan on SAM-en.
 func BenchmarkSimulatorThroughput(b *testing.B) {
@@ -385,37 +354,6 @@ func BenchmarkSimulatorThroughputFaulted(b *testing.B) {
 		reqs = r.Stats.MemRequests
 	}
 	b.ReportMetric(float64(reqs), "sim-requests")
-}
-
-// BenchmarkAblationInterleave contrasts the paper's columns-low address
-// mapping with bank-rotating interleave on the baseline row-store scan —
-// the mapping choice that determines how much of SAM's win comes from bank
-// parallelism alone.
-func BenchmarkAblationInterleave(b *testing.B) {
-	w := benchWorkload()
-	q := core.Benchmark()[2] // Q3
-	for _, il := range []mc.Interleave{mc.ColumnsLow, mc.BanksLow} {
-		b.Run(il.String(), func(b *testing.B) {
-			var cycles float64
-			for i := 0; i < b.N; i++ {
-				d := design.New(design.Baseline, design.Options{})
-				s := sim.NewSystem(d)
-				dev := dram.NewDevice(d.Mem)
-				cfg := mc.DefaultConfig()
-				cfg.Interleave = il
-				s.Device = dev
-				s.Controller = mc.NewController(dev, cfg)
-				s.AddTable(imdb.NewTable(imdb.Ta(w.TaRecords), w.Seed), false)
-				s.AddTable(imdb.NewTable(imdb.Tb(w.TbRecords), w.Seed+1), false)
-				r, err := s.RunQuery(q.SQL, q.Params)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles = float64(r.Stats.Cycles)
-			}
-			b.ReportMetric(cycles, "cycles")
-		})
-	}
 }
 
 // BenchmarkExtensionDDR5 runs SAM-en's headline query on the DDR5-4800

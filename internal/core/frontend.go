@@ -2,10 +2,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
-	"sync"
+	"sync/atomic"
 
 	"sam/internal/cpu"
 	"sam/internal/design"
@@ -145,39 +144,24 @@ func (s RunSpec) replay(l *sim.MissLog, clock sim.ClockVariant) *sim.QueryResult
 // running live, and every later member replays it, at its own clock, into
 // its own back end. A class's log is freed once its last member has
 // finished. Specs with equal front-end and back-end keys simulate once
-// between them: the first to run hands its result to the others.
+// between them: the first to run hands its result, or its memo hit, to
+// the others.
 type frontEnds struct {
-	mu      sync.Mutex
-	classes map[string]*frontEnd // by front-end key
-	runs    map[string]*sameRun  // by run key
+	classes map[string]*class              // by front-end key; fixed once built
+	logs    runner.Group[*sim.MissLog]     // by front-end key
+	results runner.Group[*sim.QueryResult] // by run key
 }
 
-// frontEnd is one class's shared recording.
-type frontEnd struct {
-	left   int                // members not yet finished
+// class is one front-end class of more than one distinct run.
+type class struct {
+	left   atomic.Int32       // members not yet finished
 	clocks []sim.ClockVariant // the members' clock variants, ascending
-	done   chan struct{}      // closed once log or err is set; nil until recording starts
-	log    *sim.MissLog
-	err    error
 }
-
-// sameRun is one group of identical runs' shared result.
-type sameRun struct {
-	done    chan struct{} // closed once settled; nil until a member claims the run
-	settled bool
-	res     *sim.QueryResult
-	err     error
-}
-
-var (
-	errRecordAborted = errors.New("core: front-end recording aborted")
-	errRunAborted    = errors.New("core: shared run aborted")
-)
 
 // newFrontEnds tracks the classes of specs whose front-end key more than
-// one distinct run shares, and the groups of more than one identical run.
+// one distinct run shares.
 func newFrontEnds(shares []sharing) *frontEnds {
-	members := map[string]int{}
+	members := map[string]int32{}
 	runs := map[string]int{}
 	clocks := map[string][]sim.ClockVariant{}
 	for _, sh := range shares {
@@ -186,16 +170,13 @@ func newFrontEnds(shares []sharing) *frontEnds {
 			clocks[sh.front] = append(clocks[sh.front], sh.clock)
 		}
 	}
-	t := &frontEnds{classes: map[string]*frontEnd{}, runs: map[string]*sameRun{}}
+	t := &frontEnds{classes: map[string]*class{}}
 	for k, cs := range clocks {
 		if len(cs) > 1 {
 			slices.Sort(cs)
-			t.classes[k] = &frontEnd{left: members[k], clocks: slices.Compact(cs)}
-		}
-	}
-	for k, n := range runs {
-		if n > 1 {
-			t.runs[k] = &sameRun{}
+			c := &class{clocks: slices.Compact(cs)}
+			c.left.Store(members[k])
+			t.classes[k] = c
 		}
 	}
 	return t
@@ -203,98 +184,42 @@ func newFrontEnds(shares []sharing) *frontEnds {
 
 // run simulates spec, whose keys are sh, and tags the job span ctx
 // carries with how (sim=plain|record|replay|shared). A spec whose
-// identical run another member has claimed waits for its result, or for
-// ctx; one that claims it shares its result once simulated.
-func (t *frontEnds) run(ctx context.Context, spec RunSpec, sh sharing) (r *sim.QueryResult, err error) {
-	t.mu.Lock()
-	g := t.runs[sh.run()]
-	if g == nil {
-		t.mu.Unlock()
-		return t.simulate(ctx, spec, sh)
-	}
-	if g.done != nil {
-		t.mu.Unlock()
+// identical run another member has claimed takes its result, waiting for
+// it or for ctx.
+func (t *frontEnds) run(ctx context.Context, spec RunSpec, sh sharing) (*sim.QueryResult, error) {
+	r, shared, err := t.results.Do(ctx, sh.run(), func() (*sim.QueryResult, error) { return t.simulate(ctx, spec, sh) })
+	if shared {
 		runner.Annotate(ctx, "sim", "shared")
-		select {
-		case <-g.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		return g.res, g.err
 	}
-	g.done = make(chan struct{})
-	t.mu.Unlock()
-	// A run that panics leaves the waiting members an error instead of
-	// blocking them.
-	err = errRunAborted
-	defer func() { t.settle(sh, r, err) }()
-	return t.simulate(ctx, spec, sh)
-}
-
-// settle hands the result of spec sh's run — simulated, or served by the
-// memo — to the members of its identical group, unless one already has.
-func (t *frontEnds) settle(sh sharing, r *sim.QueryResult, err error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	g := t.runs[sh.run()]
-	if g == nil || g.settled {
-		return
-	}
-	if g.done == nil {
-		g.done = make(chan struct{})
-	}
-	g.res, g.err, g.settled = r, err, true
-	close(g.done)
+	return r, err
 }
 
 // simulate runs spec's front end live for a class of one, else by
 // recording or replaying the class's miss log. A member that arrives
 // while the log is being recorded waits for it, or for ctx.
-func (t *frontEnds) simulate(ctx context.Context, spec RunSpec, sh sharing) (*sim.QueryResult, error) {
-	t.mu.Lock()
+func (t *frontEnds) simulate(ctx context.Context, spec RunSpec, sh sharing) (r *sim.QueryResult, err error) {
 	c := t.classes[sh.front]
 	if c == nil {
-		t.mu.Unlock()
 		runner.Annotate(ctx, "sim", "plain")
 		return spec.Run()
 	}
-	if c.done == nil {
-		c.done = make(chan struct{})
-		t.mu.Unlock()
+	l, replay, err := t.logs.Do(ctx, sh.front, func() (l *sim.MissLog, err error) {
 		runner.Annotate(ctx, "sim", "record")
-		return c.lead(spec)
+		r, l, err = spec.record(c.clocks)
+		return l, err
+	})
+	if err != nil || !replay {
+		return r, err
 	}
-	t.mu.Unlock()
 	runner.Annotate(ctx, "sim", "replay")
-	select {
-	case <-c.done:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	if c.err != nil {
-		return nil, c.err
-	}
-	return spec.replay(c.log, sh.clock), nil
-}
-
-// lead records the class's log; a recording that panics leaves the waiting
-// members an error instead of blocking them.
-func (c *frontEnd) lead(spec RunSpec) (r *sim.QueryResult, err error) {
-	c.err = errRecordAborted
-	defer close(c.done)
-	r, c.log, c.err = spec.record(c.clocks)
-	return r, c.err
+	return spec.replay(l, sh.clock), nil
 }
 
 // release marks one member of front-end class key finished, hit or miss;
 // the last one frees the class's log.
 func (t *frontEnds) release(key string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if c := t.classes[key]; c != nil {
-		if c.left--; c.left == 0 {
-			delete(t.classes, key)
-		}
+	if c := t.classes[key]; c != nil && c.left.Add(-1) == 0 {
+		t.logs.Forget(key)
 	}
 }
 
@@ -342,7 +267,7 @@ func runGrid(ctx context.Context, rows [][]RunSpec, par Par) ([][]*sim.QueryResu
 			return nil, fmt.Errorf("%s on %v: %w", spec.Query.Name, spec.Design, err)
 		}
 		// A memo hit's result serves the identical runs too.
-		fe.settle(c.sh, r, nil)
+		fe.results.Set(c.sh.run(), r)
 		return r, nil
 	})
 	if err != nil {

@@ -349,50 +349,81 @@ func TestFig12SharesFrontEnds(t *testing.T) {
 	}
 }
 
+// heldRun starts fe.run of spec under sh on its own goroutine, as a grid
+// job, and returns once the run has claimed its shared work, which it
+// announces with its sim= tag. The run goes on when release is closed;
+// the returned channel then carries its job error.
+func heldRun(fe *frontEnds, spec RunSpec, sh sharing, release chan struct{}) <-chan error {
+	claimed := make(chan struct{})
+	done := make(chan error, 1)
+	obs := &gateObserver{claimed: claimed, release: release}
+	go func() {
+		_, err := runner.Map(context.Background(), []int{0}, runner.Options{Observer: obs},
+			func(ctx context.Context, _, _ int) (*sim.QueryResult, error) { return fe.run(ctx, spec, sh) })
+		done <- err
+	}()
+	<-claimed
+	return done
+}
+
+// gateObserver holds a grid job at its sim= tag: it closes claimed and
+// waits for release.
+type gateObserver struct{ claimed, release chan struct{} }
+
+func (o *gateObserver) SweepStarted(int) runner.SweepSpan { return o }
+func (o *gateObserver) JobStarted(int, int)               {}
+func (o *gateObserver) JobFinished(int, int, error)       {}
+
+func (o *gateObserver) JobAnnotate(_ int, key, _ string) {
+	if key == "sim" {
+		close(o.claimed)
+		<-o.release
+	}
+}
+
+// waitingCtx is a never-cancelled context that closes waiting the first
+// time its Done channel is read, which a member does only once it blocks
+// on another member's shared work.
+type waitingCtx struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (c *waitingCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
+}
+
 // TestFrontEndsAbortedRecording checks the failure paths of shared work:
 // a recording that panics hands the class's waiting members an error
 // instead of blocking them, and so does the first run of an identical
 // group; a waiting member, of either kind, gives up with its context.
 func TestFrontEndsAbortedRecording(t *testing.T) {
 	bad := RunSpec{Design: design.Kind(99), Workload: SmallWorkload(), Query: Benchmark()[0]}
-	mustPanic := func(what string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s an unknown design did not panic", what)
-			}
-		}()
-		f()
-	}
-
-	// Three distinct runs of one front-end class.
-	runs := []sharing{{front: "k", back: "a"}, {front: "k", back: "b"}, {front: "k", back: "c"}}
-	fe := newFrontEnds(runs)
-	mustPanic("recording", func() { fe.run(context.Background(), bad, runs[0]) })
-	if _, err := fe.run(context.Background(), bad, runs[1]); !errors.Is(err, errRecordAborted) {
-		t.Fatalf("member after an aborted recording got %v, want errRecordAborted", err)
-	}
-
-	fe = newFrontEnds(runs[:2])
-	fe.classes["k"].done = make(chan struct{}) // a recording in flight
-	ctx, cancel := context.WithCancel(context.Background())
+	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := fe.run(ctx, bad, runs[1]); !errors.Is(err, context.Canceled) {
-		t.Fatalf("waiting member with a cancelled context got %v", err)
-	}
-
-	// Three members of one identical run.
+	// Three distinct runs of one front-end class, and three members of one
+	// identical run.
+	runs := []sharing{{front: "k", back: "a"}, {front: "k", back: "b"}, {front: "k", back: "c"}}
 	same := []sharing{runs[0], runs[0], runs[0]}
-	fe = newFrontEnds(same)
-	mustPanic("running", func() { fe.run(context.Background(), bad, same[0]) })
-	if _, err := fe.run(context.Background(), bad, same[1]); !errors.Is(err, errRunAborted) {
-		t.Fatalf("member after an aborted shared run got %v, want errRunAborted", err)
-	}
-
-	fe = newFrontEnds(same[:2])
-	fe.runs[same[0].run()].done = make(chan struct{}) // a run in flight
-	if _, err := fe.run(ctx, bad, same[1]); !errors.Is(err, context.Canceled) {
-		t.Fatalf("waiting follower with a cancelled context got %v", err)
+	for _, tc := range []struct {
+		what   string
+		shares []sharing
+	}{{"recording", runs}, {"shared run", same}} {
+		fe := newFrontEnds(tc.shares)
+		release := make(chan struct{})
+		leader := heldRun(fe, bad, tc.shares[0], release)
+		if _, err := fe.run(cancelled, bad, tc.shares[1]); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: waiting member with a cancelled context got %v", tc.what, err)
+		}
+		ctx := &waitingCtx{Context: context.Background(), waiting: release}
+		if _, err := fe.run(ctx, bad, tc.shares[2]); !errors.Is(err, runner.ErrPanicked) {
+			t.Errorf("%s: waiting member of an aborted %s got %v, want runner.ErrPanicked", tc.what, tc.what, err)
+		}
+		if err := <-leader; err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Errorf("%s: the leader on an unknown design returned %v, want its panic", tc.what, err)
+		}
 	}
 }
 

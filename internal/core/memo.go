@@ -14,7 +14,7 @@ import (
 
 // Memo is the pipelines' content-addressed run-result cache: same design
 // × options × workload × query × fault-config × seed ⇒ the cached
-// QueryResult, behind in-flight singleflight dedup. Thread it through a
+// QueryResult, behind in-flight dedup. Thread it through a
 // sweep with Par.Memo (every driver honors it); a nil *Memo everywhere
 // means "run everything", bit-for-bit the pre-cache behaviour.
 //
@@ -90,7 +90,7 @@ func (m *Memo) do(ctx context.Context, key string, compute func() (*sim.QueryRes
 		r, err := compute()
 		return r, memo.Miss, err
 	}
-	r, out, err := m.cache.Do(key, compute)
+	r, out, err := m.cache.Do(ctx, key, compute)
 	if err == nil {
 		runner.Annotate(ctx, "memo", out.String())
 	}

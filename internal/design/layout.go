@@ -59,8 +59,6 @@ type Placer struct {
 	// ColStore lays the table out column-major (the ideal design's choice
 	// for column-preferring queries).
 	ColStore bool
-	// Slot separates tables in the physical address space.
-	Slot int
 
 	amap      *mc.AddrMap
 	base      uint64
@@ -104,7 +102,6 @@ func NewPlacer(d *Design, schema imdb.Schema, slot int, colStore bool) *Placer {
 		D:         d,
 		Schema:    schema,
 		ColStore:  colStore,
-		Slot:      slot,
 		amap:      mc.NewAddrMap(d.Mem.Geometry),
 		base:      uint64(slot) * slotBytes,
 		lineBytes: d.Mem.Geometry.LineBytes,
@@ -257,17 +254,12 @@ func (p *Placer) sectorBit(addr uint64) uint64 {
 	return 1 << uint(off/p.D.Gran.SectorBytes)
 }
 
-// groupMembers returns the records one strided burst gathers along with
-// rec. For I/O-buffer designs that is Reach *consecutive* aligned records
-// (Fig. 11a); for column engines it is the records at rec's in-row
-// position across the stripe's Reach rows (the crossbar's column
-// direction).
-func (p *Placer) groupMembers(rec int) []int {
-	return p.appendGroupMembers(make([]int, 0, p.D.Gran.Reach), rec)
-}
-
-// appendGroupMembers appends rec's gather group to members, letting the hot
-// path reuse the placer's member scratch instead of allocating per access.
+// appendGroupMembers appends to members the records one strided burst
+// gathers along with rec. For I/O-buffer designs that is Reach
+// *consecutive* aligned records (Fig. 11a); for column engines it is the
+// records at rec's in-row position across the stripe's Reach rows (the
+// crossbar's column direction). The hot path passes the placer's member
+// scratch, so it does not allocate per access.
 func (p *Placer) appendGroupMembers(members []int, rec int) []int {
 	n := p.D.Gran.Reach
 	records := p.records()

@@ -65,7 +65,7 @@ func TestSlotSeparation(t *testing.T) {
 func TestStrideGroupConsecutiveForIOBufferDesigns(t *testing.T) {
 	p := taPlacer(SAMEn, 1024)
 	for _, rec := range []int{0, 5, 9, 1000} {
-		members := p.groupMembers(rec)
+		members := p.appendGroupMembers(nil, rec)
 		if len(members) != 8 {
 			t.Fatalf("rec %d: group size %d, want reach 8", rec, len(members))
 		}
@@ -85,7 +85,7 @@ func TestStrideGroupCoversRequester(t *testing.T) {
 		p := taPlacer(kind, 4096)
 		f := func(rec uint16) bool {
 			r := int(rec) % 4096
-			for _, m := range p.groupMembers(r) {
+			for _, m := range p.appendGroupMembers(nil, r) {
 				if m == r {
 					return true
 				}
@@ -104,9 +104,9 @@ func TestStrideGroupsPartitionRecords(t *testing.T) {
 	for _, kind := range []Kind{SAMEn, SAMSub, RCNVMWd} {
 		p := taPlacer(kind, 512)
 		for rec := 0; rec < 512; rec += 13 {
-			members := p.groupMembers(rec)
+			members := p.appendGroupMembers(nil, rec)
 			for _, m := range members {
-				again := p.groupMembers(m)
+				again := p.appendGroupMembers(nil, m)
 				if len(again) != len(members) {
 					t.Fatalf("%v: asymmetric group size at %d/%d", kind, rec, m)
 				}
@@ -131,7 +131,7 @@ func TestStrideGroupFillsMatchSectors(t *testing.T) {
 	for _, f := range txn.Group().Fills {
 		covered[f.LineAddr] |= f.Sectors
 	}
-	for _, m := range p.groupMembers(16) {
+	for _, m := range p.appendGroupMembers(nil, 16) {
 		addr := p.canonAddr(m, 10)
 		line := p.lineOf(addr)
 		bit := p.sectorBit(addr)

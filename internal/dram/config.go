@@ -20,7 +20,6 @@ type Geometry struct {
 	RowBytes         int // bytes a rank-level row holds (all chips combined)
 	LineBytes        int // cacheline transfer size
 	DataChips        int // data chips per rank (x4 server DIMM: 16)
-	ECCChips         int // check chips per rank (SSC: 2)
 }
 
 // Banks returns banks per rank.
@@ -164,7 +163,6 @@ func DDR4_2400() Config {
 			RowBytes:         8192, // 4Kb local row buffer per x4 chip x 16 chips
 			LineBytes:        64,
 			DataChips:        16,
-			ECCChips:         2,
 		},
 		Timing: Timing{
 			CL: 17, CWL: 12,
@@ -219,7 +217,6 @@ func DDR5_4800() Config {
 			RowBytes:         8192,
 			LineBytes:        64,
 			DataChips:        16,
-			ECCChips:         2,
 		},
 		Timing: Timing{
 			CL: 40, CWL: 38,

@@ -1,7 +1,7 @@
 // Package memo is a content-addressed, deterministic run-result cache
-// with in-flight singleflight deduplication — the "same design × config ×
+// with in-flight deduplication — the "same design × config ×
 // seed ⇒ cached RunStats" layer the figure, sweep, and reliability
-// pipelines (and the future samd daemon) multiplex onto.
+// pipelines and the samd daemon multiplex onto.
 //
 // Keys are Fingerprint sums: canonical hashes of everything that
 // determines a run's outcome, salted with SchemaVersion so a simulator-
@@ -11,7 +11,7 @@
 // run results).
 //
 // Two tiers: a bounded in-process LRU serves concurrent sweep workers
-// (with a runner.Flight so two workers needing the same point run it
+// (with a runner.Group so two workers needing the same point run it
 // once), and an optional disk tier (Config.Dir) makes a warm re-run of a
 // whole figure pipeline near-instant. Disk entries are checksummed;
 // corruption or truncation falls back to a miss, never an error.
@@ -19,6 +19,7 @@ package memo
 
 import (
 	"container/list"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -121,8 +122,8 @@ type entry[V any] struct {
 	size int64
 }
 
-// flightRes carries the leader's value and how it obtained it.
-type flightRes[V any] struct {
+// computed carries the leader's value and how it obtained it.
+type computed[V any] struct {
 	val V
 	out Outcome
 }
@@ -149,7 +150,7 @@ type Cache[V any] struct {
 	diskErrs *stats.Counter
 	bytesG   *stats.Gauge
 
-	flight runner.Flight[flightRes[V]]
+	inflight runner.Group[computed[V]]
 }
 
 // New builds a cache. It panics if Dir is set without an Encode/Decode
@@ -180,50 +181,41 @@ func New[V any](cfg Config[V]) *Cache[V] {
 }
 
 // Do returns the value for key, computing it with compute on a full miss.
-// Concurrent Do calls with the same key coalesce onto one computation.
-// Errors are never cached: a failed key recomputes on the next lookup.
-func (c *Cache[V]) Do(key string, compute func() (V, error)) (V, Outcome, error) {
+// Concurrent Do calls with the same key coalesce onto one computation; a
+// coalesced caller gives up with ctx's error once ctx is done, and gets an
+// error if the computation panics. Errors are never cached: a failed key
+// recomputes on the next lookup.
+func (c *Cache[V]) Do(ctx context.Context, key string, compute func() (V, error)) (V, Outcome, error) {
 	if v, ok := c.lookup(key); ok {
 		return v, Hit, nil
 	}
-	res, shared, err := c.flight.Do(key, func() (flightRes[V], error) {
-		// Re-check memory: a previous leader may have finished between
-		// our lookup miss and winning the flight.
-		if v, ok := c.lookup(key); ok {
-			return flightRes[V]{v, Hit}, nil
-		}
-		if v, enc, ok := c.diskLoad(key); ok {
-			c.insert(key, v, enc, false)
-			c.mu.Lock()
-			c.diskHits.Inc()
-			c.mu.Unlock()
-			return flightRes[V]{v, DiskHit}, nil
+	res, shared, err := c.inflight.Do(ctx, key, func() (computed[V], error) {
+		// The leader frees the key once it is done: a later Do finds the
+		// value in memory, or computes again after an error.
+		defer c.inflight.Forget(key)
+		// Re-check memory, since a previous leader may have finished
+		// between our lookup miss and claiming the key, then disk.
+		if v, out, ok := c.Lookup(key); ok {
+			return computed[V]{v, out}, nil
 		}
 		v, err := compute()
 		if err != nil {
-			return flightRes[V]{}, err
+			return computed[V]{}, err
 		}
 		enc, err := c.encode(v)
 		if err != nil {
-			return flightRes[V]{}, fmt.Errorf("memo: encode %s: %w", key, err)
+			return computed[V]{}, fmt.Errorf("memo: encode %s: %w", key, err)
 		}
 		c.insert(key, v, enc, true)
-		c.mu.Lock()
-		c.misses.Inc()
-		c.mu.Unlock()
-		return flightRes[V]{v, Miss}, nil
+		c.count(c.misses)
+		return computed[V]{v, Miss}, nil
 	})
-	if err != nil {
-		var zero V
-		return zero, Miss, err
+	if err == nil && shared {
+		c.count(c.dedup)
+		res.out = Dedup
 	}
-	if shared {
-		c.mu.Lock()
-		c.dedup.Inc()
-		c.mu.Unlock()
-		return res.val, Dedup, nil
-	}
-	return res.val, res.out, nil
+	// On an error res is zero: the value is zero and the outcome Miss.
+	return res.val, res.out, err
 }
 
 // Lookup probes both tiers without computing: a memory hit counts as
@@ -238,9 +230,7 @@ func (c *Cache[V]) Lookup(key string) (V, Outcome, bool) {
 	}
 	if v, enc, ok := c.diskLoad(key); ok {
 		c.insert(key, v, enc, false)
-		c.mu.Lock()
-		c.diskHits.Inc()
-		c.mu.Unlock()
+		c.count(c.diskHits)
 		return v, DiskHit, true
 	}
 	var zero V
@@ -283,6 +273,13 @@ func (c *Cache[V]) StatsSnapshot() *stats.Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.reg.Snapshot()
+}
+
+// count increments one of the cache's counters.
+func (c *Cache[V]) count(ctr *stats.Counter) {
+	c.mu.Lock()
+	ctr.Inc()
+	c.mu.Unlock()
 }
 
 // lookup serves the in-process tier, counting a hit.
@@ -332,9 +329,7 @@ func (c *Cache[V]) insert(key string, v V, enc []byte, persist bool) {
 
 	if persist && c.cfg.Dir != "" {
 		if err := c.diskStore(key, enc); err != nil {
-			c.mu.Lock()
-			c.diskErrs.Inc()
-			c.mu.Unlock()
+			c.count(c.diskErrs)
 		}
 	}
 }
@@ -402,9 +397,7 @@ func (c *Cache[V]) diskLoad(key string) (V, []byte, bool) {
 
 func (c *Cache[V]) rejectDiskEntry(key string) {
 	os.Remove(c.path(key))
-	c.mu.Lock()
-	c.corrupt.Inc()
-	c.mu.Unlock()
+	c.count(c.corrupt)
 }
 
 // diskStore writes the entry atomically (temp file + rename) so a

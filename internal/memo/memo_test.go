@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -8,6 +9,9 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
+
+	"sam/internal/runner"
 )
 
 // intCodec is the test value codec: decimal strings.
@@ -22,11 +26,11 @@ func TestCacheMissThenHit(t *testing.T) {
 	calls := 0
 	compute := func() (int, error) { calls++; return 7, nil }
 
-	v, out, err := c.Do("k", compute)
+	v, out, err := c.Do(context.Background(), "k", compute)
 	if err != nil || v != 7 || out != Miss {
 		t.Fatalf("first Do = (%d, %v, %v), want (7, miss, nil)", v, out, err)
 	}
-	v, out, err = c.Do("k", compute)
+	v, out, err = c.Do(context.Background(), "k", compute)
 	if err != nil || v != 7 || out != Hit {
 		t.Fatalf("second Do = (%d, %v, %v), want (7, hit, nil)", v, out, err)
 	}
@@ -46,10 +50,10 @@ func TestCacheErrorNotCached(t *testing.T) {
 	c := New(Config[int]{})
 	boom := errors.New("boom")
 	calls := 0
-	if _, _, err := c.Do("k", func() (int, error) { calls++; return 0, boom }); !errors.Is(err, boom) {
+	if _, _, err := c.Do(context.Background(), "k", func() (int, error) { calls++; return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	v, out, err := c.Do("k", func() (int, error) { calls++; return 9, nil })
+	v, out, err := c.Do(context.Background(), "k", func() (int, error) { calls++; return 9, nil })
 	if err != nil || v != 9 || out != Miss {
 		t.Fatalf("retry Do = (%d, %v, %v), want (9, miss, nil)", v, out, err)
 	}
@@ -63,7 +67,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	c := New(Config[int]{MaxEntries: 2, Encode: enc, Decode: dec})
 	for i := 0; i < 3; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if _, _, err := c.Do(key, func() (int, error) { return i, nil }); err != nil {
+		if _, _, err := c.Do(context.Background(), key, func() (int, error) { return i, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,10 +89,10 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 
 	// Touching k1 makes k2 the LRU victim for the next insert.
-	if _, _, err := c.Do("k1", func() (int, error) { t.Fatal("k1 recomputed"); return 0, nil }); err != nil {
+	if _, _, err := c.Do(context.Background(), "k1", func() (int, error) { t.Fatal("k1 recomputed"); return 0, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Do("k3", func() (int, error) { return 3, nil }); err != nil {
+	if _, _, err := c.Do(context.Background(), "k3", func() (int, error) { return 3, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Get("k2"); ok {
@@ -104,7 +108,7 @@ func TestCacheDiskTier(t *testing.T) {
 	enc, dec := intCodec()
 
 	cold := New(Config[int]{Dir: dir, Encode: enc, Decode: dec})
-	if _, out, err := cold.Do("k", func() (int, error) { return 41, nil }); err != nil || out != Miss {
+	if _, out, err := cold.Do(context.Background(), "k", func() (int, error) { return 41, nil }); err != nil || out != Miss {
 		t.Fatalf("cold Do = (%v, %v)", out, err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "k.memo")); err != nil {
@@ -113,12 +117,12 @@ func TestCacheDiskTier(t *testing.T) {
 
 	// A fresh cache over the same dir serves from disk without computing.
 	warm := New(Config[int]{Dir: dir, Encode: enc, Decode: dec})
-	v, out, err := warm.Do("k", func() (int, error) { t.Fatal("computed despite disk entry"); return 0, nil })
+	v, out, err := warm.Do(context.Background(), "k", func() (int, error) { t.Fatal("computed despite disk entry"); return 0, nil })
 	if err != nil || v != 41 || out != DiskHit {
 		t.Fatalf("warm Do = (%d, %v, %v), want (41, disk-hit, nil)", v, out, err)
 	}
 	// Promoted: the next lookup is a memory hit.
-	if _, out, _ := warm.Do("k", nil); out != Hit {
+	if _, out, _ := warm.Do(context.Background(), "k", nil); out != Hit {
 		t.Fatalf("post-promotion outcome %v, want hit", out)
 	}
 	ct := warm.Counters()
@@ -159,7 +163,7 @@ func TestCacheDiskCorruptionFallsBackToMiss(t *testing.T) {
 		t.Run(m.name, func(t *testing.T) {
 			dir := t.TempDir()
 			cold := New(Config[int]{Dir: dir, Encode: enc, Decode: dec})
-			if _, _, err := cold.Do("k", func() (int, error) { return 5, nil }); err != nil {
+			if _, _, err := cold.Do(context.Background(), "k", func() (int, error) { return 5, nil }); err != nil {
 				t.Fatal(err)
 			}
 			path := filepath.Join(dir, "k.memo")
@@ -168,7 +172,7 @@ func TestCacheDiskCorruptionFallsBackToMiss(t *testing.T) {
 			}
 
 			warm := New(Config[int]{Dir: dir, Encode: enc, Decode: dec})
-			v, out, err := warm.Do("k", func() (int, error) { return 5, nil })
+			v, out, err := warm.Do(context.Background(), "k", func() (int, error) { return 5, nil })
 			if err != nil || v != 5 || out != Miss {
 				t.Fatalf("Do over corrupt entry = (%d, %v, %v), want recompute miss", v, out, err)
 			}
@@ -177,7 +181,7 @@ func TestCacheDiskCorruptionFallsBackToMiss(t *testing.T) {
 			}
 			// The recompute rewrote a valid entry over the corrupt one.
 			next := New(Config[int]{Dir: dir, Encode: enc, Decode: dec})
-			if _, out, _ := next.Do("k", func() (int, error) { return 5, nil }); out != DiskHit {
+			if _, out, _ := next.Do(context.Background(), "k", func() (int, error) { return 5, nil }); out != DiskHit {
 				t.Fatalf("entry not repaired: outcome %v", out)
 			}
 		})
@@ -194,7 +198,7 @@ func TestCacheDecodeRejectionIsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := New(Config[int]{Dir: dir, Encode: enc, Decode: dec})
-	v, out, err := c.Do("k", func() (int, error) { return 3, nil })
+	v, out, err := c.Do(context.Background(), "k", func() (int, error) { return 3, nil })
 	if err != nil || v != 3 || out != Miss {
 		t.Fatalf("Do = (%d, %v, %v), want recompute miss", v, out, err)
 	}
@@ -217,7 +221,7 @@ func TestCacheInflightDedup(t *testing.T) {
 	for i := 0; i <= waiters; i++ {
 		go func() {
 			defer wg.Done()
-			v, out, err := c.Do("k", func() (int, error) {
+			v, out, err := c.Do(context.Background(), "k", func() (int, error) {
 				executions++ // leader-only; flight serializes the fn
 				once.Do(func() { close(entered) })
 				<-gate
@@ -260,6 +264,71 @@ func TestCacheInflightDedup(t *testing.T) {
 	}
 }
 
+// waitingCtx is a never-cancelled context that closes waiting the first
+// time its Done channel is read, which a coalesced Do does only once it
+// blocks on the leader's computation.
+type waitingCtx struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (c *waitingCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
+}
+
+// TestCacheLeaderPanicFreesFollower: when the computation a follower waits
+// on panics, the follower gets an error within a bounded time, and the
+// next Do of the key computes again instead of blocking.
+func TestCacheLeaderPanicFreesFollower(t *testing.T) {
+	c := New(Config[int]{})
+	inside, release := make(chan struct{}), make(chan struct{})
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		c.Do(context.Background(), "k", func() (int, error) {
+			close(inside)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-inside
+	follower := make(chan error, 1)
+	go func() {
+		ctx := &waitingCtx{Context: context.Background(), waiting: release}
+		_, _, err := c.Do(ctx, "k", func() (int, error) { return 0, errors.New("follower computed") })
+		follower <- err
+	}()
+	select {
+	case err := <-follower:
+		if !errors.Is(err, runner.ErrPanicked) {
+			t.Fatalf("follower got %v, want runner.ErrPanicked", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("follower still blocked 5s after the leader panicked")
+	}
+	if p := <-leader; p != "boom" {
+		t.Fatalf("leader recovered %v, want its own panic", p)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		v, out, err := c.Do(context.Background(), "k", func() (int, error) { return 7, nil })
+		if v != 7 || out != Miss || err != nil {
+			t.Errorf("Do after the panic = (%d, %v, %v), want (7, miss, nil)", v, out, err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Do of the key still blocked 5s after its leader panicked")
+	}
+	if ct := c.Counters(); ct.Misses != 1 || ct.InflightDedup != 0 {
+		t.Fatalf("counters %+v, want the one recomputing miss and no dedup", ct)
+	}
+}
+
 func TestCachePanicsOnDirWithoutCodec(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -272,10 +341,10 @@ func TestCachePanicsOnDirWithoutCodec(t *testing.T) {
 func TestCacheStatsSnapshot(t *testing.T) {
 	enc, dec := intCodec()
 	c := New(Config[int]{Encode: enc, Decode: dec})
-	if _, _, err := c.Do("k", func() (int, error) { return 123, nil }); err != nil {
+	if _, _, err := c.Do(context.Background(), "k", func() (int, error) { return 123, nil }); err != nil {
 		t.Fatal(err)
 	}
-	c.Do("k", nil)
+	c.Do(context.Background(), "k", nil)
 	snap := c.StatsSnapshot()
 	want := map[string]uint64{
 		"memo.hits":           1,
@@ -329,7 +398,7 @@ func FuzzDiskEntry(f *testing.F) {
 			t.Fatal(err)
 		}
 		removed := false
-		v, out, err := c.Do(key, func() (int, error) {
+		v, out, err := c.Do(context.Background(), key, func() (int, error) {
 			_, err := os.Stat(c.path(key))
 			removed = os.IsNotExist(err)
 			return -1, nil

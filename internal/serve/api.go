@@ -4,7 +4,7 @@
 // multiplexes them onto one bounded worker pool with per-tenant quotas,
 // priority classes, and content-addressed dedup — identical design ×
 // config × seed submitted by different tenants runs once (memo.Fingerprint
-// keys + the singleflight inside internal/memo). There is one cache tier,
+// keys + the in-flight dedup inside internal/memo). There is one cache tier,
 // the run memo (core.Memo): a repeated bench submission is served from it
 // at admission without occupying a queue slot, and a repeated figure,
 // sweep or reliability job rebuilds its payload from cell hits.

@@ -463,7 +463,7 @@ func TestWarmSystemRetryBudget(t *testing.T) {
 	if _, err := s.RunQuery("SELECT SUM(f9) FROM Ta WHERE f10 > x", sel25()); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s.Controller.Config().MaxRetries, mc.DefaultConfig().MaxRetries; got != want {
+	if got, want := s.ChannelController(0).Config().MaxRetries, mc.DefaultConfig().MaxRetries; got != want {
 		t.Fatalf("fault-free run left retry budget %d, want default %d", got, want)
 	}
 }

@@ -126,8 +126,8 @@ func TestProtocolAuditEndToEnd(t *testing.T) {
 		if _, err := s.RunQuery("UPDATE Tb SET f3 = x WHERE f10 = y", sql.Params{"x": 5, "y": 3}); err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
-		if !s.Controller.Audit.Ok() {
-			t.Fatalf("%v: protocol violations; first: %s", k, s.Controller.Audit.Violations[0])
+		if !s.ChannelController(0).Audit.Ok() {
+			t.Fatalf("%v: protocol violations; first: %s", k, s.ChannelController(0).Audit.Violations[0])
 		}
 	}
 }
@@ -198,7 +198,7 @@ func TestUpdateWritesBack(t *testing.T) {
 		t.Fatalf("update reported %d rows, table shows %d", r.Rows, checked)
 	}
 	// Write traffic must have reached memory (sstore path).
-	if s.Device.Stats.StrideWrites == 0 && s.Device.Stats.Writes == 0 {
+	if s.ChannelDevice(0).Stats.StrideWrites == 0 && s.ChannelDevice(0).Stats.Writes == 0 {
 		t.Fatal("no write bursts observed")
 	}
 }
@@ -220,7 +220,7 @@ func TestInsertAppendsRecords(t *testing.T) {
 	if before.Value(n, 1) != 8 {
 		t.Fatalf("inserted value wrong: %d", before.Value(n, 1))
 	}
-	if s.Device.Stats.Writes == 0 {
+	if s.ChannelDevice(0).Stats.Writes == 0 {
 		t.Fatal("insert produced no write bursts")
 	}
 }
@@ -356,19 +356,19 @@ func TestStrideDesignsUseStrideBursts(t *testing.T) {
 	if _, err := s.RunQuery("SELECT SUM(f9) FROM Ta WHERE f10 > x", sel25()); err != nil {
 		t.Fatal(err)
 	}
-	if s.Device.Stats.StrideReads == 0 {
+	if s.ChannelDevice(0).Stats.StrideReads == 0 {
 		t.Fatal("SAM design issued no stride bursts on a column scan")
 	}
-	if s.Device.Stats.Reads > s.Device.Stats.StrideReads/4 {
+	if s.ChannelDevice(0).Stats.Reads > s.ChannelDevice(0).Stats.StrideReads/4 {
 		t.Fatalf("too many regular reads (%d) alongside %d stride reads",
-			s.Device.Stats.Reads, s.Device.Stats.StrideReads)
+			s.ChannelDevice(0).Stats.Reads, s.ChannelDevice(0).Stats.StrideReads)
 	}
 
 	base := testSystem(design.Baseline, 512, 256, false)
 	if _, err := base.RunQuery("SELECT SUM(f9) FROM Ta WHERE f10 > x", sel25()); err != nil {
 		t.Fatal(err)
 	}
-	if base.Device.Stats.StrideReads != 0 {
+	if base.ChannelDevice(0).Stats.StrideReads != 0 {
 		t.Fatal("baseline must never issue stride bursts")
 	}
 }
@@ -381,7 +381,7 @@ func TestModeSwitchesAreRare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sw := s.Device.Stats.ModeSwitches; sw*20 > r.Stats.MemRequests {
+	if sw := s.ChannelDevice(0).Stats.ModeSwitches; sw*20 > r.Stats.MemRequests {
 		t.Fatalf("mode switches too frequent: %d for %d requests", sw, r.Stats.MemRequests)
 	}
 }

@@ -34,15 +34,13 @@ func DefaultCaches() CacheParams {
 
 // System is one design point ready to run queries. Each channel
 // (Geometry.Channels) gets its own controller+device pair, all serviced by
-// one event loop; Device/Controller alias channel 0.
+// one event loop.
 type System struct {
 	Design *design.Design
 	CPU    cpu.Params
 	Caches CacheParams
 
-	Device     *dram.Device
-	Controller *mc.Controller
-	Hierarchy  *cache.Hierarchy
+	Hierarchy *cache.Hierarchy
 
 	devices     []*dram.Device
 	controllers []*mc.Controller
@@ -134,8 +132,6 @@ func (s *System) reset() {
 			s.controllers[ch].Audit = dram.NewAuditor(s.Design.Mem)
 		}
 	}
-	s.Device = s.devices[0]
-	s.Controller = s.controllers[0]
 	s.wireEventTrace()
 	s.route = mc.NewAddrMap(s.Design.Mem.Geometry)
 	sectors := s.Design.SectorsPerLine()
