@@ -52,7 +52,6 @@ func (c Config) Validate() error {
 // Stats counts per-level activity.
 type Stats struct {
 	Hits, Misses       uint64
-	SectorHits         uint64 // hit on line, fill avoided by sector validity
 	SectorMisses       uint64 // line present but sector invalid
 	Evictions          uint64
 	DirtyEvictions     uint64

@@ -12,9 +12,6 @@ const (
 	CmdRD
 	CmdWR
 	CmdREF
-	// CmdMRS models a mode-register write (the paper configures SAM's
-	// I/O modes through the existing MRS path, Section 5.3).
-	CmdMRS
 )
 
 // String names the command kind.
@@ -30,24 +27,20 @@ func (k CmdKind) String() string {
 		return "WR"
 	case CmdREF:
 		return "REF"
-	case CmdMRS:
-		return "MRS"
 	default:
 		return fmt.Sprintf("CmdKind(%d)", int(k))
 	}
 }
 
 // IOMode is the chip I/O configuration selected by the mode register
-// (Fig. 7). Regular modes serialize one I/O buffer; stride modes fetch all
-// four buffers and serialize one lane of each.
+// (Fig. 7). The regular x4 mode serializes one I/O buffer; stride modes
+// fetch all four buffers and serialize one lane of each.
 type IOMode int
 
 // I/O modes.
 const (
-	ModeX4 IOMode = iota
-	ModeX8
-	ModeX16
-	ModeStride0 // Sx4_0: lane 0 of each buffer
+	ModeX4      IOMode = iota
+	ModeStride0        // Sx4_0: lane 0 of each buffer
 	ModeStride1
 	ModeStride2
 	ModeStride3
@@ -61,10 +54,6 @@ func (m IOMode) String() string {
 	switch m {
 	case ModeX4:
 		return "x4"
-	case ModeX8:
-		return "x8"
-	case ModeX16:
-		return "x16"
 	case ModeStride0, ModeStride1, ModeStride2, ModeStride3:
 		return fmt.Sprintf("Sx4_%d", int(m-ModeStride0))
 	default:
@@ -81,14 +70,12 @@ type Command struct {
 	Group, Bank int
 	Row         int
 	Col         int
-	// Mode applies to RD/WR (the I/O mode the access requires) and MRS
-	// (the mode being programmed).
+	// Mode is the I/O mode a RD/WR requires; issuing it to a rank in
+	// another mode charges the mode-register write (tRTR) on the bus.
 	Mode IOMode
 	// GangRanks marks a fine-granularity strided burst that drives both
 	// ranks together to fill the channel (Section 4.4, Fig. 9e).
 	GangRanks bool
-	// AutoPrecharge closes the row after the column access completes.
-	AutoPrecharge bool
 }
 
 // BankID flattens (rank, group, bank) into a per-channel bank index.
@@ -107,8 +94,6 @@ func (c Command) String() string {
 		return fmt.Sprintf("%s r%d g%d b%d row%d col%d %s", c.Kind, c.Rank, c.Group, c.Bank, c.Row, c.Col, c.Mode)
 	case CmdREF:
 		return fmt.Sprintf("REF r%d", c.Rank)
-	case CmdMRS:
-		return fmt.Sprintf("MRS r%d %s", c.Rank, c.Mode)
 	default:
 		return c.Kind.String()
 	}

@@ -16,8 +16,9 @@ const never Cycle = math.MinInt64 / 4
 // device-level view: a column access is a RowHit when it reuses a row a
 // previous column access already touched since its ACT, and a RowMiss when
 // it is the first access the activation was opened for — so RowMisses
-// tracks demanded activations and RowHits tracks row-buffer reuse,
-// independent of the controller's request-level hit classification.
+// tracks demanded activations and RowHits tracks row-buffer reuse. The
+// controller's mc.Stats.RowHits is request-level and also counts a first
+// access to a row the controller opened ahead of it, so it reads higher.
 type BankStats struct {
 	Acts      uint64
 	Pres      uint64
@@ -301,7 +302,6 @@ type Device struct {
 	// Data bus occupancy.
 	busFreeAt    Cycle
 	busOwnerRank int
-	busOwnerMode IOMode
 	busOwnerGang bool
 	busEverUsed  bool
 	Stats        DeviceStats
@@ -467,8 +467,6 @@ func (d *Device) EarliestIssue(cmd Command, now Cycle) Cycle {
 			}
 		}
 		return earliest
-	case CmdMRS:
-		return max2(now, rk.refUntil)
 	default:
 		panic(fmt.Sprintf("dram: EarliestIssue of unknown command %v", cmd.Kind))
 	}
@@ -666,13 +664,6 @@ func (d *Device) apply(cmd Command, at Cycle) IssueResult {
 		rk.refDueAt += Cycle(t.TREFI)
 		d.Stats.Refs++
 		return IssueResult{Done: rk.refUntil}
-	case CmdMRS:
-		switched := rk.mode != cmd.Mode
-		rk.mode = cmd.Mode
-		if switched {
-			d.Stats.ModeSwitches++
-		}
-		return IssueResult{Done: at + Cycle(t.TRTR), ModeSwitched: switched}
 	default:
 		panic(fmt.Sprintf("dram: Issue of unknown command %v", cmd.Kind))
 	}
@@ -750,18 +741,10 @@ func (d *Device) issueColumn(cmd Command, at Cycle) IssueResult {
 	if cmd.GangRanks {
 		d.Stats.GangedBursts++
 	}
-	if cmd.AutoPrecharge {
-		bk.open = false
-		closeAt := maxN(at+Cycle(t.TRTP), bk.actAt+Cycle(t.TRAS), res.DataEnd+Cycle(t.TWR))
-		bk.preDoneAt = closeAt + Cycle(t.TRP)
-		d.Stats.Pres++
-		bs.Pres++
-	}
 	d.Stats.BusBusyCycles += uint64(t.TBL)
 	if res.DataEnd > d.busFreeAt {
 		d.busFreeAt = res.DataEnd
 		d.busOwnerRank = cmd.Rank
-		d.busOwnerMode = cmd.Mode
 		d.busOwnerGang = cmd.GangRanks
 	}
 	d.busEverUsed = true

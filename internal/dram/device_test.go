@@ -259,23 +259,6 @@ func TestStrideReadCountsWideFetch(t *testing.T) {
 	}
 }
 
-func TestAutoPrechargeClosesBank(t *testing.T) {
-	cfg := testCfg()
-	d := NewDevice(cfg)
-	d.Issue(Command{Kind: CmdACT, Row: 3}, 0)
-	rd := Command{Kind: CmdRD, Row: 3, Mode: ModeX4, AutoPrecharge: true}
-	at := d.EarliestIssue(rd, 0)
-	d.Issue(rd, at)
-	if _, open := d.BankOpenRow(0, 0, 0); open {
-		t.Fatal("bank still open after auto-precharge")
-	}
-	// Re-activation must wait for the implicit precharge to finish.
-	act := Command{Kind: CmdACT, Row: 4}
-	if e := d.EarliestIssue(act, at); e <= at+Cycle(cfg.Timing.TRTP) {
-		t.Fatalf("re-ACT too early at %d", e)
-	}
-}
-
 func TestRefreshBlocksAndRecurs(t *testing.T) {
 	cfg := testCfg()
 	d := NewDevice(cfg)
@@ -448,17 +431,16 @@ func TestCommandStrings(t *testing.T) {
 		{Kind: CmdRD, Mode: ModeStride1},
 		{Kind: CmdWR, Mode: ModeX4},
 		{Kind: CmdREF},
-		{Kind: CmdMRS, Mode: ModeX16},
 	}
 	for _, c := range cmds {
 		if c.String() == "" {
 			t.Errorf("empty string for %v", c.Kind)
 		}
 	}
-	if ModeStride3.String() != "Sx4_3" || ModeX8.String() != "x8" {
+	if ModeStride3.String() != "Sx4_3" || ModeX4.String() != "x4" {
 		t.Fatal("IOMode strings")
 	}
-	if !ModeStride0.IsStride() || ModeX16.IsStride() {
+	if !ModeStride0.IsStride() || ModeX4.IsStride() {
 		t.Fatal("IsStride classification")
 	}
 }
@@ -623,23 +605,6 @@ func TestAuditorDetectsDataBusCollision(t *testing.T) {
 	a.Record(Command{Kind: CmdRD, Group: 1, Row: 1, Mode: ModeX4}, 31)
 	if a.Ok() {
 		t.Fatal("auditor missed a data bus collision (and a tCCD_S violation)")
-	}
-}
-
-func TestModeRegisterCommand(t *testing.T) {
-	cfg := testCfg()
-	d := NewDevice(cfg)
-	res := d.Issue(Command{Kind: CmdMRS, Rank: 0, Mode: ModeStride2}, 5)
-	if !res.ModeSwitched || d.RankMode(0) != ModeStride2 {
-		t.Fatal("MRS did not program the mode register")
-	}
-	if res.Done != 5+Cycle(cfg.Timing.TRTR) {
-		t.Fatalf("MRS busy until %d", res.Done)
-	}
-	// Re-programming the same mode is not a switch.
-	res = d.Issue(Command{Kind: CmdMRS, Rank: 0, Mode: ModeStride2}, 50)
-	if res.ModeSwitched {
-		t.Fatal("same-mode MRS counted as a switch")
 	}
 }
 

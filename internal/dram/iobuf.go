@@ -12,11 +12,9 @@ import "fmt"
 
 // I/O buffer geometry.
 const (
-	NumIOBuffers  = 4 // common die integrates the full x16 buffer set
-	LanesPerBuf   = 4 // each 32-bit buffer has four 8-bit lanes
-	LaneBits      = 8
-	BufBytes      = 4  // 32 bits
-	ChipBurstBits = 32 // 4 DQ x 8 beats in x4 mode
+	NumIOBuffers = 4 // common die integrates the full x16 buffer set
+	LanesPerBuf  = 4 // each 32-bit buffer has four 8-bit lanes
+	BufBytes     = 4 // 32 bits
 )
 
 // IOBuffer models the chip's four I/O buffers. Buf[b][l] is lane l of
@@ -110,68 +108,4 @@ func (io *IOBuffer) SerializeStrideFine(pair int, hi bool) [2]byte {
 	out[0] = nib(io.Buf[0][pair*2]) | nib(io.Buf[1][pair*2+1])<<4
 	out[1] = nib(io.Buf[2][pair*2]) | nib(io.Buf[3][pair*2+1])<<4
 	return out
-}
-
-// FuseMask models the post-manufacturing electric fuses of the common die
-// (Section 2.2): which buffers and drivers a configuration enables.
-type FuseMask struct {
-	Buffers [NumIOBuffers]bool
-	Drivers [16]bool
-}
-
-// FuseFor returns the fuse configuration for an I/O mode, per the Fig. 7
-// table.
-func FuseFor(mode IOMode) FuseMask {
-	var f FuseMask
-	enableDrv := func(ids ...int) {
-		for _, id := range ids {
-			f.Drivers[id] = true
-		}
-	}
-	switch mode {
-	case ModeX4:
-		f.Buffers[0] = true
-		enableDrv(0, 1, 2, 3)
-	case ModeX8:
-		f.Buffers[0], f.Buffers[1] = true, true
-		enableDrv(0, 1, 2, 3, 4, 5, 6, 7)
-	case ModeX16:
-		for i := range f.Buffers {
-			f.Buffers[i] = true
-		}
-		for i := range f.Drivers {
-			f.Drivers[i] = true
-		}
-	case ModeStride0, ModeStride1, ModeStride2, ModeStride3:
-		lane := int(mode - ModeStride0)
-		for i := range f.Buffers {
-			f.Buffers[i] = true
-		}
-		enableDrv(lane, lane+4, lane+8, lane+12)
-	default:
-		panic(fmt.Sprintf("dram: no fuse config for mode %v", mode))
-	}
-	return f
-}
-
-// EnabledDrivers counts drivers a fuse mask enables.
-func (f FuseMask) EnabledDrivers() int {
-	n := 0
-	for _, on := range f.Drivers {
-		if on {
-			n++
-		}
-	}
-	return n
-}
-
-// EnabledBuffers counts buffers a fuse mask enables.
-func (f FuseMask) EnabledBuffers() int {
-	n := 0
-	for _, on := range f.Buffers {
-		if on {
-			n++
-		}
-	}
-	return n
 }

@@ -132,39 +132,6 @@ func TestSerializeBoundsPanic(t *testing.T) {
 	}
 }
 
-func TestFuseConfigurations(t *testing.T) {
-	cases := []struct {
-		mode    IOMode
-		buffers int
-		drivers int
-	}{
-		{ModeX4, 1, 4},
-		{ModeX8, 2, 8},
-		{ModeX16, 4, 16},
-		{ModeStride0, 4, 4},
-		{ModeStride3, 4, 4},
-	}
-	for _, c := range cases {
-		f := FuseFor(c.mode)
-		if f.EnabledBuffers() != c.buffers {
-			t.Errorf("%v: %d buffers, want %d", c.mode, f.EnabledBuffers(), c.buffers)
-		}
-		if f.EnabledDrivers() != c.drivers {
-			t.Errorf("%v: %d drivers, want %d", c.mode, f.EnabledDrivers(), c.drivers)
-		}
-	}
-	// Stride mode n enables drivers n, n+4, n+8, n+12 (Fig. 7 table).
-	f := FuseFor(ModeStride2)
-	for _, want := range []int{2, 6, 10, 14} {
-		if !f.Drivers[want] {
-			t.Errorf("Sx4_2 missing driver %d", want)
-		}
-	}
-	if f.Drivers[0] || f.Drivers[3] {
-		t.Error("Sx4_2 enables wrong drivers")
-	}
-}
-
 func TestStrideModesCoverWholeBuffer(t *testing.T) {
 	// The four stride modes together must read out every byte of the wide
 	// fetch exactly once — no data is unreachable and none is duplicated.

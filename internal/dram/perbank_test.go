@@ -27,10 +27,10 @@ func TestPerBankAccounting(t *testing.T) {
 		t.Fatalf("bank (0,0,0): %+v", b0)
 	}
 
-	// Bank (0,1,0): ACT + auto-precharging write — Pres must count the
-	// implicit precharge.
+	// Bank (0,1,0): ACT, one write, then PRE — Pres counts the close.
 	_, now = issueAt(d, Command{Kind: CmdACT, Group: 1, Row: 7}, now)
-	_, now = issueAt(d, Command{Kind: CmdWR, Group: 1, Row: 7, Mode: ModeX4, AutoPrecharge: true}, now)
+	_, now = issueAt(d, Command{Kind: CmdWR, Group: 1, Row: 7, Mode: ModeX4}, now)
+	_, now = issueAt(d, Command{Kind: CmdPRE, Group: 1}, now)
 	b1 := d.Stats.PerBank[d.BankIndex(0, 1, 0)]
 	if b1.Acts != 1 || b1.Writes != 1 || b1.RowMisses != 1 || b1.Pres != 1 {
 		t.Fatalf("bank (0,1,0): %+v", b1)

@@ -72,28 +72,6 @@ func TestChipkillIntoZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestExtendedIntoZeroAllocs gives the large-codeword codec the same pin;
-// its 4-symbol correction power exercises the deepest Berlekamp-Massey path.
-func TestExtendedIntoZeroAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	e := NewExtended()
-	data := randomPayload(rng, 64)
-	b := NewBurst(SSCChips)
-	payload := make([]byte, 64)
-	if n := testing.AllocsPerRun(100, func() {
-		e.EncodeInto(b, data)
-		b.CorruptChip(7, 0xA5)
-		if _, err := e.DecodeInto(payload, b); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("Extended encode+dead-chip decode allocates %.1f/op, want 0", n)
-	}
-	if !bytes.Equal(payload, data) {
-		t.Fatal("Extended round trip corrupted the payload")
-	}
-}
-
 // TestBurstResetClearsEveryPlane: Reset must return a corrupted burst to the
 // all-zero state.
 func TestBurstResetClearsEveryPlane(t *testing.T) {

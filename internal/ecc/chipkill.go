@@ -364,83 +364,3 @@ func (c *Chipkill) IntegrityOK(b *Burst) bool {
 	}
 	return true
 }
-
-// Extended holds the stronger codeword construction the paper cites as an
-// extension of the SSC variant (Kim et al.'s Bamboo-style codes): one
-// 512-bit codeword of 72 8-bit symbols — each symbol a DQ's whole burst —
-// covering the entire 64B transfer. Four check-chip DQ symbols give
-// distance 9: up to four symbol errors correctable, i.e. one fully dead
-// chip per burst with a single decode, at the price of decoder latency.
-// Like Chipkill, an Extended codec owns its codeword scratch and is NOT
-// goroutine-safe.
-type Extended struct {
-	rs *RS
-	cw []byte // codeword scratch, 72 symbols
-}
-
-// NewExtended builds the 72-symbol large-codeword codec.
-func NewExtended() *Extended {
-	// 72 DQ symbols = 18 chips x 4 DQ; 64 data symbols + 8 check symbols.
-	return &Extended{rs: NewRS(72, 64, 4), cw: make([]byte, 72)}
-}
-
-// Encode lays out 64 data bytes as one codeword across all 72 DQ lanes of
-// an 18-chip burst (check symbols occupy the two check chips' lanes).
-func (e *Extended) Encode(data []byte) *Burst {
-	b := NewBurst(SSCChips)
-	e.EncodeInto(b, data)
-	return b
-}
-
-// EncodeInto is Encode with a caller-provided 18-chip burst, overwriting
-// every bit with no allocation.
-func (e *Extended) EncodeInto(b *Burst, data []byte) {
-	if len(data) != 64 {
-		panic(fmt.Sprintf("ecc: Extended.Encode wants 64 bytes, got %d", len(data)))
-	}
-	if len(b.Chips) != SSCChips {
-		panic(fmt.Sprintf("ecc: Extended.EncodeInto wants an %d-chip burst, got %d", SSCChips, len(b.Chips)))
-	}
-	e.rs.EncodeInto(e.cw, data)
-	for i, sym := range e.cw {
-		chip, dq := i/4, i%4
-		for beat := 0; beat < 8; beat++ {
-			b.SetBit(chip, beat, dq, (sym>>beat)&1)
-		}
-	}
-}
-
-// Decode extracts and corrects the large codeword.
-func (e *Extended) Decode(b *Burst) (data []byte, corrected int, err error) {
-	data = make([]byte, 64)
-	corrected, err = e.DecodeInto(data, b)
-	if err != nil {
-		return nil, 0, err
-	}
-	return data, corrected, nil
-}
-
-// DecodeInto is Decode with a caller-provided 64-byte payload buffer,
-// allocation-free at steady state.
-func (e *Extended) DecodeInto(data []byte, b *Burst) (corrected int, err error) {
-	if len(b.Chips) != SSCChips {
-		return 0, ErrGeometry
-	}
-	if len(data) != 64 {
-		panic(fmt.Sprintf("ecc: Extended.DecodeInto wants a 64-byte buffer, got %d", len(data)))
-	}
-	for i := range e.cw {
-		chip, dq := i/4, i%4
-		var sym byte
-		for beat := 0; beat < 8; beat++ {
-			sym |= b.Bit(chip, beat, dq) << beat
-		}
-		e.cw[i] = sym
-	}
-	pos, derr := e.rs.decodeReport(e.cw)
-	if derr != nil {
-		return 0, derr
-	}
-	copy(data, e.cw[:64])
-	return len(pos), nil
-}

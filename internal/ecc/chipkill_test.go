@@ -257,56 +257,3 @@ func BenchmarkChipkillDecodeIntoDeadChip(b *testing.B) {
 		}
 	}
 }
-
-func TestExtendedRoundTrip(t *testing.T) {
-	e := NewExtended()
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 50; trial++ {
-		data := randomPayload(rng, 64)
-		got, n, err := e.Decode(e.Encode(data))
-		if err != nil || n != 0 || !bytes.Equal(got, data) {
-			t.Fatalf("trial %d: n=%d err=%v", trial, n, err)
-		}
-	}
-}
-
-func TestExtendedSurvivesDeadChip(t *testing.T) {
-	// The large codeword's selling point: a dead chip is four symbol
-	// errors in ONE codeword, and distance 9 corrects all four at once.
-	e := NewExtended()
-	rng := rand.New(rand.NewSource(43))
-	for chip := 0; chip < SSCChips; chip++ {
-		data := randomPayload(rng, 64)
-		b := e.Encode(data)
-		b.CorruptChip(chip, byte(1+rng.Intn(255)))
-		got, n, err := e.Decode(b)
-		if err != nil {
-			t.Fatalf("chip %d: %v", chip, err)
-		}
-		if n == 0 || n > 4 {
-			t.Fatalf("chip %d: corrected %d symbols", chip, n)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("chip %d: wrong data", chip)
-		}
-	}
-}
-
-func TestExtendedBeyondOneChipDetected(t *testing.T) {
-	// Two dead chips = 8 symbol errors > t=4: must be detected, never
-	// miscorrected silently.
-	e := NewExtended()
-	rng := rand.New(rand.NewSource(47))
-	for trial := 0; trial < 30; trial++ {
-		data := randomPayload(rng, 64)
-		b := e.Encode(data)
-		c1 := rng.Intn(SSCChips)
-		c2 := (c1 + 1 + rng.Intn(SSCChips-1)) % SSCChips
-		b.CorruptChip(c1, byte(1+rng.Intn(255)))
-		b.CorruptChip(c2, byte(1+rng.Intn(255)))
-		got, _, err := e.Decode(b)
-		if err == nil && !bytes.Equal(got, data) {
-			t.Fatalf("trial %d: silent miscorrection", trial)
-		}
-	}
-}

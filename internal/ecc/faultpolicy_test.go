@@ -37,15 +37,6 @@ func TestChipkillDecodeWrongGeometry(t *testing.T) {
 	}
 }
 
-// TestExtendedDecodeWrongGeometry covers the same bug in the large-codeword
-// codec.
-func TestExtendedDecodeWrongGeometry(t *testing.T) {
-	e := NewExtended()
-	if _, _, err := e.Decode(NewBurst(4)); !errors.Is(err, ErrGeometry) {
-		t.Fatalf("Extended.Decode(4-chip burst) err = %v, want ErrGeometry", err)
-	}
-}
-
 // TestBurstBitBounds pins the Bit/SetBit argument validation: out-of-range
 // chip, beat, or dq must fail loudly with a descriptive panic instead of a
 // raw index error (or, worse, silently aliasing another bit).

@@ -107,10 +107,10 @@ func FuzzChipkillDecode(f *testing.F) {
 	})
 }
 
-// FuzzRSDecode drives the raw RS decoder (all three deployed geometries) with
-// arbitrary received words: it must never panic, never accept an invalid
-// codeword, never claim more corrections than its policy allows, and always
-// round-trip freshly encoded data.
+// FuzzRSDecode drives the raw RS decoder (both chipkill geometries and a
+// four-error-correcting one) with arbitrary received words: it must never
+// panic, never accept an invalid codeword, never claim more corrections than
+// its policy allows, and always round-trip freshly encoded data.
 func FuzzRSDecode(f *testing.F) {
 	f.Add(uint8(0), []byte{})
 	f.Add(uint8(1), []byte{1, 2, 3})
@@ -123,7 +123,7 @@ func FuzzRSDecode(f *testing.F) {
 		case 1:
 			r = NewRS(SSCDSDChips, SSCDSDDataChips, 1)
 		case 2:
-			r = NewRS(72, 64, 4) // the Extended large-codeword geometry
+			r = NewRS(72, 64, 4) // t=4: the multi-error Berlekamp-Massey path
 		}
 		recv := make([]byte, r.N())
 		copy(recv, raw)

@@ -96,49 +96,3 @@ func (f *GF256) Pow(a byte, n int) byte {
 	}
 	return f.exp[l]
 }
-
-// GF16 is GF(2^4) with primitive polynomial x^4 + x + 1 (0x13). The 4-bit
-// chip symbols of SSC-DSD live in this field; pairs of them are packed into
-// GF(2^8) symbols for the RS code, mirroring how real x4 chipkill gathers a
-// chip's two beats into one code symbol.
-type GF16 struct {
-	exp [30]byte
-	log [16]byte
-}
-
-// NewGF16 builds the log/antilog tables for GF(2^4).
-func NewGF16() *GF16 {
-	f := &GF16{}
-	x := 1
-	for i := 0; i < 15; i++ {
-		f.exp[i] = byte(x)
-		f.log[x] = byte(i)
-		x <<= 1
-		if x&0x10 != 0 {
-			x ^= 0x13
-		}
-	}
-	for i := 15; i < 30; i++ {
-		f.exp[i] = f.exp[i-15]
-	}
-	return f
-}
-
-// Add returns a + b in GF(2^4).
-func (f *GF16) Add(a, b byte) byte { return (a ^ b) & 0xF }
-
-// Mul returns a * b in GF(2^4).
-func (f *GF16) Mul(a, b byte) byte {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	return f.exp[int(f.log[a&0xF])+int(f.log[b&0xF])]
-}
-
-// Inv returns the inverse of a in GF(2^4); it panics on zero.
-func (f *GF16) Inv(a byte) byte {
-	if a&0xF == 0 {
-		panic("ecc: GF(2^4) inverse of zero")
-	}
-	return f.exp[15-int(f.log[a&0xF])]
-}

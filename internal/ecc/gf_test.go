@@ -115,38 +115,3 @@ func TestGF256PanicsOnZeroDivision(t *testing.T) {
 		}()
 	}
 }
-
-func TestGF16FieldAxioms(t *testing.T) {
-	f := NewGF16()
-	for a := byte(0); a < 16; a++ {
-		if f.Mul(a, 1) != a {
-			t.Fatalf("a*1 != a for %d", a)
-		}
-		for b := byte(0); b < 16; b++ {
-			if f.Mul(a, b) != f.Mul(b, a) {
-				t.Fatalf("mul not commutative at %d,%d", a, b)
-			}
-			for c := byte(0); c < 16; c++ {
-				if f.Mul(a, f.Add(b, c)) != f.Add(f.Mul(a, b), f.Mul(a, c)) {
-					t.Fatalf("distributivity fails at %d,%d,%d", a, b, c)
-				}
-			}
-		}
-	}
-	for a := byte(1); a < 16; a++ {
-		if f.Mul(a, f.Inv(a)) != 1 {
-			t.Fatalf("inverse fails for %d", a)
-		}
-	}
-}
-
-func TestGF16GeneratorOrder(t *testing.T) {
-	f := NewGF16()
-	seen := make(map[byte]bool)
-	for i := 0; i < 15; i++ {
-		seen[f.exp[i]] = true
-	}
-	if len(seen) != 15 {
-		t.Fatalf("generator generates %d elements, want 15", len(seen))
-	}
-}

@@ -169,19 +169,6 @@ func (r *RS) Decode(recv []byte) (corrected int, err error) {
 	return len(pos), err
 }
 
-// DecodeReport is Decode, additionally reporting which symbol indices were
-// corrected (nil for a clean word). Callers that attribute errors to chips —
-// or enforce cross-codeword consistency policies — need the positions, not
-// just the count. The returned slice is freshly allocated (it does not alias
-// the codec's scratch); internal callers use decodeReport directly.
-func (r *RS) DecodeReport(recv []byte) (positions []int, err error) {
-	pos, err := r.decodeReport(recv)
-	if pos == nil {
-		return nil, err
-	}
-	return append([]int(nil), pos...), err
-}
-
 // decodeReport is the scratch-backed decoder core. The returned positions
 // slice aliases r.positions and is valid only until the next codec call.
 func (r *RS) decodeReport(recv []byte) (positions []int, err error) {

@@ -268,12 +268,6 @@ func WriteChrome(w io.Writer, bufs []*Buffer, samplers []*Sampler) error {
 						Pid: pid, Tid: refTid[e.Chan][int(e.Rank)],
 						Args: map[string]any{"rank": e.Rank},
 					})
-				default: // MRS or future kinds: a zero-width instant
-					data = append(data, chromeEvent{
-						Name: e.Cmd.String() + " " + e.Mode.String(),
-						Cat:  "cmd", Ph: "i", Ts: e.At,
-						Pid: pid, Tid: tidDataBus,
-					})
 				}
 			}
 		}

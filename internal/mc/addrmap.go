@@ -12,48 +12,19 @@ import (
 	"sam/internal/dram"
 )
 
-// Interleave selects the field order of the physical address map.
-type Interleave int
-
-// Interleavings.
-const (
-	// ColumnsLow is the paper's rw:rk:bk:ch:cl:offset order: consecutive
-	// cachelines walk the columns of one row (row-buffer friendly
-	// streaming, tCCD_L-paced within a bank group).
-	ColumnsLow Interleave = iota
-	// BanksLow rotates consecutive cachelines across banks
-	// (rw:cl:ch:rk:bk:offset): worse row locality, better bank-level
-	// parallelism — the classic interleaving trade-off, exposed for the
-	// ablation bench.
-	BanksLow
-)
-
-// String names the interleaving.
-func (i Interleave) String() string {
-	if i == BanksLow {
-		return "banks-low"
-	}
-	return "columns-low"
-}
-
-// AddrMap translates flat physical addresses to DRAM coordinates. The
-// default order is the paper's rw:rk:bk:ch:cl:offset layout (row in the
-// most significant bits, byte offset in the least).
+// AddrMap translates flat physical addresses to DRAM coordinates in the
+// paper's rw:rk:bk:ch:cl:offset order (row in the most significant bits,
+// byte offset in the least): consecutive cachelines walk the columns of
+// one row.
 type AddrMap struct {
 	geo dram.Geometry
-	il  Interleave
 
 	offBits, colBits, chBits, bankBits, rankBits int
 }
 
-// NewAddrMap builds the paper's default mapping; it panics when a field is
-// not a power of two (hardware address decoding requires it).
+// NewAddrMap builds the mapping; it panics when a field is not a power of
+// two (hardware address decoding requires it).
 func NewAddrMap(geo dram.Geometry) *AddrMap {
-	return NewAddrMapInterleave(geo, ColumnsLow)
-}
-
-// NewAddrMapInterleave builds a mapping with the chosen field order.
-func NewAddrMapInterleave(geo dram.Geometry, il Interleave) *AddrMap {
 	log2 := func(v int, what string) int {
 		if v <= 0 || v&(v-1) != 0 {
 			panic(fmt.Sprintf("mc: %s = %d is not a power of two", what, v))
@@ -62,7 +33,6 @@ func NewAddrMapInterleave(geo dram.Geometry, il Interleave) *AddrMap {
 	}
 	return &AddrMap{
 		geo:      geo,
-		il:       il,
 		offBits:  log2(geo.LineBytes, "line bytes"),
 		colBits:  log2(geo.LinesPerRow(), "lines per row"),
 		chBits:   log2(geo.Channels, "channels"),
@@ -91,22 +61,12 @@ func (m *AddrMap) Decode(addr uint64) Coord {
 	}
 	var c Coord
 	c.Offset = take(m.offBits)
-	switch m.il {
-	case BanksLow:
-		bank := take(m.bankBits)
-		c.Group = bank % m.geo.BankGroups
-		c.Bank = bank / m.geo.BankGroups
-		c.Rank = take(m.rankBits)
-		c.Channel = take(m.chBits)
-		c.Col = take(m.colBits)
-	default:
-		c.Col = take(m.colBits)
-		c.Channel = take(m.chBits)
-		bank := take(m.bankBits)
-		c.Group = bank % m.geo.BankGroups
-		c.Bank = bank / m.geo.BankGroups
-		c.Rank = take(m.rankBits)
-	}
+	c.Col = take(m.colBits)
+	c.Channel = take(m.chBits)
+	bank := take(m.bankBits)
+	c.Group = bank % m.geo.BankGroups
+	c.Bank = bank / m.geo.BankGroups
+	c.Rank = take(m.rankBits)
 	c.Row = int(addr)
 	return c
 }
@@ -114,31 +74,17 @@ func (m *AddrMap) Decode(addr uint64) Coord {
 // Channel extracts just the channel field of addr without a full Decode —
 // the per-request routing lookup the simulator performs on every enqueue.
 func (m *AddrMap) Channel(addr uint64) int {
-	var shift int
-	switch m.il {
-	case BanksLow:
-		shift = m.offBits + m.bankBits + m.rankBits
-	default:
-		shift = m.offBits + m.colBits
-	}
+	shift := m.offBits + m.colBits
 	return int((addr >> uint(shift)) & (1<<uint(m.chBits) - 1))
 }
 
 // Encode is the inverse of Decode.
 func (m *AddrMap) Encode(c Coord) uint64 {
 	addr := uint64(c.Row)
-	switch m.il {
-	case BanksLow:
-		addr = addr<<uint(m.colBits) | uint64(c.Col)
-		addr = addr<<uint(m.chBits) | uint64(c.Channel)
-		addr = addr<<uint(m.rankBits) | uint64(c.Rank)
-		addr = addr<<uint(m.bankBits) | uint64(c.Bank*m.geo.BankGroups+c.Group)
-	default:
-		addr = addr<<uint(m.rankBits) | uint64(c.Rank)
-		addr = addr<<uint(m.bankBits) | uint64(c.Bank*m.geo.BankGroups+c.Group)
-		addr = addr<<uint(m.chBits) | uint64(c.Channel)
-		addr = addr<<uint(m.colBits) | uint64(c.Col)
-	}
+	addr = addr<<uint(m.rankBits) | uint64(c.Rank)
+	addr = addr<<uint(m.bankBits) | uint64(c.Bank*m.geo.BankGroups+c.Group)
+	addr = addr<<uint(m.chBits) | uint64(c.Channel)
+	addr = addr<<uint(m.colBits) | uint64(c.Col)
 	addr = addr<<uint(m.offBits) | uint64(c.Offset)
 	return addr
 }

@@ -39,7 +39,14 @@ type Completion struct {
 
 // Stats aggregates controller-level behaviour.
 type Stats struct {
-	Reads, Writes        uint64
+	Reads, Writes uint64
+	// RowHits counts requests whose row is open when their own access
+	// starts, including rows prepareAhead opened for them while an earlier
+	// request was in service; RowMisses found another row open and
+	// RowEmpties a closed bank. This is a request-level view: the device's
+	// per-bank dram.BankStats.RowHits counts column accesses after the
+	// first one since an ACT instead, so the two differ whenever banks are
+	// prepared ahead.
 	RowHits, RowMisses   uint64
 	RowEmpties           uint64
 	Refreshes            uint64
@@ -147,9 +154,11 @@ type Controller struct {
 	// seq tags entries with enqueue order so selection scans can break
 	// arrival-time ties exactly as queue position used to.
 	seq uint64
-	// draining latches the write-drain state (hysteresis between high and
-	// low watermarks).
-	draining bool
+	// draining latches the write-drain state: it starts when the write
+	// queue reaches drainHigh and stops when it falls to drainLow (the
+	// hysteresis NewController derives from WriteQueueCap).
+	draining            bool
+	drainHigh, drainLow int
 
 	now   dram.Cycle
 	Stats Stats
@@ -225,9 +234,9 @@ func (m *Metrics) latency(isWrite, stride bool) *stats.Histogram {
 
 // Config tunes the controller.
 type Config struct {
-	WriteQueueCap  int // Table 2: 32
-	WriteDrainHigh int // start draining at this occupancy
-	WriteDrainLow  int // stop draining at this occupancy
+	// WriteQueueCap bounds the write queue (Table 2: 32). Writes drain in
+	// batches from three quarters of it down to a quarter (24 -> 8 at 32).
+	WriteQueueCap int
 	// ReadQueueCap bounds the read queue; enqueueing beyond it reports
 	// back-pressure to the caller.
 	ReadQueueCap int
@@ -235,30 +244,28 @@ type Config struct {
 	// uncorrectable is re-issued before the completion is poisoned. 0 means
 	// poison immediately on the first DUE.
 	MaxRetries int
-	// Interleave selects the physical address mapping (ablation knob;
-	// defaults to the paper's columns-low order).
-	Interleave Interleave
 }
 
 // DefaultConfig mirrors Table 2.
 func DefaultConfig() Config {
-	return Config{WriteQueueCap: 32, WriteDrainHigh: 24, WriteDrainLow: 8, ReadQueueCap: 64, MaxRetries: 3}
+	return Config{WriteQueueCap: 32, ReadQueueCap: 64, MaxRetries: 3}
 }
 
 // NewController builds a controller over a device.
 func NewController(dev *dram.Device, cfg Config) *Controller {
-	if cfg.WriteQueueCap <= 0 || cfg.WriteDrainHigh > cfg.WriteQueueCap || cfg.WriteDrainLow >= cfg.WriteDrainHigh || cfg.ReadQueueCap <= 0 ||
-		cfg.MaxRetries < 0 || cfg.MaxRetries > 255 {
+	if cfg.WriteQueueCap <= 0 || cfg.ReadQueueCap <= 0 || cfg.MaxRetries < 0 || cfg.MaxRetries > 255 {
 		panic(fmt.Sprintf("mc: invalid config %+v", cfg))
 	}
 	banks := dev.NumBanks()
 	return &Controller{
-		dev:    dev,
-		amap:   NewAddrMapInterleave(dev.Config().Geometry, cfg.Interleave),
-		cfg:    cfg,
-		ranks:  dev.Config().Geometry.Ranks,
-		readQ:  newReqQueue(cfg.ReadQueueCap, banks),
-		writeQ: newReqQueue(cfg.WriteQueueCap, banks),
+		dev:       dev,
+		amap:      NewAddrMap(dev.Config().Geometry),
+		cfg:       cfg,
+		ranks:     dev.Config().Geometry.Ranks,
+		readQ:     newReqQueue(cfg.ReadQueueCap, banks),
+		writeQ:    newReqQueue(cfg.WriteQueueCap, banks),
+		drainHigh: cfg.WriteQueueCap - cfg.WriteQueueCap/4,
+		drainLow:  cfg.WriteQueueCap / 4,
 	}
 }
 
@@ -369,10 +376,10 @@ func (c *Controller) ServiceOne() (Completion, bool) {
 // (each drain pick counts in Stats.WriteDrains) or opportunistically when
 // no reads are pending. It returns nil when both queues are empty.
 func (c *Controller) pickQueue() *reqQueue {
-	if c.writeQ.n >= c.cfg.WriteDrainHigh {
+	if c.writeQ.n >= c.drainHigh {
 		c.draining = true
 	}
-	if c.writeQ.n <= c.cfg.WriteDrainLow {
+	if c.writeQ.n <= c.drainLow {
 		c.draining = false
 	}
 	switch {

@@ -13,10 +13,10 @@ import (
 const diffMixes = 1000
 
 // randomMixConfig draws a controller configuration for one mix: varied
-// queue capacities and drain watermarks (so back-pressure and write-drain
-// hysteresis trip at different depths), both interleavings, and all three
-// device personalities (DDR4 with refresh, refresh-free RRAM with write
-// pulses, DDR5 with doubled bank groups).
+// queue capacities (so back-pressure and the write-drain hysteresis, which
+// follows the write queue's capacity, trip at different depths) and all
+// three device personalities (DDR4 with refresh, refresh-free RRAM with
+// write pulses, DDR5 with doubled bank groups).
 func randomMixConfig(rng *rand.Rand) (dram.Config, Config) {
 	devCfg := dram.DDR4_2400()
 	switch rng.Intn(4) {
@@ -29,12 +29,7 @@ func randomMixConfig(rng *rand.Rand) (dram.Config, Config) {
 	if rng.Intn(2) == 0 {
 		wcap := 8 << rng.Intn(3) // 8, 16, 32
 		cfg.WriteQueueCap = wcap
-		cfg.WriteDrainHigh = wcap * 3 / 4
-		cfg.WriteDrainLow = wcap / 4
 		cfg.ReadQueueCap = 8 << rng.Intn(4) // 8..64
-	}
-	if rng.Intn(2) == 0 {
-		cfg.Interleave = BanksLow
 	}
 	return devCfg, cfg
 }
@@ -220,9 +215,6 @@ func testSchedulerDifferentialBankHeavy(t *testing.T) {
 		devCfg := dram.DDR5_4800()
 		gang := mix%2 == 1
 		cfg := DefaultConfig()
-		if rng.Intn(2) == 0 {
-			cfg.Interleave = BanksLow
-		}
 		devA := dram.NewDevice(devCfg)
 		devB := dram.NewDevice(devCfg)
 		cNew := NewController(devA, cfg)

@@ -171,6 +171,21 @@ func TestWriteQueueDrainHysteresis(t *testing.T) {
 	}
 }
 
+// TestDrainWatermarksValid checks the write-drain hysteresis NewController
+// derives from every small queue capacity: draining must start at a
+// reachable occupancy and stop strictly below it.
+func TestDrainWatermarksValid(t *testing.T) {
+	dev := dram.NewDevice(dram.DDR4_2400())
+	for wcap := 1; wcap <= 64; wcap++ {
+		cfg := DefaultConfig()
+		cfg.WriteQueueCap = wcap
+		c := NewController(dev, cfg)
+		if low, high := c.drainLow, c.drainHigh; low < 0 || low >= high || high > wcap {
+			t.Errorf("cap %d: watermarks low %d high %d, want 0 <= low < high <= cap", wcap, low, high)
+		}
+	}
+}
+
 func TestControllerRefreshIssued(t *testing.T) {
 	c := newTestController()
 	cfg := dram.DDR4_2400()
@@ -236,10 +251,10 @@ func TestControllerAuditCleanUnderRandomLoad(t *testing.T) {
 func TestControllerConfigValidation(t *testing.T) {
 	dev := dram.NewDevice(dram.DDR4_2400())
 	bad := []Config{
-		{WriteQueueCap: 0, WriteDrainHigh: 0, WriteDrainLow: 0, ReadQueueCap: 4},
-		{WriteQueueCap: 8, WriteDrainHigh: 16, WriteDrainLow: 2, ReadQueueCap: 4},
-		{WriteQueueCap: 8, WriteDrainHigh: 6, WriteDrainLow: 7, ReadQueueCap: 4},
-		{WriteQueueCap: 8, WriteDrainHigh: 6, WriteDrainLow: 2, ReadQueueCap: 0},
+		{WriteQueueCap: 0, ReadQueueCap: 4},
+		{WriteQueueCap: -1, ReadQueueCap: 4},
+		{WriteQueueCap: 8, ReadQueueCap: 0},
+		{WriteQueueCap: 8, ReadQueueCap: -1},
 	}
 	for i, cfg := range bad {
 		func() {
@@ -266,66 +281,6 @@ func TestReadLatencyAccounting(t *testing.T) {
 	comp, _ := c.ServiceOne()
 	if c.Stats.TotalReadLatency != uint64(comp.DataEnd) {
 		t.Fatalf("latency %d, want %d", c.Stats.TotalReadLatency, comp.DataEnd)
-	}
-}
-
-func TestInterleaveRoundTrip(t *testing.T) {
-	for _, il := range []Interleave{ColumnsLow, BanksLow} {
-		m := NewAddrMapInterleave(dram.DDR4_2400().Geometry, il)
-		f := func(addr uint64) bool {
-			addr &= 1<<33 - 1
-			return m.Encode(m.Decode(addr)) == addr
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-			t.Errorf("%v: %v", il, err)
-		}
-	}
-}
-
-func TestBanksLowRotatesBanks(t *testing.T) {
-	m := NewAddrMapInterleave(dram.DDR4_2400().Geometry, BanksLow)
-	c0 := m.Decode(0)
-	c1 := m.Decode(64)
-	if c0.Group == c1.Group && c0.Bank == c1.Bank && c0.Rank == c1.Rank {
-		t.Fatal("banks-low interleave should rotate banks per line")
-	}
-	if c1.Row != c0.Row {
-		t.Fatal("adjacent lines should stay in the same row index")
-	}
-	if ColumnsLow.String() != "columns-low" || BanksLow.String() != "banks-low" {
-		t.Fatal("interleave names")
-	}
-}
-
-func TestInterleaveChangesBankConflictBehavior(t *testing.T) {
-	// A sequential line scan: columns-low keeps one bank busy (row hits),
-	// banks-low spreads it (row empties early, more ACT work but more
-	// parallelism). Both must stay protocol-clean.
-	for _, il := range []Interleave{ColumnsLow, BanksLow} {
-		dev := dram.NewDevice(dram.DDR4_2400())
-		cfg := DefaultConfig()
-		cfg.Interleave = il
-		c := NewController(dev, cfg)
-		c.Audit = dram.NewAuditor(dram.DDR4_2400())
-		for i := 0; i < 256; i++ {
-			c.Enqueue(Request{ID: uint64(i), Addr: uint64(i) * 64, Arrival: dram.Cycle(i)})
-			if i%16 == 15 {
-				for c.Pending() > 8 {
-					c.ServiceOne()
-				}
-			}
-		}
-		c.Drain()
-		if !c.Audit.Ok() {
-			t.Fatalf("%v: %s", il, c.Audit.Violations[0])
-		}
-		acts := dev.Stats.Acts
-		if il == ColumnsLow && acts > 4 {
-			t.Fatalf("columns-low sequential scan opened %d rows, want ~2", acts)
-		}
-		if il == BanksLow && acts < 16 {
-			t.Fatalf("banks-low scan should spread across banks, opened only %d rows", acts)
-		}
 	}
 }
 

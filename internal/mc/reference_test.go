@@ -21,7 +21,8 @@ type referenceController struct {
 	readQ  []*Request
 	writeQ []*Request
 
-	draining bool
+	draining            bool
+	drainHigh, drainLow int
 
 	now   dram.Cycle
 	Stats Stats
@@ -31,13 +32,17 @@ type referenceController struct {
 }
 
 func newReferenceController(dev *dram.Device, cfg Config) *referenceController {
-	if cfg.WriteQueueCap <= 0 || cfg.WriteDrainHigh > cfg.WriteQueueCap || cfg.WriteDrainLow >= cfg.WriteDrainHigh || cfg.ReadQueueCap <= 0 {
+	// Table 2's 24 -> 8 drain watermarks at a 32-entry queue, scaled.
+	high, low := cfg.WriteQueueCap*3/4, cfg.WriteQueueCap/4
+	if cfg.WriteQueueCap <= 0 || high > cfg.WriteQueueCap || low >= high || cfg.ReadQueueCap <= 0 {
 		panic("mc: invalid reference config")
 	}
 	return &referenceController{
-		dev:  dev,
-		amap: NewAddrMapInterleave(dev.Config().Geometry, cfg.Interleave),
-		cfg:  cfg,
+		dev:       dev,
+		amap:      NewAddrMap(dev.Config().Geometry),
+		cfg:       cfg,
+		drainHigh: high,
+		drainLow:  low,
 	}
 }
 
@@ -108,10 +113,10 @@ func (c *referenceController) ServiceOne() (Completion, bool) {
 }
 
 func (c *referenceController) pickQueue() *[]*Request {
-	if len(c.writeQ) >= c.cfg.WriteDrainHigh {
+	if len(c.writeQ) >= c.drainHigh {
 		c.draining = true
 	}
-	if len(c.writeQ) <= c.cfg.WriteDrainLow {
+	if len(c.writeQ) <= c.drainLow {
 		c.draining = false
 	}
 	switch {

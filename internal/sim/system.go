@@ -223,11 +223,14 @@ func (s *System) Table(name string) (*imdb.Table, error) {
 type RunStats struct {
 	Cycles      dram.Cycle
 	MemRequests uint64
-	RowHitRate  float64
-	Energy      power.Breakdown // nanojoules
-	PowerMW     power.Breakdown
-	Device      dram.DeviceStats
-	Controller  mc.Stats
+	// RowHitRate is mc.Stats.RowHits over all serviced requests: a request
+	// whose row was opened ahead for it counts as a hit. The device's
+	// per-bank RowHits (Device.PerBank) count row-buffer reuse instead.
+	RowHitRate float64
+	Energy     power.Breakdown // nanojoules
+	PowerMW    power.Breakdown
+	Device     dram.DeviceStats
+	Controller mc.Stats
 	// BankActPreNJ is per-bank activation energy in nanojoules — the
 	// spatial split of Energy.ActPre, indexed like Device.PerBank.
 	BankActPreNJ []float64

@@ -186,8 +186,6 @@ func TestReplayAtQueueCapacity(t *testing.T) {
 	cfg := mc.DefaultConfig()
 	cfg.ReadQueueCap = 2
 	cfg.WriteQueueCap = 2
-	cfg.WriteDrainHigh = 2
-	cfg.WriteDrainLow = 1
 	ctrl := mc.NewController(dev, cfg)
 	tr := &Trace{}
 	for i := 0; i < 64; i++ {
