@@ -14,12 +14,13 @@ func table2Hierarchy() *Hierarchy {
 // stream is a strided scan over four times the LLC: step i reads (every
 // fourth step writes) sector i/groups%8 of one line of gather group
 // i%groups, and a miss fills that sector of the group's other seven lines
-// the way a strided fetch's sibling fills do. Every step misses to memory
-// once the scan has wrapped.
+// in one group fill, the way a strided fetch's sibling fills do. Every step
+// misses to memory once the scan has wrapped.
 type stream struct {
-	h    *Hierarchy
-	step int
-	ops  int // memory ops issued, so the work cannot be optimized away
+	h     *Hierarchy
+	step  int
+	ops   int // memory ops issued, so the work cannot be optimized away
+	fills []LineFill
 }
 
 const (
@@ -38,15 +39,17 @@ func (s *stream) next() {
 	if res.HitLevel != 0 {
 		return
 	}
+	s.fills = s.fills[:0]
 	for line := uint64(0); line < 8; line++ {
 		if sib := base + line*64; sib != addr&^63 {
-			s.ops += len(s.h.FillLine(sib, 1<<sec, true))
+			s.fills = append(s.fills, LineFill{LineAddr: sib, Sectors: 1 << sec})
 		}
 	}
+	s.ops += len(s.h.FillLines(s.fills, true))
 }
 
 // BenchmarkHierarchyAccess measures one streaming strided miss: the
-// demand access through all three levels plus its seven sibling fills, at
+// demand access through all three levels plus its seven-line group fill, at
 // Table 2 geometry on a warm hierarchy.
 func BenchmarkHierarchyAccess(b *testing.B) {
 	s := &stream{h: table2Hierarchy()}
@@ -62,8 +65,8 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 
 // TestHierarchyAccessZeroAllocs pins the warm access path at zero
 // allocations: once the scan has carved every set it touches, demand
-// misses, sibling fills, dirty writebacks and FlushDirty all reuse the
-// hierarchy's sets, op buffer and dedup map.
+// misses, group fills, dirty writebacks and FlushDirty all reuse the
+// hierarchy's sets and op buffer.
 func TestHierarchyAccessZeroAllocs(t *testing.T) {
 	s := &stream{h: table2Hierarchy()}
 	for s.step < streamGroups {

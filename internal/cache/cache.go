@@ -62,15 +62,16 @@ type Stats struct {
 
 // set is one cache set in 64 bytes, one host cache line. Way w's tag and
 // sector bitmaps sit at index w (a way is valid while any of its sectors
-// is), and bit w of sectored marks it strided-filled, which shapes its
-// writeback. order lists the way indices one per byte, most recently used
-// in the low byte (see touch).
+// is), bit w of live is set while way w is valid, and bit w of sectored
+// marks it strided-filled, which shapes its writeback. order lists the way
+// indices one per byte, most recently used in the low byte (see touch).
 type set struct {
 	tag      [maxWays]uint32
 	valid    [maxWays]uint8
 	dirty    [maxWays]uint8
 	order    uint64
 	sectored uint8
+	live     uint8
 }
 
 // freshOrder is the recency order of a newly carved set. Any permutation
@@ -108,7 +109,7 @@ type Cache struct {
 	lineBits uint
 	setShift uint
 	lruShift uint // bit offset of the least recently used way in set.order
-	secBytes int
+	secShift uint // log2 of the sector size: a power-of-two line splits into power-of-two sectors
 	hitLat   int
 	Stats    Stats
 
@@ -134,7 +135,7 @@ func New(cfg Config) *Cache {
 		lineBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		setShift: uint(bits.TrailingZeros(uint(nSets))),
 		lruShift: 8 * uint(cfg.Ways-1),
-		secBytes: cfg.LineBytes / cfg.Sectors,
+		secShift: uint(bits.TrailingZeros(uint(cfg.LineBytes / cfg.Sectors))),
 		hitLat:   cfg.HitLatency,
 	}
 }
@@ -170,7 +171,7 @@ func (c *Cache) set(idx int) *set {
 func (c *Cache) Config() Config { return c.cfg }
 
 // SectorBytes returns the sector granularity.
-func (c *Cache) SectorBytes() int { return c.secBytes }
+func (c *Cache) SectorBytes() int { return 1 << c.secShift }
 
 // locate splits addr into its set index and tag. Tags are 32 bits wide,
 // which covers addresses below 2^(32+lineBits+setBits).
@@ -190,7 +191,7 @@ func (c *Cache) lineAddrOf(tag uint32, setIdx int) uint64 {
 }
 
 func (c *Cache) sectorOf(addr uint64) int {
-	return int(addr&(1<<c.lineBits-1)) / c.secBytes
+	return int(addr&(1<<c.lineBits-1)) >> c.secShift
 }
 
 // sectorMask returns the bitmap of sectors an access [addr, addr+size)
@@ -233,8 +234,8 @@ func (c *Cache) lookup(addr uint64) probe {
 	idx, tag := c.locate(addr)
 	p := probe{idx: idx, tag: tag, way: -1}
 	if s := c.peek(idx); s != nil {
-		for w := 0; w < c.cfg.Ways; w++ {
-			if s.valid[w] != 0 && s.tag[w] == tag {
+		for live := s.live; live != 0; live &= live - 1 {
+			if w := bits.TrailingZeros8(live); s.tag[w] == tag {
 				p.way = w
 				break
 			}
@@ -330,6 +331,10 @@ func (c *Cache) fill(p probe, sectors uint64, markDirty, sectored bool) (ev Evic
 	s.valid[w] = sec
 	s.dirty[w] = dirty
 	s.sectored = s.sectored&^(1<<w) | strided<<w
+	s.live &^= 1 << w
+	if sec != 0 {
+		s.live |= 1 << w
+	}
 	s.touch(w)
 	c.Stats.FillsFromBelow++
 	if sectored {
@@ -349,10 +354,8 @@ func (c *Cache) markDirty(idx int) {
 // victim picks the way a fill replaces: the first invalid way, else the
 // least recently used.
 func (c *Cache) victim(s *set) int {
-	for w := 0; w < c.cfg.Ways; w++ {
-		if s.valid[w] == 0 {
-			return w
-		}
+	if w := bits.TrailingZeros8(^s.live); w < c.cfg.Ways {
+		return w
 	}
 	return int(s.order >> c.lruShift & 0xff)
 }

@@ -16,7 +16,7 @@ func TestSetRecordIsOneHostLine(t *testing.T) {
 
 // TestCacheDifferential drives the set-record hierarchy and the frozen
 // stamp-LRU reference with identical seeded streams of demand accesses,
-// sibling fills, flushes, invalidations, and level-local fills, accesses
+// group fills of sibling lines, flushes, invalidations, and level-local fills, accesses
 // and lookups, over every supported ways x sectors geometry. Outcomes,
 // evictions, memory ops and Stats must agree.
 func TestCacheDifferential(t *testing.T) {
@@ -55,6 +55,8 @@ func cacheDifferential(t *testing.T, ways, sectors int, seed int64) {
 			t.Fatalf("step %d %s: ops %+v, reference %+v", step, what, a, b)
 		}
 	}
+	var fills []LineFill
+	var refOps []MemOp
 	for step := 0; step < 20000; step++ {
 		a := regions[rng.Intn(len(regions))] + uint64(rng.Intn(1<<13))
 		size := 1 + rng.Intn(lineBytes-int(a%lineBytes))
@@ -73,7 +75,19 @@ func cacheDifferential(t *testing.T, ways, sectors int, seed int64) {
 			}
 			sameOps(step, "access", r.MemOps, w.MemOps)
 		case op < 75:
-			sameOps(step, "fill line", h.FillLine(a, mask, sectored), ref.FillLine(a, mask, sectored))
+			// A group fill of 1-8 lines against the reference's one
+			// FillLine per line, whose ops are copied out of its scratch.
+			fills = fills[:0]
+			refOps = refOps[:0]
+			for range 1 + rng.Intn(8) {
+				f := LineFill{
+					LineAddr: regions[rng.Intn(len(regions))] + uint64(rng.Intn(1<<13))&^(lineBytes-1),
+					Sectors:  1 + uint64(rng.Int63n(int64(full))),
+				}
+				fills = append(fills, f)
+				refOps = append(refOps, ref.FillLine(f.LineAddr, f.Sectors, sectored)...)
+			}
+			sameOps(step, "fill lines", h.FillLines(fills, sectored), refOps)
 		case op < 80:
 			ev, ok := got[l].Fill(a, mask, write, sectored)
 			wev, wok := want[l].Fill(a, mask, write, sectored)

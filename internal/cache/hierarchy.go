@@ -39,7 +39,7 @@ type Hierarchy struct {
 	// fills after a miss reuse it.
 	probes []probe
 	// ops backs every op list the hierarchy returns (AccessResult.MemOps,
-	// FillLine, FlushDirty). Callers consume each list before the next
+	// FillLines, FlushDirty). Callers consume each list before the next
 	// call, so one buffer serves all of them and the access path does not
 	// allocate.
 	ops []MemOp
@@ -110,15 +110,25 @@ func accessSectors(c *Cache, addr uint64, size int, sectored bool) uint64 {
 	return c.FullSectorMask()
 }
 
-// FillLine installs the given sectors of a line into every level without a
-// demand access — the sibling fills of a strided fetch, which brings the
-// same-offset sector of Reach lines in one burst. It returns any memory
-// writebacks the allocations displaced, in the hierarchy's scratch (valid
-// until the next hierarchy call).
-func (h *Hierarchy) FillLine(addr uint64, sectors uint64, sectored bool) []MemOp {
+// LineFill names one line a strided fetch (partially) fills: its address
+// and the sectors the burst delivered.
+type LineFill struct {
+	LineAddr uint64
+	Sectors  uint64
+}
+
+// FillLines installs the given sectors of each line into every level
+// without a demand access — the sibling fills of a strided fetch, which
+// brings the same-offset sector of Reach lines in one burst. Lines fill in
+// order, each bottom-up. It returns the memory writebacks the allocations
+// displaced, in that order, in the hierarchy's scratch (valid until the
+// next hierarchy call).
+func (h *Hierarchy) FillLines(fills []LineFill, sectored bool) []MemOp {
 	res := AccessResult{MemOps: h.ops[:0]}
-	for i := len(h.levels) - 1; i >= 0; i-- {
-		h.fillLevel(i, h.levels[i].lookup(addr), sectors, false, sectored, &res)
+	for _, f := range fills {
+		for i := len(h.levels) - 1; i >= 0; i-- {
+			h.fillLevel(i, h.levels[i].lookup(f.LineAddr), f.Sectors, false, sectored, &res)
+		}
 	}
 	h.ops = res.MemOps[:0]
 	return res.MemOps

@@ -3,6 +3,7 @@ package design
 import (
 	"fmt"
 
+	"sam/internal/cache"
 	"sam/internal/imdb"
 	"sam/internal/mc"
 )
@@ -34,12 +35,6 @@ func (t Txn) Group() *StrideGroup {
 	return t.p.strideGroup(int(t.rec), int(t.field))
 }
 
-// LineFill names one cacheline (partially) filled by a strided fetch.
-type LineFill struct {
-	LineAddr uint64
-	Sectors  uint64
-}
-
 // StrideGroup describes the memory-side strided fetch serving a miss: one
 // (or SubFieldSplit) strided burst(s) at ReqAddr that fill the listed
 // sectors, plus any embedded-ECC companion traffic.
@@ -48,7 +43,7 @@ type StrideGroup struct {
 	Lane    int
 	Gang    bool
 	Bursts  int // usually 1; RC-NVM-bit's sub-field gather needs more
-	Fills   []LineFill
+	Fills   []cache.LineFill
 }
 
 // Placer turns logical (record, field) coordinates into transactions under
@@ -60,17 +55,16 @@ type Placer struct {
 	// for column-preferring queries).
 	ColStore bool
 
-	amap      *mc.AddrMap
 	base      uint64
 	lineBytes int
 	rowBytes  int
-	// Bank divisors of encodeBankRow, cached so the per-access path neither
-	// copies the geometry nor recomputes them.
-	banksPerRank int
-	bankGroups   int
+	// Bit positions of the bank and row fields of a channel-0 address
+	// (mc.AddrMap.BankRowShifts), so encodeBankRow is shifts alone.
+	bankShift, rowShift uint
 
 	// Stripe geometry (column engines).
 	recordsPerStripe int
+	chunkRecords     int // ChunkRecords, clamped to [1, records per row]
 	totalBanks       int
 	rowsPerBank      int
 	stripeRowBase    int // row-wise rows, per-bank, where this table starts
@@ -102,14 +96,11 @@ func NewPlacer(d *Design, schema imdb.Schema, slot int, colStore bool) *Placer {
 		D:         d,
 		Schema:    schema,
 		ColStore:  colStore,
-		amap:      mc.NewAddrMap(d.Mem.Geometry),
 		base:      uint64(slot) * slotBytes,
 		lineBytes: d.Mem.Geometry.LineBytes,
 		rowBytes:  d.Mem.Geometry.RowBytes,
-
-		banksPerRank: d.Mem.Geometry.Banks(),
-		bankGroups:   d.Mem.Geometry.BankGroups,
 	}
+	p.bankShift, p.rowShift = mc.NewAddrMap(d.Mem.Geometry).BankRowShifts()
 	if schema.RecordBytes() > p.rowBytes {
 		panic(fmt.Sprintf("design: record %dB exceeds row %dB", schema.RecordBytes(), p.rowBytes))
 	}
@@ -119,6 +110,7 @@ func NewPlacer(d *Design, schema imdb.Schema, slot int, colStore bool) *Placer {
 		if p.recordsPerStripe < n {
 			p.recordsPerStripe = n
 		}
+		p.chunkRecords = min(max(d.ChunkRecords, 1), p.rowBytes/schema.RecordBytes())
 		p.totalBanks = d.Mem.Geometry.TotalBanks()
 		p.rowsPerBank = d.Mem.Geometry.RowsPerBank()
 		region := p.rowsPerBank / 8
@@ -166,32 +158,12 @@ func (p *Placer) colAddr(rec, field int) uint64 {
 func (p *Placer) stripeCoords(rec int) (stripe, rowInStripe, pos int) {
 	stripe = rec / p.recordsPerStripe
 	r := rec % p.recordsPerStripe
-	c := p.chunkRecords()
+	c := p.chunkRecords
 	n := p.D.Gran.Reach
 	chunk, off := r/c, r%c
 	rowInStripe = chunk % n
 	pos = (chunk/n)*c + off
 	return stripe, rowInStripe, pos
-}
-
-func (p *Placer) chunkRecords() int {
-	c := p.D.ChunkRecords
-	if c < 1 {
-		c = 1
-	}
-	perRow := p.recordsPerRow()
-	if c > perRow {
-		c = perRow
-	}
-	return c
-}
-
-func (p *Placer) recordsPerRow() int {
-	perRow := p.rowBytes / p.Schema.RecordBytes()
-	if perRow < 1 {
-		perRow = 1
-	}
-	return perRow
 }
 
 // stripeRowAddr is the row-wise (record-order) address in the stripe
@@ -219,17 +191,10 @@ func (p *Placer) stripeColAddr(rec, field int) uint64 {
 	return p.encodeBankRow(bank, rowInBank, byteInRow)
 }
 
+// encodeBankRow is the channel-0 address of byte byteInRow of row row in
+// the channel's bank-th bank (rank-major).
 func (p *Placer) encodeBankRow(bank, row, byteInRow int) uint64 {
-	inRank := bank % p.banksPerRank
-	co := mc.Coord{
-		Rank:   bank / p.banksPerRank,
-		Group:  inRank % p.bankGroups,
-		Bank:   inRank / p.bankGroups,
-		Row:    row,
-		Col:    byteInRow / p.lineBytes,
-		Offset: byteInRow % p.lineBytes,
-	}
-	return p.amap.Encode(co)
+	return uint64(row)<<p.rowShift | uint64(bank)<<p.bankShift | uint64(byteInRow)
 }
 
 // canonAddr is the CPU-visible address of (rec, field) — what the cache is
@@ -271,7 +236,7 @@ func (p *Placer) appendGroupMembers(members []int, rec int) []int {
 		return members
 	}
 	stripe, _, pos := p.stripeCoords(rec)
-	c := p.chunkRecords()
+	c := p.chunkRecords
 	slot, off := pos/c, pos%c
 	for row := 0; row < n; row++ {
 		chunk := slot*n + row
@@ -302,9 +267,14 @@ func (p *Placer) strideGroup(rec, field int) *StrideGroup {
 	}
 	// Collect the (line, sector) fills, merging records that share a line —
 	// a linear scan keeps first-seen order and, with at most Reach members,
-	// beats a map without allocating.
+	// beats a map without allocating. An I/O-buffer group's members are
+	// consecutive records, so each address is the previous one's plus a
+	// record.
+	addr := g.ReqAddr
 	for _, r := range members {
-		addr := p.canonAddr(r, field)
+		if p.D.ColumnEngine {
+			addr = p.stripeRowAddr(r, field)
+		}
 		line := p.lineOf(addr)
 		merged := false
 		for i := range g.Fills {
@@ -315,8 +285,9 @@ func (p *Placer) strideGroup(rec, field int) *StrideGroup {
 			}
 		}
 		if !merged {
-			g.Fills = append(g.Fills, LineFill{LineAddr: line, Sectors: p.sectorBit(addr)})
+			g.Fills = append(g.Fills, cache.LineFill{LineAddr: line, Sectors: p.sectorBit(addr)})
 		}
+		addr += uint64(p.Schema.RecordBytes())
 	}
 	return g
 }

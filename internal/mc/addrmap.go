@@ -89,6 +89,15 @@ func (m *AddrMap) Encode(c Coord) uint64 {
 	return addr
 }
 
+// BankRowShifts returns the bit positions of the bank and row fields. The
+// bank field holds the per-channel bank index rank-major (Rank*Banks +
+// Bank*BankGroups + Group), so on channel 0 byte b of that bank's row r
+// encodes to r<<row | bank<<bank | b.
+func (m *AddrMap) BankRowShifts() (bank, row uint) {
+	bank = uint(m.offBits + m.colBits + m.chBits)
+	return bank, bank + uint(m.bankBits+m.rankBits)
+}
+
 // LineAddr clears the intra-line offset.
 func (m *AddrMap) LineAddr(addr uint64) uint64 {
 	return addr &^ (1<<uint(m.offBits) - 1)

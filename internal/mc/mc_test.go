@@ -42,6 +42,30 @@ func TestAddrMapFieldOrder(t *testing.T) {
 	}
 }
 
+func TestAddrMapBankRowShifts(t *testing.T) {
+	for _, channels := range []int{1, 4} {
+		g := dram.DDR4_2400().Geometry
+		g.Channels = channels
+		m := NewAddrMap(g)
+		bankShift, rowShift := m.BankRowShifts()
+		for bank := 0; bank < g.TotalBanks(); bank++ {
+			for _, row := range []int{0, 1, g.RowsPerBank() - 1} {
+				for _, b := range []int{0, 7, g.LineBytes, g.RowBytes - 1} {
+					inRank := bank % g.Banks()
+					want := m.Encode(Coord{
+						Rank: bank / g.Banks(), Group: inRank % g.BankGroups, Bank: inRank / g.BankGroups,
+						Row: row, Col: b / g.LineBytes, Offset: b % g.LineBytes,
+					})
+					got := uint64(row)<<rowShift | uint64(bank)<<bankShift | uint64(b)
+					if got != want {
+						t.Fatalf("%d channels, bank %d row %d byte %d: %#x, Encode gives %#x", channels, bank, row, b, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestAddrMapRejectsNonPowerOfTwo(t *testing.T) {
 	g := dram.DDR4_2400().Geometry
 	g.Ranks = 3

@@ -99,12 +99,11 @@ func newLogEngine(s *System, log *MissLog) *engine {
 	return e
 }
 
-// spend advances every clock by a CPU-cycle cost. One loop over them all,
+// spend advances every clock by a bus-cycle cost. One loop over them all,
 // the run's own included, keeps spend small enough to inline.
-func (e *engine) spend(cpuCycles float64) {
-	bus := e.sys.CPU.BusCyclesPer(cpuCycles, e.busMHz)
+func (e *engine) spend(busCycles float64) {
 	for i := range e.clocks {
-		e.clocks[i].add(bus)
+		e.clocks[i].add(busCycles)
 	}
 }
 
@@ -123,12 +122,16 @@ func (e *engine) emit(op missOp) {
 //
 // Latency handling: the core is out-of-order and the scans touch
 // independent records, so access latency overlaps across the miss window;
-// only a fraction of it (CPU.LatencyOverlap) is charged to throughput. The
-// rest is absorbed by window back-pressure — the clock catches up to
-// completions only when the window is full.
+// only a fraction of it (CPU.LatencyOverlap) is charged to the front-end
+// clock, through System.fieldCost. No memory timing reaches that clock: a
+// miss adds only the cache latencies it traversed and, on a design without
+// critical-word-first delivery, the burst's extra serialization (charges).
+// A full window of outstanding reads makes the back end service earlier
+// requests before it takes the next one (backEnd.enqueue); the request
+// still arrives at the front-end clock.
 func (e *engine) do(t design.Txn) {
 	res := e.sys.Hierarchy.Access(t.Addr, t.Size, t.Write, t.Sectored)
-	e.spend(e.sys.CPU.ComputePerField + float64(res.Latency)*e.sys.CPU.LatencyOverlap)
+	e.spend(e.sys.fieldCost[res.HitLevel])
 	if res.HitLevel > 0 {
 		return
 	}
@@ -157,10 +160,8 @@ func (e *engine) do(t design.Txn) {
 	e.emit(missOp{kind: opGather, addr: g.ReqAddr, write: t.Write, lane: lane})
 	// Sibling fills: the burst delivered the same sector of every line in
 	// the group.
-	for _, f := range g.Fills {
-		for _, op := range e.sys.Hierarchy.FillLine(f.LineAddr, f.Sectors, true) {
-			e.emit(missOp{kind: opWriteback, addr: op.Addr, sectored: op.Sectored, lane: lane})
-		}
+	for _, op := range e.sys.Hierarchy.FillLines(g.Fills, true) {
+		e.emit(missOp{kind: opWriteback, addr: op.Addr, sectored: op.Sectored, lane: lane})
 	}
 }
 

@@ -33,7 +33,7 @@ func TestSpendAccumulatesFractions(t *testing.T) {
 	e := engineFor(design.Baseline)
 	// 1 CPU cycle = 0.3/4-core = 0.075 bus cycles; 40 of them = 3 cycles.
 	for i := 0; i < 40; i++ {
-		e.spend(1)
+		e.spend(e.sys.CPU.BusCyclesPer(1, e.busMHz))
 	}
 	c := e.clocks[0]
 	total := float64(c.now) + c.frac

@@ -171,7 +171,7 @@ func (c *scanContext) forEachMatchBatch(visit func(matches []int)) error {
 			if c.plan.Match(func(f int) uint64 { return t.Value(rec, f) }) {
 				matches = append(matches, rec)
 				taken++
-				c.e.spend(c.s.CPU.ComputePerMatch)
+				c.e.spend(c.s.matchCost)
 			}
 		}
 		visit(matches)
@@ -310,7 +310,7 @@ func (s *System) runInsert(p *sql.Plan, log *MissLog) (*QueryResult, error) {
 	for i := 0; i < InsertCount; i++ {
 		row[0] = p.InsertValues[0] + uint64(i) // distinct rows
 		rec := t.Append(row)
-		e.spend(s.CPU.ComputePerMatch)
+		e.spend(s.matchCost)
 		e.doAll(pl.WriteRecord(rec))
 		res.Rows++
 	}

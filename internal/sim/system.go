@@ -42,6 +42,12 @@ type System struct {
 
 	Hierarchy *cache.Hierarchy
 
+	// fieldCost[h] is what a field access with hit level h costs the
+	// front-end clock, and matchCost what a predicate match costs, in bus
+	// cycles. reset derives both from CPU and the hierarchy it builds.
+	fieldCost []float64
+	matchCost float64
+
 	devices     []*dram.Device
 	controllers []*mc.Controller
 	route       *mc.AddrMap
@@ -140,6 +146,17 @@ func (s *System) reset() {
 	l2 := cache.New(cache.Config{Name: "L2", SizeBytes: s.Caches.L2Bytes, LineBytes: lb, Ways: s.Caches.Ways, Sectors: sectors, HitLatency: 12})
 	llc := cache.New(cache.Config{Name: "LLC", SizeBytes: s.Caches.LLCBytes, LineBytes: lb, Ways: s.Caches.Ways, Sectors: sectors, HitLatency: 38})
 	s.Hierarchy = cache.NewHierarchy(l1, l2, llc)
+	// An access that hits level h paid the hit latencies of levels 1..h; a
+	// miss (h = 0) paid them all.
+	busMHz := s.Design.Mem.ClockMHz
+	s.fieldCost = make([]float64, 1+s.Hierarchy.Levels())
+	lat := 0
+	for i := range s.Hierarchy.Levels() {
+		lat += s.Hierarchy.Level(i).Config().HitLatency
+		s.fieldCost[i+1] = s.CPU.BusCyclesPer(s.CPU.ComputePerField+float64(lat)*s.CPU.LatencyOverlap, busMHz)
+	}
+	s.fieldCost[0] = s.fieldCost[s.Hierarchy.Levels()]
+	s.matchCost = s.CPU.BusCyclesPer(s.CPU.ComputePerMatch, busMHz)
 }
 
 // AttachEventTrace wires a cycle-accurate event trace into every channel:
