@@ -119,12 +119,12 @@ func (s RunSpec) backEndKey(d *design.Design, gathers bool, clock sim.ClockVaria
 	return f.Sum()
 }
 
-// record runs the spec live, like Run, and also returns its miss log with
-// one clock per variant in clocks.
-func (s RunSpec) record(clocks []sim.ClockVariant) (*sim.QueryResult, *sim.MissLog, error) {
+// record runs the spec's front end and returns its miss log with one
+// clock per variant in clocks.
+func (s RunSpec) record(clocks []sim.ClockVariant) (*sim.MissLog, error) {
 	plan, err := s.compile()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	return s.system().RecordPlan(plan, clocks...)
 }
@@ -140,8 +140,8 @@ func (s RunSpec) replay(l *sim.MissLog, clock sim.ClockVariant) *sim.QueryResult
 
 // frontEnds shares work within one grid. Each class of specs with equal
 // front-end keys simulates its front end once: the first member to run
-// records the miss log, with one clock per variant of the class, while
-// running live, and every later member replays it, at its own clock, into
+// records the miss log, with one clock per variant of the class, and
+// every member, the recorder included, replays it, at its own clock, into
 // its own back end. A class's log is freed once its last member has
 // finished. Specs with equal front-end and back-end keys simulate once
 // between them: the first to run hands its result, or its memo hit, to
@@ -152,73 +152,61 @@ type frontEnds struct {
 	results runner.Group[*sim.QueryResult] // by run key
 }
 
-// class is one front-end class of more than one distinct run.
+// class is one front-end class.
 type class struct {
 	left   atomic.Int32       // members not yet finished
 	clocks []sim.ClockVariant // the members' clock variants, ascending
 }
 
-// newFrontEnds tracks the classes of specs whose front-end key more than
-// one distinct run shares.
+// newFrontEnds tracks the front-end classes of shares, each with its
+// members' distinct clock variants.
 func newFrontEnds(shares []sharing) *frontEnds {
-	members := map[string]int32{}
-	runs := map[string]int{}
-	clocks := map[string][]sim.ClockVariant{}
-	for _, sh := range shares {
-		members[sh.front]++
-		if runs[sh.run()]++; runs[sh.run()] == 1 {
-			clocks[sh.front] = append(clocks[sh.front], sh.clock)
-		}
-	}
 	t := &frontEnds{classes: map[string]*class{}}
-	for k, cs := range clocks {
-		if len(cs) > 1 {
-			slices.Sort(cs)
-			c := &class{clocks: slices.Compact(cs)}
-			c.left.Store(members[k])
-			t.classes[k] = c
+	for _, sh := range shares {
+		c := t.classes[sh.front]
+		if c == nil {
+			c = &class{}
+			t.classes[sh.front] = c
+		}
+		c.left.Add(1)
+		if !slices.Contains(c.clocks, sh.clock) {
+			c.clocks = append(c.clocks, sh.clock)
+			slices.Sort(c.clocks)
 		}
 	}
 	return t
 }
 
 // run simulates spec, whose keys are sh, and tags the job span ctx
-// carries with how (sim=plain|record|replay|shared). A spec whose
-// identical run another member has claimed takes its result, waiting for
-// it or for ctx.
+// carries with how (sim=record|replay|shared). A spec whose identical run
+// another member has claimed takes its result; any other replays the miss
+// log of its front-end class into its own back end, recording the log
+// first when it is the class's first member. A member waits for work in
+// flight, or for ctx.
 func (t *frontEnds) run(ctx context.Context, spec RunSpec, sh sharing) (*sim.QueryResult, error) {
-	r, shared, err := t.results.Do(ctx, sh.run(), func() (*sim.QueryResult, error) { return t.simulate(ctx, spec, sh) })
+	r, shared, err := t.results.Do(ctx, sh.run(), func() (*sim.QueryResult, error) {
+		l, replay, err := t.logs.Do(ctx, sh.front, func() (*sim.MissLog, error) {
+			runner.Annotate(ctx, "sim", "record")
+			return spec.record(t.classes[sh.front].clocks)
+		})
+		if err != nil {
+			return nil, err
+		}
+		if replay {
+			runner.Annotate(ctx, "sim", "replay")
+		}
+		return spec.replay(l, sh.clock), nil
+	})
 	if shared {
 		runner.Annotate(ctx, "sim", "shared")
 	}
 	return r, err
 }
 
-// simulate runs spec's front end live for a class of one, else by
-// recording or replaying the class's miss log. A member that arrives
-// while the log is being recorded waits for it, or for ctx.
-func (t *frontEnds) simulate(ctx context.Context, spec RunSpec, sh sharing) (r *sim.QueryResult, err error) {
-	c := t.classes[sh.front]
-	if c == nil {
-		runner.Annotate(ctx, "sim", "plain")
-		return spec.Run()
-	}
-	l, replay, err := t.logs.Do(ctx, sh.front, func() (l *sim.MissLog, err error) {
-		runner.Annotate(ctx, "sim", "record")
-		r, l, err = spec.record(c.clocks)
-		return l, err
-	})
-	if err != nil || !replay {
-		return r, err
-	}
-	runner.Annotate(ctx, "sim", "replay")
-	return spec.replay(l, sh.clock), nil
-}
-
 // release marks one member of front-end class key finished, hit or miss;
 // the last one frees the class's log.
 func (t *frontEnds) release(key string) {
-	if c := t.classes[key]; c != nil && c.left.Add(-1) == 0 {
+	if t.classes[key].left.Add(-1) == 0 {
 		t.logs.Forget(key)
 	}
 }

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"sam/internal/core"
 	"sam/internal/design"
@@ -165,7 +166,8 @@ type SweepReq struct {
 	Projectivities []int `json:"projectivities"`
 	// Records sets the generated table size (0 = 2048).
 	Records int `json:"records,omitempty"`
-	// RecordBytes sets the record size (0 = 1KB).
+	// RecordBytes sets the record size (0 = 1KB): one of the sizes the
+	// layouts place, core.Fig15RecordSizes (a power of two from 8B to 1KB).
 	RecordBytes int `json:"record_bytes,omitempty"`
 }
 
@@ -341,8 +343,8 @@ func (s *SweepReq) validate() error {
 	if s.Records < 0 || s.Records > MaxTableRecords {
 		return badf("sweep records %d outside [0,%d]", s.Records, MaxTableRecords)
 	}
-	if s.RecordBytes != 0 && (s.RecordBytes < 8 || s.RecordBytes > 65536) {
-		return badf("record size %dB outside [8,65536]", s.RecordBytes)
+	if sizes := core.Fig15RecordSizes(); s.RecordBytes != 0 && !slices.Contains(sizes, s.RecordBytes) {
+		return badf("record size %dB not one of %v", s.RecordBytes, sizes)
 	}
 	return nil
 }

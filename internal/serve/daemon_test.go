@@ -137,6 +137,10 @@ func TestSubmitValidationHTTP(t *testing.T) {
 		{"unknown figure", `{"kind":"figure","tenant":"t","figure":{"id":"fig99"}}`},
 		{"oversized sweep grid", `{"kind":"sweep","tenant":"t","sweep":{"query":"arith","selectivities":[0.01,0.02,0.03,0.04,0.05,0.06,0.07,0.08,0.09,0.1,0.11,0.12,0.13,0.14,0.15,0.16,0.17],"projectivities":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17]}}`},
 		{"zero selectivity", `{"kind":"sweep","tenant":"t","sweep":{"query":"arith","selectivities":[0],"projectivities":[1]}}`},
+		{"record size not a power of two", `{"kind":"sweep","tenant":"t","sweep":{"query":"arith","selectivities":[1],"projectivities":[1],"record_bytes":12}}`},
+		{"record size off the stripe", `{"kind":"sweep","tenant":"t","sweep":{"query":"arith","selectivities":[1],"projectivities":[1],"record_bytes":40}}`},
+		{"record size over a row", `{"kind":"sweep","tenant":"t","sweep":{"query":"arith","selectivities":[1],"projectivities":[1],"record_bytes":2048}}`},
+		{"record size at the old cap", `{"kind":"sweep","tenant":"t","sweep":{"query":"arith","selectivities":[1],"projectivities":[1],"record_bytes":65536}}`},
 		{"bad reliability rate", `{"kind":"reliability","tenant":"t","reliability":{"rates":[0]}}`},
 		{"reliability retries over cap", `{"kind":"reliability","tenant":"t","reliability":{"max_retries":99}}`},
 	}

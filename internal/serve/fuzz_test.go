@@ -31,6 +31,7 @@ func FuzzSubmitRequest(f *testing.F) {
 		`{"kind":"bench","tenant":"t","bench":{"design":"baseline","query":"Q1","fault_rate":1e999}}`,
 		`{"kind":"bench","tenant":"t","workload":{"seed":-1},"bench":{"design":"baseline","query":"Q1"}}`,
 		`{"kind":"sweep","tenant":"t","sweep":{"query":"arith","selectivities":[1e308],"projectivities":[1]}}`,
+		`{"kind":"sweep","tenant":"t","sweep":{"query":"arith","selectivities":[1],"projectivities":[1],"record_bytes":40}}`,
 		`{"kind":"figure","tenant":"t","figure":{"id":"fig12"}} trailing`,
 		`{"kind":"figure","tenant":"t","figure":{"id":"fig12"},"unknown_field":true}`,
 		`{"kind":"reliability","tenant":"t","reliability":{"rates":[-0.5]}}`,

@@ -13,8 +13,10 @@ import (
 // and whole-record reads. The caches are shrunk below the table so every
 // sweep misses as well as hits; the first sweep warms the lazily grown
 // cache sets, and the measured sweeps must then reuse the hierarchy's
-// MemOp buffer, the placer's gather and transaction scratch, and the
-// controller's queues.
+// MemOp buffer, the placer's gather and transaction scratch, the streamed
+// log's chunk and the controller's queues. Each sweep ends by decoding
+// the partial chunk, as RunPlan does, so every request it issued reaches
+// the controller inside the measured region.
 func TestStridedReadsZeroAllocs(t *testing.T) {
 	s := NewSystem(design.New(design.SAMEn, design.Options{}))
 	s.Caches = CacheParams{L1Bytes: 4 << 10, L2Bytes: 8 << 10, LLCBytes: 32 << 10, Ways: 8}
@@ -22,7 +24,9 @@ func TestStridedReadsZeroAllocs(t *testing.T) {
 	const records = 2048 // 256KB of Tb: eight times the LLC
 	s.AddTable(imdb.NewTable(imdb.Tb(records), 0x5EED), false)
 	pl := s.placers["Tb"]
-	e := newEngine(s)
+	b := newBackEnd(s)
+	l := s.streamLog(&b)
+	e := newLogEngine(s, l)
 
 	fields := func() {
 		for _, f := range []int{imdb.PredicateField, 9} {
@@ -30,11 +34,13 @@ func TestStridedReadsZeroAllocs(t *testing.T) {
 				e.do(pl.ReadField(rec, f))
 			}
 		}
+		l.flush()
 	}
 	rows := func() {
 		for rec := 0; rec < records; rec += 7 {
 			e.doAll(pl.ReadRecord(rec))
 		}
+		l.flush()
 	}
 	for _, c := range []struct {
 		name     string

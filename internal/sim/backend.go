@@ -30,9 +30,9 @@ const (
 	opGather
 )
 
-// missOp is one cache-level operation of the front-end stream, stamped
-// with the core clock at which the front end issued it. It is the unit a
-// MissLog records.
+// missOp is one cache-level operation of the front-end stream. It is the
+// unit a MissLog records; a chunkDecoder stamps it with the core clock at
+// which the front end issued it.
 type missOp struct {
 	clock    dram.Cycle
 	addr     uint64
@@ -42,12 +42,13 @@ type missOp struct {
 	lane     uint8
 }
 
-// backEnd is the memory side of a run: it turns the front end's cache-level
-// operations into controller requests by the design's own rules (stride and
-// gang flags, SubFieldSplit bursts, embedded-ECC companions), applies window
-// and queue back-pressure, services the channels, and builds the run
-// statistics. Nothing it does feeds back into the front end: the core clock
-// only ever reaches it as the arrival time of a request.
+// backEnd is the memory side of a run: it turns the cache-level operations
+// a chunkDecoder reads out of the front end's MissLog into controller
+// requests by the design's own rules (stride and gang flags, SubFieldSplit
+// bursts, embedded-ECC companions), applies window and queue back-pressure,
+// services the channels, and builds the run statistics. Nothing it does
+// feeds back into the front end: the core clock only ever reaches it as
+// the arrival time of a request.
 type backEnd struct {
 	sys *System
 

@@ -6,37 +6,26 @@ import (
 	"sam/internal/dram"
 )
 
-// engine drives one workload's transactions through the cache and memory
-// system while advancing a simple-core clock: compute costs and cache-hit
-// latencies move the clock directly, and a bounded window of outstanding
-// read misses provides memory back-pressure, so steady-state throughput is
-// governed by whichever of compute or memory is slower — the behaviour the
-// paper's simple timing cores exhibit on these streaming workloads.
-//
-// The engine is the run's front end — executor, cache hierarchy, stride
-// gathers and core clock — feeding its embedded back end (backend.go)
-// directly. No memory timing flows back: the clock advances on compute and
-// cache latency alone, so the front end's operation stream is the same on
-// every design that shares its layout, caches and core, and only its
-// clock depends on the design's critical-word delivery (see MissLog).
+// engine is a run's front end: it drives one workload's transactions
+// through the executor, cache hierarchy and stride gathers while advancing
+// a simple-core clock, one per variant of its MissLog, and writes every
+// operation that reaches memory to the log. Compute costs and cache-hit
+// latencies move the clock; the back end (backend.go) applies the memory
+// back-pressure of a bounded window of outstanding read misses, so
+// steady-state throughput is governed by whichever of compute or memory
+// is slower — the behaviour the paper's simple timing cores exhibit on
+// these streaming workloads. No memory timing flows back, so the
+// operation stream is the same on every design that shares the front
+// end's layout, caches and core (see MissLog).
 type engine struct {
-	backEnd
+	sys *System
 
-	// clocks are the core clocks the front end ticks: the run's own at
-	// clocks[0] and, when it records, one per variant its log keeps.
-	// charges[i] is what a gather miss adds to clocks[i], in bus cycles.
+	// clocks are the core clocks the front end ticks, one per variant of
+	// log. charges[i] is what a gather miss adds to clocks[i], in bus
+	// cycles.
 	clocks  []coreClock
 	charges []float64
-	busMHz  float64
-
-	// log, when set, records the operation stream as it is issued.
-	log *MissLog
-
-	// own backs clocks and charges for a run that records nothing.
-	own struct {
-		clock  [1]coreClock
-		charge [1]float64
-	}
+	log     *MissLog
 }
 
 // coreClock is a simple-core clock in bus cycles: the whole cycles, and
@@ -80,42 +69,25 @@ func criticalWordCycles(p cpu.Params, busMHz float64, v ClockVariant) float64 {
 	return p.BusCyclesPer(extraCPU*p.LatencyOverlap, busMHz)
 }
 
-// newEngine starts a run on s that records nothing.
-func newEngine(s *System) *engine { return newLogEngine(s, nil) }
-
-// newLogEngine starts a run on s that records its stream into log, when
-// set, at every clock the log keeps.
+// newLogEngine starts a run of s's front end that writes its stream into
+// log, at every clock the log keeps.
 func newLogEngine(s *System, log *MissLog) *engine {
-	e := &engine{backEnd: newBackEnd(s), busMHz: s.Design.Mem.ClockMHz, log: log}
-	e.clocks, e.charges = e.own.clock[:], e.own.charge[:]
-	if log != nil {
-		e.clocks = make([]coreClock, 1+len(log.variants))
-		e.charges = make([]float64, 1+len(log.variants))
-		for i, v := range log.variants {
-			e.charges[1+i] = criticalWordCycles(s.CPU, e.busMHz, v)
-		}
+	e := &engine{sys: s, clocks: make([]coreClock, len(log.variants)), log: log}
+	for _, v := range log.variants {
+		e.charges = append(e.charges, criticalWordCycles(s.CPU, s.Design.Mem.ClockMHz, v))
 	}
-	e.charges[0] = criticalWordCycles(s.CPU, e.busMHz, ClockVariantOf(s.Design))
 	return e
 }
 
-// spend advances every clock by a bus-cycle cost. One loop over them all,
-// the run's own included, keeps spend small enough to inline.
+// spend advances every clock by a bus-cycle cost.
 func (e *engine) spend(busCycles float64) {
 	for i := range e.clocks {
 		e.clocks[i].add(busCycles)
 	}
 }
 
-// emit stamps op with the run's clock, records it when a log is attached,
-// and hands it to the back end.
-func (e *engine) emit(op missOp) {
-	op.clock = e.clocks[0].now
-	if e.log != nil {
-		e.log.append(op, e.clocks[1:])
-	}
-	e.issue(op)
-}
+// emit writes op to the log at every clock.
+func (e *engine) emit(op missOp) { e.log.append(op, e.clocks) }
 
 // do executes one transaction: cache access, miss handling (regular or
 // strided group fetch), and writeback traffic.
@@ -126,9 +98,6 @@ func (e *engine) emit(op missOp) {
 // clock, through System.fieldCost. No memory timing reaches that clock: a
 // miss adds only the cache latencies it traversed and, on a design without
 // critical-word-first delivery, the burst's extra serialization (charges).
-// A full window of outstanding reads makes the back end service earlier
-// requests before it takes the next one (backEnd.enqueue); the request
-// still arrives at the front-end clock.
 func (e *engine) do(t design.Txn) {
 	res := e.sys.Hierarchy.Access(t.Addr, t.Size, t.Write, t.Sectored)
 	e.spend(e.sys.fieldCost[res.HitLevel])
@@ -172,14 +141,13 @@ func (e *engine) doAll(ts []design.Txn) {
 	}
 }
 
-// finish flushes dirty cache state, drains the controller, and builds the
-// run statistics.
-func (e *engine) finish() RunStats {
+// finish flushes dirty cache state into the log and stores the final
+// clocks.
+func (e *engine) finish() {
 	for _, op := range e.sys.Hierarchy.FlushDirty() {
 		e.emit(missOp{kind: opWriteback, addr: op.Addr, sectored: op.Sectored})
 	}
-	if e.log != nil {
-		e.log.finish(e.clocks[1:])
+	for _, c := range e.clocks {
+		e.log.ends = append(e.log.ends, c.now)
 	}
-	return e.finishAt(e.clocks[0].now)
 }

@@ -22,18 +22,22 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/multichannel.golden")
 
-func engineFor(kind design.Kind) *engine {
-	d := design.New(kind, design.Options{})
-	s := NewSystem(d)
+func systemFor(kind design.Kind) *System {
+	s := NewSystem(design.New(kind, design.Options{}))
 	s.AddTable(imdb.NewTable(imdb.Ta(64), 1), false)
-	return newEngine(s)
+	return s
+}
+
+func engineFor(kind design.Kind) *engine {
+	s := systemFor(kind)
+	return newLogEngine(s, newMissLog(s, []ClockVariant{ClockVariantOf(s.Design)}))
 }
 
 func TestSpendAccumulatesFractions(t *testing.T) {
 	e := engineFor(design.Baseline)
 	// 1 CPU cycle = 0.3/4-core = 0.075 bus cycles; 40 of them = 3 cycles.
 	for i := 0; i < 40; i++ {
-		e.spend(e.sys.CPU.BusCyclesPer(1, e.busMHz))
+		e.spend(e.sys.CPU.BusCyclesPer(1, e.sys.Design.Mem.ClockMHz))
 	}
 	c := e.clocks[0]
 	total := float64(c.now) + c.frac
@@ -46,19 +50,19 @@ func TestSpendAccumulatesFractions(t *testing.T) {
 }
 
 func TestMemOpRequestMapping(t *testing.T) {
-	e := engineFor(design.SAMEn)
+	b := newBackEnd(systemFor(design.SAMEn))
 	// Sectored op on a strided design becomes a strided request.
-	r := e.memOpRequest(cache.MemOp{Addr: 0x40, IsWrite: true, Sectored: true}, 2, true)
+	r := b.memOpRequest(cache.MemOp{Addr: 0x40, IsWrite: true, Sectored: true}, 2, true)
 	if !r.Stride || !r.Gang || r.Lane != 2 || !r.IsWrite {
 		t.Fatalf("strided writeback mapping: %+v", r)
 	}
 	// Non-sectored op stays regular even with gang requested.
-	r = e.memOpRequest(cache.MemOp{Addr: 0x40}, 2, true)
+	r = b.memOpRequest(cache.MemOp{Addr: 0x40}, 2, true)
 	if r.Stride || r.Gang {
 		t.Fatalf("regular op mapped strided: %+v", r)
 	}
 	// Baseline designs never stride.
-	be := engineFor(design.Baseline)
+	be := newBackEnd(systemFor(design.Baseline))
 	r = be.memOpRequest(cache.MemOp{Addr: 0x40, Sectored: true}, 0, false)
 	if r.Stride {
 		t.Fatal("baseline op mapped strided")
@@ -69,15 +73,15 @@ func TestEngineRunRelativeBase(t *testing.T) {
 	d := design.New(design.Baseline, design.Options{})
 	s := NewSystem(d)
 	s.AddTable(imdb.NewTable(imdb.Ta(64), 1), false)
-	// Drive some traffic, then a fresh engine must snapshot a nonzero t0.
+	// Drive some traffic, then a fresh back end must snapshot a nonzero t0.
 	if _, err := s.RunQuery("SELECT f1 FROM Ta WHERE f0 < 99", nil); err != nil {
 		t.Fatal(err)
 	}
-	e := newEngine(s)
-	if e.t0 == 0 {
-		t.Fatal("second engine did not snapshot the warm timeline")
+	b := newBackEnd(s)
+	if b.t0 == 0 {
+		t.Fatal("second back end did not snapshot the warm timeline")
 	}
-	if e.devBase[0].Reads == 0 {
+	if b.devBase[0].Reads == 0 {
 		t.Fatal("device stats baseline not captured")
 	}
 }
@@ -87,15 +91,15 @@ func TestFaultInjectorWiring(t *testing.T) {
 	s := NewSystem(d)
 	s.Faults = deadChip(3, 9)
 	s.AddTable(imdb.NewTable(imdb.Ta(64), 1), false)
-	e := newEngine(s)
-	if len(e.injectors) != s.Channels() {
-		t.Fatalf("%d injectors for %d channels", len(e.injectors), s.Channels())
+	b := newBackEnd(s)
+	if len(b.injectors) != s.Channels() {
+		t.Fatalf("%d injectors for %d channels", len(b.injectors), s.Channels())
 	}
 	for ch := 0; ch < s.Channels(); ch++ {
 		if s.devices[ch].Probe == nil {
 			t.Fatalf("channel %d device has no probe", ch)
 		}
-		if v := e.injectors[ch].DataBurst(dram.Command{Kind: dram.CmdRD}, 0); v != dram.BurstCorrected {
+		if v := b.injectors[ch].DataBurst(dram.Command{Kind: dram.CmdRD}, 0); v != dram.BurstCorrected {
 			t.Fatalf("channel %d dead-chip burst verdict %v, want corrected", ch, v)
 		}
 	}
@@ -103,9 +107,9 @@ func TestFaultInjectorWiring(t *testing.T) {
 	if s.Channels() > 1 && channelFaultSeed(9, 0) == channelFaultSeed(9, 1) {
 		t.Fatal("channel fault seeds collide")
 	}
-	// A later clean engine on the same warm system detaches every probe.
+	// A later clean back end on the same warm system detaches every probe.
 	s.Faults = nil
-	newEngine(s)
+	newBackEnd(s)
 	for ch := 0; ch < s.Channels(); ch++ {
 		if s.devices[ch].Probe != nil {
 			t.Fatalf("channel %d probe survived a clean run", ch)
@@ -117,7 +121,7 @@ func TestFaultInjectorWiring(t *testing.T) {
 	gs := NewSystem(g)
 	gs.Faults = deadChip(3, 9)
 	gs.AddTable(imdb.NewTable(imdb.Ta(64), 2), false)
-	ge := newEngine(gs)
+	ge := newBackEnd(gs)
 	ge.injectors[0].DataBurst(dram.Command{Kind: dram.CmdRD}, 0)
 	if c := ge.injectors[0].Counters; c.SilentCorruptions != 1 || c.CorrectedBursts != 0 {
 		t.Fatalf("no-ECC fault path: %+v", c)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"sam/internal/sql"
 )
@@ -76,8 +77,29 @@ const InsertCount = 1024
 // Section 5.3 assumes).
 const scanBatch = 256
 
-// RunPlan executes a compiled plan on the system.
-func (s *System) RunPlan(p *sql.Plan) (*QueryResult, error) { return s.runPlan(p, nil) }
+// RunPlan executes a compiled plan on the system: its front end streams a
+// MissLog, at s's own clock, into s's back end, chunk by chunk.
+func (s *System) RunPlan(p *sql.Plan) (*QueryResult, error) {
+	b := newBackEnd(s)
+	l := s.streamLog(&b)
+	r, err := s.runFrontEnd(p, l)
+	if err != nil {
+		return nil, err
+	}
+	l.flush()
+	r.Stats = b.finishAt(l.ends[0])
+	return r, nil
+}
+
+// streamLog starts a log of s's own clock that streams into b through
+// s's chunk buffer.
+func (s *System) streamLog(b *backEnd) *MissLog {
+	l := newMissLog(s, []ClockVariant{ClockVariantOf(s.Design)})
+	s.chunk = slices.Grow(s.chunk, chunkBytes) // allocates once per system
+	l.chunks = [][]byte{s.chunk}
+	l.stream = &chunkDecoder{b: b, log: l}
+	return l
+}
 
 // FieldAccesses reports whether executing p may issue per-field
 // transactions, the only ones a strided design serves with a gather:
@@ -92,20 +114,26 @@ func FieldAccesses(p *sql.Plan) bool {
 	return true
 }
 
-// runPlan executes p, recording its front-end stream into log when set.
-func (s *System) runPlan(p *sql.Plan, log *MissLog) (*QueryResult, error) {
+// runFrontEnd executes p's front end, writing its stream into log, and
+// returns its functional result.
+func (s *System) runFrontEnd(p *sql.Plan, log *MissLog) (res *QueryResult, err error) {
+	e := newLogEngine(s, log)
 	switch p.Kind {
 	case sql.PlanScan, sql.PlanAggregate:
-		return s.runScan(p, log)
+		res, err = s.runScan(p, e)
 	case sql.PlanUpdate:
-		return s.runUpdate(p, log)
+		res, err = s.runUpdate(p, e)
 	case sql.PlanInsert:
-		return s.runInsert(p, log)
+		res, err = s.runInsert(p, e)
 	case sql.PlanJoin:
-		return s.runJoin(p, log)
+		res, err = s.runJoin(p, e)
 	default:
-		return nil, fmt.Errorf("sim: cannot run plan kind %v", p.Kind)
+		err = fmt.Errorf("sim: cannot run plan kind %v", p.Kind)
 	}
+	if err == nil {
+		e.finish()
+	}
+	return res, err
 }
 
 // RunQuery parses, compiles, and executes a query string.
@@ -121,23 +149,16 @@ func (s *System) RunQuery(query string, params sql.Params) (*QueryResult, error)
 	return s.RunPlan(plan)
 }
 
-// scanContext drives one vectorized predicate scan over a table.
-type scanContext struct {
-	s     *System
-	e     *engine
-	plan  *sql.Plan
-	table string
-}
-
-// forEachMatchBatch runs the predicate phase batch by batch, handing the
-// matching record indices to visit. Limit counts matched records.
-func (c *scanContext) forEachMatchBatch(visit func(matches []int)) error {
-	t, err := c.s.Table(c.table)
+// forEachMatchBatch runs the predicate phase of plan's vectorized scan
+// batch by batch, handing the matching record indices to visit. Limit
+// counts matched records.
+func (e *engine) forEachMatchBatch(plan *sql.Plan, visit func(matches []int)) error {
+	t, err := e.sys.Table(plan.Table)
 	if err != nil {
 		return err
 	}
-	pl := c.s.placers[c.table]
-	limit := c.plan.Limit
+	pl := e.sys.placers[plan.Table]
+	limit := plan.Limit
 	if limit < 0 {
 		limit = t.Records()
 	}
@@ -149,29 +170,29 @@ func (c *scanContext) forEachMatchBatch(visit func(matches []int)) error {
 			end = t.Records()
 		}
 		stop := end
-		if c.plan.FullScan {
+		if plan.FullScan {
 			// Row-preferring execution: whole records up front. Predicate-
 			// free LIMIT scans stop exactly at the limit.
-			if rem := limit - taken; len(c.plan.Preds) == 0 && start+rem < stop {
+			if rem := limit - taken; len(plan.Preds) == 0 && start+rem < stop {
 				stop = start + rem
 			}
 			for rec := start; rec < stop; rec++ {
-				c.e.doAll(pl.ReadRecord(rec))
+				e.doAll(pl.ReadRecord(rec))
 			}
 		} else {
 			// Column-at-a-time predicate reads.
-			for _, f := range c.plan.PredFields {
+			for _, f := range plan.PredFields {
 				for rec := start; rec < end; rec++ {
-					c.e.do(pl.ReadField(rec, f))
+					e.do(pl.ReadField(rec, f))
 				}
 			}
 		}
 		matches = matches[:0]
 		for rec := start; rec < stop && taken < limit; rec++ {
-			if c.plan.Match(func(f int) uint64 { return t.Value(rec, f) }) {
+			if plan.Match(func(f int) uint64 { return t.Value(rec, f) }) {
 				matches = append(matches, rec)
 				taken++
-				c.e.spend(c.s.matchCost)
+				e.spend(e.sys.matchCost)
 			}
 		}
 		visit(matches)
@@ -179,13 +200,12 @@ func (c *scanContext) forEachMatchBatch(visit func(matches []int)) error {
 	return nil
 }
 
-func (s *System) runScan(p *sql.Plan, log *MissLog) (*QueryResult, error) {
+func (s *System) runScan(p *sql.Plan, e *engine) (*QueryResult, error) {
 	t, err := s.Table(p.Table)
 	if err != nil {
 		return nil, err
 	}
 	pl := s.placers[p.Table]
-	e := newLogEngine(s, log)
 	res := &QueryResult{Aggregates: make([]float64, len(p.Aggs))}
 	global := make([]aggState, len(p.Aggs))
 	grouped := map[uint64][]aggState{}
@@ -209,8 +229,7 @@ func (s *System) runScan(p *sql.Plan, log *MissLog) (*QueryResult, error) {
 		}
 	}
 
-	ctx := &scanContext{s: s, e: e, plan: p, table: p.Table}
-	err = ctx.forEachMatchBatch(func(matches []int) {
+	err = e.forEachMatchBatch(p, func(matches []int) {
 		if p.WholeRecord {
 			for _, rec := range matches {
 				if !p.FullScan {
@@ -264,20 +283,17 @@ func (s *System) runScan(p *sql.Plan, log *MissLog) (*QueryResult, error) {
 			res.Aggregates[i] = global[i].value(agg.Kind)
 		}
 	}
-	res.Stats = e.finish()
 	return res, nil
 }
 
-func (s *System) runUpdate(p *sql.Plan, log *MissLog) (*QueryResult, error) {
+func (s *System) runUpdate(p *sql.Plan, e *engine) (*QueryResult, error) {
 	t, err := s.Table(p.Table)
 	if err != nil {
 		return nil, err
 	}
 	pl := s.placers[p.Table]
-	e := newLogEngine(s, log)
 	res := &QueryResult{}
-	ctx := &scanContext{s: s, e: e, plan: p, table: p.Table}
-	err = ctx.forEachMatchBatch(func(matches []int) {
+	err = e.forEachMatchBatch(p, func(matches []int) {
 		// Column-at-a-time writes (the sstore path on strided designs).
 		for _, set := range p.Sets {
 			for _, rec := range matches {
@@ -290,11 +306,10 @@ func (s *System) runUpdate(p *sql.Plan, log *MissLog) (*QueryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Stats = e.finish()
 	return res, nil
 }
 
-func (s *System) runInsert(p *sql.Plan, log *MissLog) (*QueryResult, error) {
+func (s *System) runInsert(p *sql.Plan, e *engine) (*QueryResult, error) {
 	t, err := s.Table(p.Table)
 	if err != nil {
 		return nil, err
@@ -303,7 +318,6 @@ func (s *System) runInsert(p *sql.Plan, log *MissLog) (*QueryResult, error) {
 	if len(p.InsertValues) > t.Fields() {
 		return nil, fmt.Errorf("sim: INSERT of %d values into %d-field table", len(p.InsertValues), t.Fields())
 	}
-	e := newLogEngine(s, log)
 	res := &QueryResult{}
 	row := make([]uint64, t.Fields())
 	copy(row, p.InsertValues)
@@ -314,7 +328,6 @@ func (s *System) runInsert(p *sql.Plan, log *MissLog) (*QueryResult, error) {
 		e.doAll(pl.WriteRecord(rec))
 		res.Rows++
 	}
-	res.Stats = e.finish()
 	return res, nil
 }
 
@@ -322,7 +335,7 @@ func (s *System) runInsert(p *sql.Plan, log *MissLog) (*QueryResult, error) {
 // outer, both scans vectorized column-at-a-time. The hash table itself is
 // modeled as cache-resident (its traffic is negligible next to the scans
 // at the paper's scale).
-func (s *System) runJoin(p *sql.Plan, log *MissLog) (*QueryResult, error) {
+func (s *System) runJoin(p *sql.Plan, e *engine) (*QueryResult, error) {
 	outer, err := s.Table(p.Table)
 	if err != nil {
 		return nil, err
@@ -346,7 +359,6 @@ func (s *System) runJoin(p *sql.Plan, log *MissLog) (*QueryResult, error) {
 		return nil, fmt.Errorf("sim: join requires one equality predicate")
 	}
 
-	e := newLogEngine(s, log)
 	res := &QueryResult{}
 
 	// Build phase: column-at-a-time scan of the inner table. The hash maps
@@ -429,7 +441,6 @@ func (s *System) runJoin(p *sql.Plan, log *MissLog) (*QueryResult, error) {
 			}
 		}
 	}
-	res.Stats = e.finish()
 	return res, nil
 }
 

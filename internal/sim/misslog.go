@@ -12,11 +12,15 @@ import (
 	"sam/internal/sql"
 )
 
-// MissLog is one run's front-end stream, recorded: every cache-level
-// operation the executor and cache hierarchy handed the memory back end
-// (line fills and their writebacks, strided fetches with their lane,
-// strided and flushed writebacks) with the core clock at which it was
-// issued, plus the run's final clock and its functional result.
+// MissLog is one run's front-end stream: every cache-level operation the
+// executor and cache hierarchy hand the memory back end (line fills and
+// their writebacks, strided fetches with their lane, strided and flushed
+// writebacks) with the core clock at which it was issued, plus the run's
+// final clock and its functional result. Every run is two stages joined
+// by one: the front end (engine) only appends to it, and the back end
+// only sees what a chunkDecoder reads out of it. RunPlan streams its log,
+// decoding each full chunk and reusing its buffer; RecordPlan keeps every
+// chunk for Replay.
 //
 // Every evaluated design is a memory-side mechanism under one core and
 // cache model, and no memory timing flows back into the front end, so the
@@ -27,8 +31,8 @@ import (
 // (ClockVariant). A log therefore keeps one clock per variant it was
 // recorded for, and replaying it into the back end of any design whose
 // front end matches the recording's, on that design's own variant clock,
-// reproduces the design's live run exactly while skipping the executor
-// and cache work.
+// gives exactly the design's own run while skipping the executor and
+// cache work.
 //
 // Operations are delta-encoded, two bytes for most: a header byte (kind,
 // write, sectored, lane, and a first-clock delta below 3), the delta as a
@@ -39,7 +43,8 @@ import (
 // for gathers.
 type MissLog struct {
 	// chunks hold the encoded operations, each op whole within one chunk;
-	// fixed-size chunks grow the log without copying it.
+	// fixed-size chunks grow the log without copying it. A streamed log
+	// has one.
 	chunks   [][]byte
 	variants []ClockVariant // the clocks the log keeps
 	ends     []dram.Cycle   // each clock's final value
@@ -50,6 +55,18 @@ type MissLog struct {
 	// operation.
 	last []dram.Cycle
 	addr [3]uint64
+
+	stream *chunkDecoder // when set, decodes each full chunk for reuse
+}
+
+// newMissLog starts a log of s's front end with one clock per variant in
+// variants, in that order.
+func newMissLog(s *System, variants []ClockVariant) *MissLog {
+	return &MissLog{
+		variants: variants,
+		shift:    uint(bits.TrailingZeros(uint(s.Design.Mem.Geometry.LineBytes))),
+		last:     make([]dram.Cycle, len(variants)),
+	}
 }
 
 // Bytes reports the encoded size of the operation stream.
@@ -89,12 +106,13 @@ const (
 	hdrTickFar   = 3
 )
 
-// unit is the address unit of kind k's deltas, as a shift.
-func (l *MissLog) unit(k opKind) uint {
+// unit is the address unit of kind k's deltas, as a shift, in a log
+// whose line shift is shift.
+func unit(k opKind, shift uint) uint {
 	if k == opGather {
 		return 0
 	}
-	return l.shift
+	return shift
 }
 
 // chunkBytes is the size of a log chunk.
@@ -104,20 +122,16 @@ const chunkBytes = 64 << 10
 // per clock and for the address.
 func (l *MissLog) maxOpBytes() int { return 1 + (len(l.variants)+1)*binary.MaxVarintLen64 }
 
-// finish stores each clock's final value.
-func (l *MissLog) finish(clocks []coreClock) {
-	for _, c := range clocks {
-		l.ends = append(l.ends, c.now)
-	}
-}
-
-// append encodes one operation at clocks, one per variant; op.clock, the
-// live run's own, is not recorded.
+// append encodes one operation at clocks, one per variant.
 func (l *MissLog) append(op missOp, clocks []coreClock) {
 	n := len(l.chunks)
 	if n == 0 || cap(l.chunks[n-1])-len(l.chunks[n-1]) < l.maxOpBytes() {
-		l.chunks = append(l.chunks, make([]byte, 0, chunkBytes))
-		n++
+		if l.stream != nil {
+			l.flush()
+		} else {
+			l.chunks = append(l.chunks, make([]byte, 0, chunkBytes))
+			n++
+		}
 	}
 	buf := l.chunks[n-1]
 	h := byte(op.kind) | op.lane<<hdrLaneShift
@@ -138,7 +152,7 @@ func (l *MissLog) append(op missOp, clocks []coreClock) {
 		l.last[i] = clocks[i].now
 	}
 	l.last[0] = clocks[0].now
-	u := l.unit(op.kind)
+	u := unit(op.kind, l.shift)
 	if op.addr&(1<<u-1) != 0 {
 		panic(fmt.Sprintf("sim: miss log op %+v is not line aligned", op))
 	}
@@ -146,84 +160,93 @@ func (l *MissLog) append(op missOp, clocks []coreClock) {
 	l.addr[op.kind] = op.addr
 }
 
-// seal stores the run's functional result and trims the last chunk.
-func (l *MissLog) seal(r *QueryResult) {
-	l.res = *r
-	l.res.Stats = RunStats{}
-	if n := len(l.chunks); n > 0 {
-		l.chunks[n-1] = slices.Clip(append([]byte(nil), l.chunks[n-1]...))
-	}
+// flush decodes a streamed log's chunk into the back end and empties it.
+func (l *MissLog) flush() {
+	l.stream.decode(l.chunks[0])
+	l.chunks[0] = l.chunks[0][:0]
 }
 
-// RecordPlan executes p like RunPlan and also returns the run's miss log,
-// with one clock per distinct variant in variants, in that order — the
-// clocks of every front end that differs from s's only in its critical-
-// word delivery. With no variants the log keeps s's own clock.
-func (s *System) RecordPlan(p *sql.Plan, variants ...ClockVariant) (*QueryResult, *MissLog, error) {
-	if len(variants) == 0 {
-		variants = []ClockVariant{ClockVariantOf(s.Design)}
-	}
-	l := &MissLog{shift: uint(bits.TrailingZeros(uint(s.Design.Mem.Geometry.LineBytes)))}
-	for _, v := range variants {
-		if !slices.Contains(l.variants, v) {
-			l.variants = append(l.variants, v)
-		}
-	}
-	l.last = make([]dram.Cycle, len(l.variants))
-	r, err := s.runPlan(p, l)
+// RecordPlan runs p's front end on s and returns its miss log, with one
+// clock per variant in variants, in that order — the clocks of every
+// front end that differs from s's only in its critical-word delivery. s's memory back end is not touched; Replay turns the log into
+// a run.
+func (s *System) RecordPlan(p *sql.Plan, variants ...ClockVariant) (*MissLog, error) {
+	l := newMissLog(s, variants)
+	r, err := s.runFrontEnd(p, l)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	l.seal(r)
-	return r, l, nil
+	l.res = *r
+	if n := len(l.chunks); n > 0 { // trim the last chunk
+		l.chunks[n-1] = slices.Clip(append([]byte(nil), l.chunks[n-1]...))
+	}
+	return l, nil
 }
 
 // Replay runs a recorded front-end stream, at variant v's clock, through
 // s's memory back end and returns the run: l's functional result, whose
 // slices and map it shares, with s's own run statistics. It equals running
-// the recorded query live on s whenever s's front end matches the
-// recording system's and ticks clock v; s's caches and tables are not
-// touched. Replay panics if l has no clock v.
+// the recorded query on s whenever s's front end matches the recording
+// system's and ticks clock v; s's caches and tables are not touched.
+// Replay panics if l has no clock v.
 func (s *System) Replay(l *MissLog, v ClockVariant) *QueryResult {
 	at := slices.Index(l.variants, v)
 	if at < 0 {
 		panic(fmt.Sprintf("sim: miss log has no clock variant %d", v))
 	}
 	b := newBackEnd(s)
-	var op missOp
-	var addr [3]uint64
-	var first, lead dram.Cycle // the first clock, and clock at's lead over it
-	for _, buf := range l.chunks {
-		for len(buf) > 0 {
-			h := buf[0]
-			buf = buf[1:]
-			tick := uint64(h >> hdrTickShift)
-			if tick == hdrTickFar {
-				var n int
-				tick, n = binary.Uvarint(buf)
-				buf = buf[n:]
-			}
-			first += dram.Cycle(tick)
-			for i := 1; i < len(l.variants); i++ {
-				d, n := binary.Varint(buf)
-				buf = buf[n:]
-				if i == at {
-					lead += d
-				}
-			}
-			da, n := binary.Varint(buf)
-			buf = buf[n:]
-			op.kind = opKind(h & hdrKind)
-			op.write = h&hdrWrite != 0
-			op.sectored = h&hdrSectored != 0
-			op.lane = h & hdrLane >> hdrLaneShift
-			op.clock = first + lead
-			addr[op.kind] += uint64(da << l.unit(op.kind))
-			op.addr = addr[op.kind]
-			b.issue(op)
-		}
+	d := chunkDecoder{b: &b, log: l, at: at}
+	for _, c := range l.chunks {
+		d.decode(c)
 	}
 	r := l.res
 	r.Stats = b.finishAt(l.ends[at])
 	return &r
+}
+
+// chunkDecoder reads a log's chunks, in order, back into operations at
+// one of its clocks and issues them to a back end. It is the only way
+// operations reach a back end.
+type chunkDecoder struct {
+	b   *backEnd
+	log *MissLog
+	at  int // the clock the back end is fed
+
+	// The address of each kind, the first clock and clock at's lead over
+	// it at the last operation decoded.
+	addr        [3]uint64
+	first, lead dram.Cycle
+}
+
+// decode issues one chunk's operations.
+func (d *chunkDecoder) decode(buf []byte) {
+	var op missOp
+	for len(buf) > 0 {
+		h := buf[0]
+		buf = buf[1:]
+		tick := uint64(h >> hdrTickShift)
+		if tick == hdrTickFar {
+			var n int
+			tick, n = binary.Uvarint(buf)
+			buf = buf[n:]
+		}
+		d.first += dram.Cycle(tick)
+		for i := 1; i < len(d.log.variants); i++ {
+			v, n := binary.Varint(buf)
+			buf = buf[n:]
+			if i == d.at {
+				d.lead += v
+			}
+		}
+		da, n := binary.Varint(buf)
+		buf = buf[n:]
+		op.kind = opKind(h & hdrKind)
+		op.write = h&hdrWrite != 0
+		op.sectored = h&hdrSectored != 0
+		op.lane = h & hdrLane >> hdrLaneShift
+		op.clock = d.first + d.lead
+		d.addr[op.kind] += uint64(da << unit(op.kind, d.log.shift))
+		op.addr = d.addr[op.kind]
+		d.b.issue(op)
+	}
 }

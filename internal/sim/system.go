@@ -89,15 +89,17 @@ type System struct {
 	// Run arenas, reused across Run invocations on this system so repeated
 	// sweep points stop reallocating their world each run: the per-channel
 	// fault injectors (codec scratch, burst workspace, counters — Reset to a
-	// fresh deterministic stream each run) and the engine's run-relative
+	// fresh deterministic stream each run) and the back end's run-relative
 	// stat baselines.
 	runInjectors []*fault.Injector
 	devBase      []dram.DeviceStats
 	ctlBase      []mc.Stats
 	// sampleScratch accumulates the cross-channel device delta for one
-	// windowed sample (engine.recordSample), reusing its per-bank backing
+	// windowed sample (backEnd.recordSample), reusing its per-bank backing
 	// across samples and runs.
 	sampleScratch dram.DeviceStats
+	// chunk is RunPlan's one MissLog chunk, refilled after each decode.
+	chunk []byte
 }
 
 // FaultModel configures fault injection; it is fault.Config verbatim (seed,
