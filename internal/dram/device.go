@@ -292,13 +292,23 @@ type BurstProbe interface {
 
 // Device is one memory channel's worth of DRAM (or RRAM) state: per-bank
 // timing, per-rank mode registers and refresh, and the shared data bus.
+//
+// Each command kind has one entry point that takes the flat bank index the
+// controller already holds (Activate, Precharge, Column; Refresh takes the
+// rank), issues the command at its earliest legal cycle and returns its
+// results as scalars. Every timing rule lives once, in the kind's earliest
+// function (actEarliest, preEarliest, colEarliest, refEarliest), and every
+// state change once, in its entry point. EarliestIssue and Issue,
+// which take a Command, are wrappers over the same code. A Command value
+// is built on the per-kind path only for an attached Trace or Probe.
 type Device struct {
 	cfg   Config
 	ranks []rankState
-	// flatBanks indexes every bank by its flat BankIndex — the scheduler
-	// polls OpenRowAt once per occupied bank per service, so the lookup
-	// must be one load, not a div/mod re-derivation.
-	flatBanks []*bankState
+	// flatBanks resolves every flat BankIndex to its bank, rank and group
+	// state and its coordinates in one load: the scheduler polls OpenRowAt
+	// once per occupied bank per service, and every command the controller
+	// issues arrives by flat index.
+	flatBanks []bankRef
 	// Data bus occupancy.
 	busFreeAt    Cycle
 	busOwnerRank int
@@ -313,6 +323,23 @@ type Device struct {
 	// Probe, when set, adjudicates every data burst the device moves
 	// (fault injection + ECC decode; see internal/fault).
 	Probe BurstProbe
+}
+
+// bankRef is one flat bank index resolved: the bank's state, and its
+// rank's and group's.
+type bankRef struct {
+	st   *bankState
+	rk   *rankState
+	gs   *groupState
+	rank int
+}
+
+// cmd builds the Command of kind addressed to flat bank idx, for a hook or
+// a panic message.
+func (d *Device) cmd(idx int, kind CmdKind) Command {
+	g := &d.cfg.Geometry
+	inRank := idx % g.Banks()
+	return Command{Kind: kind, Rank: idx / g.Banks(), Group: inRank / g.BanksPerGroup, Bank: inRank % g.BanksPerGroup}
 }
 
 // NewDevice builds a device for the configuration; it panics if the
@@ -345,10 +372,11 @@ func NewDevice(cfg Config) *Device {
 		rs.refUntil = never
 		rs.wrDataEnd, rs.rdDataEnd = never, never
 	}
-	d.flatBanks = make([]*bankState, 0, cfg.Geometry.Ranks*cfg.Geometry.Banks())
+	d.flatBanks = make([]bankRef, 0, cfg.Geometry.Ranks*cfg.Geometry.Banks())
 	for r := range d.ranks {
-		for b := range d.ranks[r].banks {
-			d.flatBanks = append(d.flatBanks, &d.ranks[r].banks[b])
+		rs := &d.ranks[r]
+		for b := range rs.banks {
+			d.flatBanks = append(d.flatBanks, bankRef{st: &rs.banks[b], rk: rs, gs: &rs.groups[b/cfg.Geometry.BanksPerGroup], rank: r})
 		}
 	}
 	return d
@@ -362,16 +390,11 @@ func (d *Device) RankMode(r int) IOMode { return d.ranks[r].mode }
 
 // BankOpenRow returns (row, true) if the addressed bank has an open row.
 func (d *Device) BankOpenRow(rank, group, bank int) (int, bool) {
-	b := &d.ranks[rank].banks[group*d.cfg.Geometry.BanksPerGroup+bank]
-	return b.row, b.open
+	return d.OpenRowAt(d.BankIndex(rank, group, bank))
 }
 
 // RefreshDue reports the next refresh deadline for a rank.
 func (d *Device) RefreshDue(rank int) Cycle { return d.ranks[rank].refDueAt }
-
-func (d *Device) bank(c Command) *bankState {
-	return &d.ranks[c.Rank].banks[c.Group*d.cfg.Geometry.BanksPerGroup+c.Bank]
-}
 
 // BankIndex flattens (rank, group, bank) into the PerBank index.
 func (d *Device) BankIndex(rank, group, bank int) int {
@@ -389,12 +412,8 @@ func (d *Device) NumBanks() int {
 // per-bank lookup the controller's scheduling index consults on its hot
 // path (a single indexed load).
 func (d *Device) OpenRowAt(idx int) (int, bool) {
-	b := d.flatBanks[idx]
+	b := d.flatBanks[idx].st
 	return b.row, b.open
-}
-
-func (d *Device) bankStats(c Command) *BankStats {
-	return &d.Stats.PerBank[d.BankIndex(c.Rank, c.Group, c.Bank)]
 }
 
 func max2(a, b Cycle) Cycle {
@@ -419,84 +438,58 @@ func maxN(vals ...Cycle) Cycle {
 	return m
 }
 
-// EarliestIssue returns the earliest cycle >= now at which cmd is legal.
-func (d *Device) EarliestIssue(cmd Command, now Cycle) Cycle {
+// actEarliest is the earliest cycle >= now at which an ACT to r is legal.
+func (d *Device) actEarliest(r *bankRef, gang bool, now Cycle) Cycle {
 	t := &d.cfg.Timing
-	rk := &d.ranks[cmd.Rank]
-	switch cmd.Kind {
-	case CmdACT:
-		bk := d.bank(cmd)
-		gs := &rk.groups[cmd.Group]
-		earliest := maxN(
-			now,
-			bk.preDoneAt,
-			gs.lastActAt+Cycle(t.TRRDL),
-			rk.lastActAt+Cycle(t.TRRDS),
-			rk.fawConstraint(),
-			rk.refUntil,
-		)
-		if cmd.GangRanks {
-			earliest = d.gangConstrain(cmd, earliest, CmdACT)
-		}
-		return earliest
-	case CmdPRE:
-		bk := d.bank(cmd)
-		return maxN(
-			now,
-			bk.actAt+Cycle(t.TRAS),
-			bk.lastRdAt+Cycle(t.TRTP),
-			bk.wrDataEnd+Cycle(t.TWR),
-			rk.refUntil,
-		)
-	case CmdRD, CmdWR:
-		return d.earliestColumn(cmd, now)
-	case CmdREF:
-		// All banks in the rank must be precharge-able and closed. The
-		// implicit precharge happens tRP before the REF lands, so its
-		// earliest time depends only on bank history, not on `now`.
-		earliest := max2(now, rk.refUntil)
-		for g := range rk.groups {
-			for b := 0; b < d.cfg.Geometry.BanksPerGroup; b++ {
-				bk := &rk.banks[g*d.cfg.Geometry.BanksPerGroup+b]
-				if bk.open {
-					preAt := maxN(bk.actAt+Cycle(t.TRAS), bk.lastRdAt+Cycle(t.TRTP), bk.wrDataEnd+Cycle(t.TWR))
-					earliest = max2(earliest, preAt+Cycle(t.TRP))
-				} else {
-					earliest = max2(earliest, bk.preDoneAt)
-				}
-			}
-		}
-		return earliest
-	default:
-		panic(fmt.Sprintf("dram: EarliestIssue of unknown command %v", cmd.Kind))
+	earliest := max(
+		now,
+		r.st.preDoneAt,
+		r.gs.lastActAt+Cycle(t.TRRDL),
+		r.rk.lastActAt+Cycle(t.TRRDS),
+		r.rk.fawConstraint(),
+		r.rk.refUntil,
+	)
+	if gang {
+		earliest = d.gangConstrain(r.rank, earliest, false, false)
 	}
+	return earliest
 }
 
-// earliestColumn computes the issue constraint for RD/WR including CCD,
-// turnaround, data-bus occupancy, and mode/rank switch penalties.
-func (d *Device) earliestColumn(cmd Command, now Cycle) Cycle {
+// preEarliest is the earliest cycle >= now at which a PRE to r is legal.
+func (d *Device) preEarliest(r *bankRef, now Cycle) Cycle {
 	t := &d.cfg.Timing
-	rk := &d.ranks[cmd.Rank]
-	bk := d.bank(cmd)
-	gs := &rk.groups[cmd.Group]
+	return max(
+		now,
+		r.st.actAt+Cycle(t.TRAS),
+		r.st.lastRdAt+Cycle(t.TRTP),
+		r.st.wrDataEnd+Cycle(t.TWR),
+		r.rk.refUntil,
+	)
+}
 
+// colEarliest is the earliest cycle >= now at which a RD (or, with write, a
+// WR) to r is legal, including CCD, turnaround, data-bus occupancy, and
+// mode/rank switch penalties.
+func (d *Device) colEarliest(r *bankRef, write bool, mode IOMode, gang bool, now Cycle) Cycle {
+	t := &d.cfg.Timing
+	rk := r.rk
 	lat := Cycle(t.CL)
-	if cmd.Kind == CmdWR {
+	if write {
 		lat = Cycle(t.CWL)
 	}
-	earliest := maxN(
+	earliest := max(
 		now,
-		bk.actAt+Cycle(t.TRCD),
-		gs.lastColAt+Cycle(t.TCCDL),
+		r.st.actAt+Cycle(t.TRCD),
+		r.gs.lastColAt+Cycle(t.TCCDL),
 		rk.lastColAt+Cycle(t.TCCDS),
 		rk.refUntil,
 	)
-	if cmd.Kind == CmdRD {
+	if !write {
 		// Write-to-read turnaround in the same rank.
-		earliest = max2(earliest, rk.wrDataEnd+Cycle(t.TWTR))
+		earliest = max(earliest, rk.wrDataEnd+Cycle(t.TWTR))
 	} else if t.TWRBurst > 0 {
 		// NVM write pulses occupy the array between write bursts.
-		earliest = max2(earliest, rk.lastWrAt+Cycle(t.TWRBurst))
+		earliest = max(earliest, rk.lastWrAt+Cycle(t.TWRBurst))
 	}
 	// Data bus: the burst must start after the bus frees, plus a switch gap
 	// when ownership (rank or I/O mode) changes, plus read/write turnaround.
@@ -504,34 +497,55 @@ func (d *Device) earliestColumn(cmd Command, now Cycle) Cycle {
 	if d.busEverUsed {
 		// Rank-to-rank switch: ownership changes when the driving rank set
 		// changes. Back-to-back ganged bursts share ownership.
-		if d.busOwnerGang != cmd.GangRanks || (!cmd.GangRanks && d.busOwnerRank != cmd.Rank) {
+		if d.busOwnerGang != gang || (!gang && d.busOwnerRank != r.rank) {
 			busReady += Cycle(t.TRTR)
 		}
-		if d.modeSwitchNeeded(cmd) {
+		if d.modeSwitchNeeded(rk, mode, gang) {
 			busReady += Cycle(t.TRTR)
 		}
-		if cmd.Kind == CmdWR && d.lastBusWasRead() {
+		if write && d.lastBusWasRead() {
 			busReady += Cycle(t.TRTW)
 		}
 	}
 	if dataStart := earliest + lat; dataStart < busReady {
 		earliest = busReady - lat
 	}
-	if cmd.GangRanks {
-		earliest = d.gangConstrain(cmd, earliest, cmd.Kind)
+	if gang {
+		earliest = d.gangConstrain(r.rank, earliest, true, !write)
 	}
 	return earliest
 }
 
-// modeSwitchNeeded reports whether issuing cmd requires reprogramming the
-// target rank's I/O mode register.
-func (d *Device) modeSwitchNeeded(cmd Command) bool {
-	if d.ranks[cmd.Rank].mode != cmd.Mode {
+// refEarliest is the earliest cycle >= now at which a REF to rank is legal.
+// All banks in the rank must be precharge-able and closed. The implicit
+// precharge happens tRP before the REF lands, so its earliest time depends
+// only on bank history, not on `now`.
+func (d *Device) refEarliest(rank int, now Cycle) Cycle {
+	t := &d.cfg.Timing
+	rk := &d.ranks[rank]
+	earliest := max2(now, rk.refUntil)
+	for b := range rk.banks {
+		bk := &rk.banks[b]
+		if bk.open {
+			preAt := maxN(bk.actAt+Cycle(t.TRAS), bk.lastRdAt+Cycle(t.TRTP), bk.wrDataEnd+Cycle(t.TWR))
+			earliest = max2(earliest, preAt+Cycle(t.TRP))
+		} else {
+			earliest = max2(earliest, bk.preDoneAt)
+		}
+	}
+	return earliest
+}
+
+// modeSwitchNeeded reports whether a column command in mode to rank rk
+// (ganged across every rank with gang) requires reprogramming an I/O mode
+// register.
+func (d *Device) modeSwitchNeeded(rk *rankState, mode IOMode, gang bool) bool {
+	if rk.mode != mode {
 		return true
 	}
-	if cmd.GangRanks {
+	if gang {
 		for r := range d.ranks {
-			if d.ranks[r].mode != cmd.Mode {
+			if d.ranks[r].mode != mode {
 				return true
 			}
 		}
@@ -542,35 +556,243 @@ func (d *Device) modeSwitchNeeded(cmd Command) bool {
 func (d *Device) lastBusWasRead() bool {
 	var lastRd, lastWr Cycle = never, never
 	for r := range d.ranks {
-		lastRd = max2(lastRd, d.ranks[r].rdDataEnd)
-		lastWr = max2(lastWr, d.ranks[r].wrDataEnd)
+		lastRd = max(lastRd, d.ranks[r].rdDataEnd)
+		lastWr = max(lastWr, d.ranks[r].wrDataEnd)
 	}
 	return lastRd > lastWr
 }
 
-// gangConstrain folds in the mirror rank's refresh/ccd constraints for
-// dual-rank ganged bursts (fine-granularity stride, Section 4.4). The
-// mirror rank holds the same row open by construction (mirrored
-// allocation), so only rank-global constraints apply.
-func (d *Device) gangConstrain(cmd Command, earliest Cycle, kind CmdKind) Cycle {
+// gangConstrain folds in the mirror ranks' refresh constraints, and for a
+// column command (col; read for RD) their CCD and write-to-read
+// constraints, for dual-rank ganged commands (fine-granularity stride,
+// Section 4.4). The mirror rank holds the same row open by construction
+// (mirrored allocation), so only rank-global constraints apply.
+func (d *Device) gangConstrain(rank int, earliest Cycle, col, read bool) Cycle {
 	t := &d.cfg.Timing
 	for r := range d.ranks {
-		if r == cmd.Rank {
+		if r == rank {
 			continue
 		}
 		o := &d.ranks[r]
-		earliest = max2(earliest, o.refUntil)
-		if kind == CmdRD || kind == CmdWR {
-			earliest = max2(earliest, o.lastColAt+Cycle(t.TCCDS))
-			if kind == CmdRD {
-				earliest = max2(earliest, o.wrDataEnd+Cycle(t.TWTR))
+		earliest = max(earliest, o.refUntil)
+		if col {
+			earliest = max(earliest, o.lastColAt+Cycle(t.TCCDS))
+			if read {
+				earliest = max(earliest, o.wrDataEnd+Cycle(t.TWTR))
 			}
 		}
 	}
 	return earliest
 }
 
-// IssueResult reports the consequences of a command.
+// Activate issues an ACT opening row in flat bank idx (and, with gang, in
+// its mirror ranks) at its earliest legal cycle >= now, and returns that
+// cycle. It panics when the bank is already open.
+func (d *Device) Activate(idx, row int, gang bool, now Cycle) Cycle {
+	r := &d.flatBanks[idx]
+	at := d.actEarliest(r, gang, now)
+	bk := r.st
+	if bk.open {
+		cmd := d.cmd(idx, CmdACT)
+		cmd.Row, cmd.GangRanks = row, gang
+		panic(fmt.Sprintf("dram: ACT to open bank: %v", cmd))
+	}
+	bk.open = true
+	bk.row = row
+	bk.actAt = at
+	bk.lastRdAt, bk.wrDataEnd = never, never
+	bk.colsSinceAct = 0
+	r.gs.lastActAt = max(r.gs.lastActAt, at)
+	r.rk.lastActAt = max(r.rk.lastActAt, at)
+	r.rk.recordAct(at)
+	d.Stats.Acts++
+	d.Stats.PerBank[idx].Acts++
+	if gang {
+		d.Stats.Acts++ // mirror rank activates too
+		for o := range d.ranks {
+			if o != r.rank {
+				d.Stats.PerBank[idx+(o-r.rank)*d.cfg.Geometry.Banks()].Acts++
+			}
+		}
+	}
+	if d.Trace != nil {
+		cmd := d.cmd(idx, CmdACT)
+		cmd.Row, cmd.GangRanks = row, gang
+		d.Trace.CommandIssued(cmd, at, IssueResult{Done: at + Cycle(d.cfg.Timing.TRCD)})
+	}
+	return at
+}
+
+// Precharge issues a PRE closing flat bank idx at its earliest legal cycle
+// >= now, and returns that cycle. It panics when the bank is closed.
+func (d *Device) Precharge(idx int, now Cycle) Cycle {
+	r := &d.flatBanks[idx]
+	at := d.preEarliest(r, now)
+	bk := r.st
+	if !bk.open {
+		panic(fmt.Sprintf("dram: PRE to closed bank: %v", d.cmd(idx, CmdPRE)))
+	}
+	bk.open = false
+	bk.preDoneAt = at + Cycle(d.cfg.Timing.TRP)
+	d.Stats.Pres++
+	d.Stats.PerBank[idx].Pres++
+	if d.Trace != nil {
+		d.Trace.CommandIssued(d.cmd(idx, CmdPRE), at, IssueResult{Done: bk.preDoneAt})
+	}
+	return at
+}
+
+// Column issues a column command, a RD or with write a WR, to column col
+// of the open row in flat bank idx, in I/O mode mode and ganged across the
+// ranks with gang, at its earliest legal cycle >= now. It returns that
+// cycle, the data burst's [start, end) on the bus, whether the rank's I/O
+// mode register changed, and the Probe's verdict on the burst (BurstOK
+// without a probe). It panics when row is not the bank's open row.
+func (d *Device) Column(idx, row, col int, write bool, mode IOMode, gang bool, now Cycle) (at, dataStart, dataEnd Cycle, switched bool, verdict BurstVerdict) {
+	r := &d.flatBanks[idx]
+	at = d.colEarliest(r, write, mode, gang, now)
+	t := &d.cfg.Timing
+	rk, bk := r.rk, r.st
+	if !bk.open || bk.row != row {
+		cmd := d.colCmd(idx, row, col, write, mode, gang)
+		panic(fmt.Sprintf("dram: column access to wrong/closed row: %v (open=%v row=%d)", cmd, bk.open, bk.row))
+	}
+	lat := Cycle(t.CL)
+	if write {
+		lat = Cycle(t.CWL)
+	}
+	dataStart = at + lat
+	dataEnd = dataStart + Cycle(t.TBL)
+
+	bs := &d.Stats.PerBank[idx]
+	if bk.colsSinceAct > 0 {
+		bs.RowHits++
+	} else {
+		bs.RowMisses++
+	}
+	bk.colsSinceAct++
+	if write {
+		bs.Writes++
+	} else {
+		bs.Reads++
+	}
+
+	if d.modeSwitchNeeded(rk, mode, gang) {
+		switched = true
+		rk.mode = mode
+		d.Stats.ModeSwitches++
+		if gang {
+			for o := range d.ranks {
+				d.ranks[o].mode = mode
+			}
+		}
+	}
+	r.gs.lastColAt = max(r.gs.lastColAt, at)
+	rk.lastColAt = max(rk.lastColAt, at)
+	// A stride burst moves all four column words into the I/O buffers,
+	// regardless of how many the channel sends.
+	fetched := uint64(1)
+	if mode.IsStride() {
+		fetched = 4
+	}
+	if !write {
+		bk.lastRdAt = max(bk.lastRdAt, at)
+		rk.rdDataEnd = max(rk.rdDataEnd, dataEnd)
+		if mode.IsStride() {
+			d.Stats.StrideReads++
+		} else {
+			d.Stats.Reads++
+		}
+	} else {
+		bk.wrDataEnd = max(bk.wrDataEnd, dataEnd)
+		rk.wrDataEnd = max(rk.wrDataEnd, dataEnd)
+		rk.lastWrAt = max(rk.lastWrAt, at)
+		if mode.IsStride() {
+			d.Stats.StrideWrites++
+		} else {
+			d.Stats.Writes++
+		}
+	}
+	d.Stats.ColumnWordsFetched += fetched
+	d.Stats.ColumnWordsRequested++
+	if gang {
+		d.Stats.GangedBursts++
+	}
+	d.Stats.BusBusyCycles += uint64(t.TBL)
+	if dataEnd > d.busFreeAt {
+		d.busFreeAt = dataEnd
+		d.busOwnerRank = r.rank
+		d.busOwnerGang = gang
+	}
+	d.busEverUsed = true
+	if d.Probe != nil || d.Trace != nil {
+		cmd := d.colCmd(idx, row, col, write, mode, gang)
+		if d.Probe != nil {
+			verdict = d.Probe.DataBurst(cmd, at)
+		}
+		if d.Trace != nil {
+			d.Trace.CommandIssued(cmd, at, IssueResult{
+				DataStart: dataStart, DataEnd: dataEnd, Done: dataEnd,
+				ModeSwitched: switched, Fault: verdict,
+			})
+		}
+	}
+	return at, dataStart, dataEnd, switched, verdict
+}
+
+// colCmd builds the column Command Column issues to flat bank idx.
+func (d *Device) colCmd(idx, row, col int, write bool, mode IOMode, gang bool) Command {
+	cmd := d.cmd(idx, CmdRD)
+	if write {
+		cmd.Kind = CmdWR
+	}
+	cmd.Row, cmd.Col, cmd.Mode, cmd.GangRanks = row, col, mode, gang
+	return cmd
+}
+
+// Refresh issues a REF to rank at its earliest legal cycle >= now, closing
+// every bank of the rank, and returns that cycle.
+func (d *Device) Refresh(rank int, now Cycle) Cycle {
+	t := &d.cfg.Timing
+	at := d.refEarliest(rank, now)
+	rk := &d.ranks[rank]
+	for b := range rk.banks {
+		rk.banks[b].open = false
+		rk.banks[b].preDoneAt = at
+	}
+	rk.refUntil = at + Cycle(t.TRFC)
+	rk.refDueAt += Cycle(t.TREFI)
+	d.Stats.Refs++
+	if d.Trace != nil {
+		d.Trace.CommandIssued(Command{Kind: CmdREF, Rank: rank}, at, IssueResult{Done: rk.refUntil})
+	}
+	return at
+}
+
+// ref resolves a Command's bank.
+func (d *Device) ref(cmd Command) *bankRef {
+	return &d.flatBanks[d.BankIndex(cmd.Rank, cmd.Group, cmd.Bank)]
+}
+
+// EarliestIssue returns the earliest cycle >= now at which cmd is legal.
+// It wraps the per-kind earliest functions the entry points use.
+func (d *Device) EarliestIssue(cmd Command, now Cycle) Cycle {
+	switch cmd.Kind {
+	case CmdACT:
+		return d.actEarliest(d.ref(cmd), cmd.GangRanks, now)
+	case CmdPRE:
+		return d.preEarliest(d.ref(cmd), now)
+	case CmdRD, CmdWR:
+		return d.colEarliest(d.ref(cmd), cmd.Kind == CmdWR, cmd.Mode, cmd.GangRanks, now)
+	case CmdREF:
+		return d.refEarliest(cmd.Rank, now)
+	default:
+		panic(fmt.Sprintf("dram: EarliestIssue of unknown command %v", cmd.Kind))
+	}
+}
+
+// IssueResult reports the consequences of a command issued through Issue,
+// and is what a CmdTracer sees.
 type IssueResult struct {
 	// DataStart/DataEnd bound the data burst on the bus (RD/WR only);
 	// DataEnd is exclusive.
@@ -584,172 +806,32 @@ type IssueResult struct {
 	Fault BurstVerdict
 }
 
-// Issue applies cmd at cycle at. It panics when the command is illegal
-// (issued before EarliestIssue, or structurally invalid) — the controller
-// is required to consult EarliestIssue first, and a violation is a
-// simulator bug, not a runtime condition.
+// Issue applies cmd at cycle at through the kind's entry point. It panics
+// when the command is illegal (issued before EarliestIssue, or structurally
+// invalid): a caller that picks its own cycle must consult EarliestIssue
+// first, and a violation is a simulator bug, not a runtime condition.
 func (d *Device) Issue(cmd Command, at Cycle) IssueResult {
 	if e := d.EarliestIssue(cmd, at); e > at {
 		panic(fmt.Sprintf("dram: %v issued at %d, legal at %d", cmd, at, e))
 	}
-	return d.issueAt(cmd, at)
-}
-
-// IssueEarliest issues cmd at its earliest legal cycle >= now and returns
-// that cycle with the result: EarliestIssue then Issue, with the timing
-// constraints evaluated once.
-func (d *Device) IssueEarliest(cmd Command, now Cycle) (Cycle, IssueResult) {
-	at := d.EarliestIssue(cmd, now)
-	return at, d.issueAt(cmd, at)
-}
-
-// issueAt applies a command already known to be legal at cycle at and
-// reports it to the tracer.
-func (d *Device) issueAt(cmd Command, at Cycle) IssueResult {
-	res := d.apply(cmd, at)
-	if d.Trace != nil {
-		d.Trace.CommandIssued(cmd, at, res)
-	}
-	return res
-}
-
-// apply performs Issue's state transition and returns the result.
-func (d *Device) apply(cmd Command, at Cycle) IssueResult {
+	// Legal at `at` means the earliest cycle >= at is at itself, so each
+	// entry point issues at exactly that cycle.
 	t := &d.cfg.Timing
-	rk := &d.ranks[cmd.Rank]
 	switch cmd.Kind {
 	case CmdACT:
-		bk := d.bank(cmd)
-		if bk.open {
-			panic(fmt.Sprintf("dram: ACT to open bank: %v", cmd))
-		}
-		bk.open = true
-		bk.row = cmd.Row
-		bk.actAt = at
-		bk.lastRdAt, bk.wrDataEnd = never, never
-		bk.colsSinceAct = 0
-		gs := &rk.groups[cmd.Group]
-		gs.lastActAt = max2(gs.lastActAt, at)
-		rk.lastActAt = max2(rk.lastActAt, at)
-		rk.recordAct(at)
-		d.Stats.Acts++
-		d.bankStats(cmd).Acts++
-		if cmd.GangRanks {
-			d.Stats.Acts++ // mirror rank activates too
-			for r := range d.ranks {
-				if r != cmd.Rank {
-					d.Stats.PerBank[d.BankIndex(r, cmd.Group, cmd.Bank)].Acts++
-				}
-			}
-		}
+		d.Activate(d.BankIndex(cmd.Rank, cmd.Group, cmd.Bank), cmd.Row, cmd.GangRanks, at)
 		return IssueResult{Done: at + Cycle(t.TRCD)}
 	case CmdPRE:
-		bk := d.bank(cmd)
-		if !bk.open {
-			panic(fmt.Sprintf("dram: PRE to closed bank: %v", cmd))
-		}
-		bk.open = false
-		bk.preDoneAt = at + Cycle(t.TRP)
-		d.Stats.Pres++
-		d.bankStats(cmd).Pres++
-		return IssueResult{Done: bk.preDoneAt}
+		d.Precharge(d.BankIndex(cmd.Rank, cmd.Group, cmd.Bank), at)
+		return IssueResult{Done: at + Cycle(t.TRP)}
 	case CmdRD, CmdWR:
-		return d.issueColumn(cmd, at)
-	case CmdREF:
-		for b := range rk.banks {
-			rk.banks[b].open = false
-			rk.banks[b].preDoneAt = at
-		}
-		rk.refUntil = at + Cycle(t.TRFC)
-		rk.refDueAt += Cycle(t.TREFI)
-		d.Stats.Refs++
-		return IssueResult{Done: rk.refUntil}
-	default:
-		panic(fmt.Sprintf("dram: Issue of unknown command %v", cmd.Kind))
+		var res IssueResult
+		_, res.DataStart, res.DataEnd, res.ModeSwitched, res.Fault = d.Column(
+			d.BankIndex(cmd.Rank, cmd.Group, cmd.Bank), cmd.Row, cmd.Col, cmd.Kind == CmdWR, cmd.Mode, cmd.GangRanks, at)
+		res.Done = res.DataEnd
+		return res
+	default: // CmdREF; EarliestIssue rejected every other kind
+		d.Refresh(cmd.Rank, at)
+		return IssueResult{Done: d.ranks[cmd.Rank].refUntil}
 	}
-}
-
-func (d *Device) issueColumn(cmd Command, at Cycle) IssueResult {
-	t := &d.cfg.Timing
-	rk := &d.ranks[cmd.Rank]
-	bk := d.bank(cmd)
-	if !bk.open || bk.row != cmd.Row {
-		panic(fmt.Sprintf("dram: column access to wrong/closed row: %v (open=%v row=%d)", cmd, bk.open, bk.row))
-	}
-	lat := Cycle(t.CL)
-	if cmd.Kind == CmdWR {
-		lat = Cycle(t.CWL)
-	}
-	res := IssueResult{DataStart: at + lat}
-	res.DataEnd = res.DataStart + Cycle(t.TBL)
-	res.Done = res.DataEnd
-
-	bs := d.bankStats(cmd)
-	if bk.colsSinceAct > 0 {
-		bs.RowHits++
-	} else {
-		bs.RowMisses++
-	}
-	bk.colsSinceAct++
-	if cmd.Kind == CmdRD {
-		bs.Reads++
-	} else {
-		bs.Writes++
-	}
-
-	if d.modeSwitchNeeded(cmd) {
-		res.ModeSwitched = true
-		rk.mode = cmd.Mode
-		d.Stats.ModeSwitches++
-		if cmd.GangRanks {
-			for r := range d.ranks {
-				d.ranks[r].mode = cmd.Mode
-			}
-		}
-	}
-	gs := &rk.groups[cmd.Group]
-	gs.lastColAt = max2(gs.lastColAt, at)
-	rk.lastColAt = max2(rk.lastColAt, at)
-	if cmd.Kind == CmdRD {
-		bk.lastRdAt = max2(bk.lastRdAt, at)
-		rk.rdDataEnd = max2(rk.rdDataEnd, res.DataEnd)
-		if cmd.Mode.IsStride() {
-			d.Stats.StrideReads++
-			// Stride fetch moves four column words into the I/O buffers
-			// (all four, regardless of how many the channel sends).
-			d.Stats.ColumnWordsFetched += 4
-			d.Stats.ColumnWordsRequested++
-		} else {
-			d.Stats.Reads++
-			d.Stats.ColumnWordsFetched++
-			d.Stats.ColumnWordsRequested++
-		}
-	} else {
-		bk.wrDataEnd = max2(bk.wrDataEnd, res.DataEnd)
-		rk.wrDataEnd = max2(rk.wrDataEnd, res.DataEnd)
-		rk.lastWrAt = max2(rk.lastWrAt, at)
-		if cmd.Mode.IsStride() {
-			d.Stats.StrideWrites++
-			d.Stats.ColumnWordsFetched += 4
-			d.Stats.ColumnWordsRequested++
-		} else {
-			d.Stats.Writes++
-			d.Stats.ColumnWordsFetched++
-			d.Stats.ColumnWordsRequested++
-		}
-	}
-	if cmd.GangRanks {
-		d.Stats.GangedBursts++
-	}
-	d.Stats.BusBusyCycles += uint64(t.TBL)
-	if res.DataEnd > d.busFreeAt {
-		d.busFreeAt = res.DataEnd
-		d.busOwnerRank = cmd.Rank
-		d.busOwnerGang = cmd.GangRanks
-	}
-	d.busEverUsed = true
-	if d.Probe != nil {
-		res.Fault = d.Probe.DataBurst(cmd, at)
-	}
-	return res
 }

@@ -162,39 +162,6 @@ func TestFourActivateWindow(t *testing.T) {
 	}
 }
 
-// TestIssueEarliestMatchesTwoStep drives one command stream through
-// EarliestIssue+Issue and through IssueEarliest: the issue cycles, the
-// results and the device statistics must agree.
-func TestIssueEarliestMatchesTwoStep(t *testing.T) {
-	a, b := NewDevice(testCfg()), NewDevice(testCfg())
-	rng := rand.New(rand.NewSource(7))
-	now := Cycle(0)
-	for i := 0; i < 400; i++ {
-		g, bk, row := rng.Intn(4), rng.Intn(4), 1+rng.Intn(3)
-		seq := []Command{{Kind: CmdACT, Group: g, Bank: bk, Row: row}}
-		for n := rng.Intn(4); n >= 0; n-- {
-			kind := CmdRD
-			if rng.Intn(3) == 0 {
-				kind = CmdWR
-			}
-			seq = append(seq, Command{Kind: kind, Group: g, Bank: bk, Row: row, Col: rng.Intn(8), Mode: IOMode(rng.Intn(5))})
-		}
-		seq = append(seq, Command{Kind: CmdPRE, Group: g, Bank: bk})
-		for _, cmd := range seq {
-			at := a.EarliestIssue(cmd, now)
-			want := a.Issue(cmd, at)
-			gotAt, got := b.IssueEarliest(cmd, now)
-			if gotAt != at || got != want {
-				t.Fatalf("%v: IssueEarliest gave (%d, %+v), two-step (%d, %+v)", cmd, gotAt, got, at, want)
-			}
-			now = at
-		}
-	}
-	if a.Stats.Acts != b.Stats.Acts || a.Stats.Reads != b.Stats.Reads || a.Stats.StrideReads != b.Stats.StrideReads || a.Stats.ModeSwitches != b.Stats.ModeSwitches {
-		t.Fatalf("stats diverged: %+v vs %+v", a.Stats, b.Stats)
-	}
-}
-
 func TestModeSwitchCostsTRTR(t *testing.T) {
 	cfg := testCfg()
 	d := NewDevice(cfg)

@@ -125,8 +125,8 @@ func driveStack(t *testing.T, buf *Buffer, audit bool) (*mc.Controller, *dram.De
 		}
 		arrival += dram.Cycle(1 + i%7)
 		for !ctrl.CanAccept(r.IsWrite) {
-			comp, ok := ctrl.ServiceOne()
-			if !ok {
+			var comp mc.Completion
+			if !ctrl.ServiceOne(&comp) {
 				t.Fatal("controller full but idle")
 			}
 			comps = append(comps, comp)
@@ -347,6 +347,7 @@ func BenchmarkTracedServiceLoop(b *testing.B) {
 	dev.Trace = ct
 	const depth = 48
 	var id uint64
+	var comp mc.Completion
 	fill := func() {
 		for ctrl.Pending() < depth {
 			ctrl.Enqueue(mc.Request{ID: id, Addr: (id * 832) % (1 << 30), Stride: id%3 == 0, Lane: int(id % 4)})
@@ -357,7 +358,7 @@ func BenchmarkTracedServiceLoop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := ctrl.ServiceOne(); !ok {
+		if !ctrl.ServiceOne(&comp) {
 			b.Fatal("idle")
 		}
 		fill()

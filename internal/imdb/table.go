@@ -4,9 +4,10 @@
 // designs impose.
 //
 // Table values are generated lazily from a seeded mix function, so a
-// "10M-record" table costs no memory until written; updates and inserts go
-// to an overlay. Every executor result is therefore reproducible from
-// (seed, schema) alone — the determinism invariant the tests lean on.
+// "10M-record" table costs no memory until written; an updated field is
+// materialized as a dense column, and inserted rows go to an overlay.
+// Every executor result is therefore reproducible from (seed, schema)
+// alone — the determinism invariant the tests lean on.
 package imdb
 
 import "fmt"
@@ -61,12 +62,17 @@ func Tb(records int) Schema {
 type Table struct {
 	Schema Schema
 	seed   uint64
-	// overlay holds values changed by UPDATE/INSERT, keyed by
+	// card is each field's categorical cardinality from
+	// Schema.Categorical, 0 for a full-range field; it ends at the last
+	// categorical field.
+	card []uint64
+	// cols holds, per field SetValue has written, every base record's
+	// value: generated on the field's first write, then updated in place.
+	// Unwritten fields are nil, and so is cols until the first write.
+	cols [][]uint64
+	// overlay holds the fields of rows appended by INSERT, keyed by
 	// record*Fields+field.
 	overlay map[uint64]uint64
-	// written marks the fields SetValue has written, so reads of any
-	// other base-record field skip the overlay. Allocated on first use.
-	written []bool
 	// extraRecords counts rows appended past Schema.Records by INSERT.
 	extraRecords int
 }
@@ -76,7 +82,16 @@ func NewTable(s Schema, seed uint64) *Table {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
-	return &Table{Schema: s, seed: seed, overlay: make(map[uint64]uint64)}
+	var card []uint64
+	for f, c := range s.Categorical {
+		if f >= 0 && f < s.Fields && c > 0 {
+			if f >= len(card) {
+				card = append(card, make([]uint64, f+1-len(card))...)
+			}
+			card[f] = c
+		}
+	}
+	return &Table{Schema: s, seed: seed, card: card, overlay: make(map[uint64]uint64)}
 }
 
 // Records returns the current record count (base plus inserted).
@@ -102,19 +117,22 @@ func (t *Table) Value(rec, field int) uint64 {
 	if rec < 0 || rec >= t.Records() || field < 0 || field >= t.Schema.Fields {
 		panic(fmt.Sprintf("imdb: value (%d,%d) out of range for %s", rec, field, t.Schema.Name))
 	}
-	k := t.key(rec, field)
 	if rec >= t.Schema.Records {
-		return t.overlay[k] // inserted records default to zero until written
+		return t.overlay[t.key(rec, field)] // inserted records default to zero until written
 	}
-	// Only a field SetValue has written can have an overlay value.
-	if t.written != nil && t.written[field] {
-		if v, ok := t.overlay[k]; ok {
-			return v
+	if t.cols != nil {
+		if col := t.cols[field]; col != nil {
+			return col[rec]
 		}
 	}
-	v := mix(t.seed ^ mix(k))
-	if card, ok := t.Schema.Categorical[field]; ok && card > 0 {
-		v %= card
+	return t.generated(rec, field)
+}
+
+// generated is a base record's field as the seed generates it.
+func (t *Table) generated(rec, field int) uint64 {
+	v := mix(t.seed ^ mix(t.key(rec, field)))
+	if field < len(t.card) && t.card[field] > 0 {
+		v %= t.card[field]
 	}
 	return v
 }
@@ -124,11 +142,22 @@ func (t *Table) SetValue(rec, field int, v uint64) {
 	if rec < 0 || rec >= t.Records() || field < 0 || field >= t.Schema.Fields {
 		panic(fmt.Sprintf("imdb: set (%d,%d) out of range for %s", rec, field, t.Schema.Name))
 	}
-	if t.written == nil {
-		t.written = make([]bool, t.Schema.Fields)
+	if rec >= t.Schema.Records {
+		t.overlay[t.key(rec, field)] = v
+		return
 	}
-	t.written[field] = true
-	t.overlay[t.key(rec, field)] = v
+	if t.cols == nil {
+		t.cols = make([][]uint64, t.Schema.Fields)
+	}
+	col := t.cols[field]
+	if col == nil {
+		col = make([]uint64, t.Schema.Records)
+		for r := range col {
+			col[r] = t.generated(r, field)
+		}
+		t.cols[field] = col
+	}
+	col[rec] = v
 }
 
 // Append adds a record with the given field values (INSERT) and returns its

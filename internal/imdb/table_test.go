@@ -2,6 +2,7 @@ package imdb
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -276,5 +277,53 @@ func TestNonCategoricalFieldsFullRange(t *testing.T) {
 	}
 	if big < 30 {
 		t.Fatal("non-categorical field looks truncated")
+	}
+}
+
+// TestTableMatchesMapReference drives random SetValue, Append and Value
+// sequences against a plain map reference: every read must return the
+// last value written to the cell, the appended value for an inserted row,
+// or else the generated value of an untouched twin table.
+func TestTableMatchesMapReference(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := Tb(1 + rng.Intn(40))
+		if seed%2 == 0 {
+			s = Schema{Name: "odd", Fields: 3, Records: rng.Intn(30),
+				Categorical: map[int]uint64{1: 5, 7: 2}} // 7 is past the last field
+		}
+		tb, twin := NewTable(s, uint64(seed)), NewTable(s, uint64(seed))
+		ref := map[[2]int]uint64{}
+		for step := 0; step < 2000; step++ {
+			recs := tb.Records()
+			switch op := rng.Intn(10); {
+			case op == 0:
+				vals := make([]uint64, s.Fields)
+				for f := range vals {
+					if rng.Intn(3) > 0 {
+						vals[f] = rng.Uint64()
+					}
+				}
+				if rec := tb.Append(vals); rec != recs {
+					t.Fatalf("seed %d: Append landed at %d, want %d", seed, rec, recs)
+				}
+				for f, v := range vals {
+					ref[[2]int{recs, f}] = v
+				}
+			case op < 4 && recs > 0:
+				rec, f, v := rng.Intn(recs), rng.Intn(s.Fields), rng.Uint64()%7
+				tb.SetValue(rec, f, v)
+				ref[[2]int{rec, f}] = v
+			case recs > 0:
+				rec, f := rng.Intn(recs), rng.Intn(s.Fields)
+				want, ok := ref[[2]int{rec, f}]
+				if !ok {
+					want = twin.Value(rec, f)
+				}
+				if got := tb.Value(rec, f); got != want {
+					t.Fatalf("seed %d step %d: Value(%d,%d) = %d, want %d", seed, step, rec, f, got, want)
+				}
+			}
+		}
 	}
 }

@@ -19,7 +19,8 @@ import (
 type AddrMap struct {
 	geo dram.Geometry
 
-	offBits, colBits, chBits, bankBits, rankBits int
+	// groupBits are the low bits of the bankBits-wide bank field.
+	offBits, colBits, chBits, bankBits, groupBits, rankBits int
 }
 
 // NewAddrMap builds the mapping; it panics when a field is not a power of
@@ -32,12 +33,13 @@ func NewAddrMap(geo dram.Geometry) *AddrMap {
 		return bits.TrailingZeros(uint(v))
 	}
 	return &AddrMap{
-		geo:      geo,
-		offBits:  log2(geo.LineBytes, "line bytes"),
-		colBits:  log2(geo.LinesPerRow(), "lines per row"),
-		chBits:   log2(geo.Channels, "channels"),
-		bankBits: log2(geo.Banks(), "banks per rank"),
-		rankBits: log2(geo.Ranks, "ranks"),
+		geo:       geo,
+		offBits:   log2(geo.LineBytes, "line bytes"),
+		colBits:   log2(geo.LinesPerRow(), "lines per row"),
+		chBits:    log2(geo.Channels, "channels"),
+		bankBits:  log2(geo.Banks(), "banks per rank"),
+		groupBits: log2(geo.BankGroups, "bank groups"),
+		rankBits:  log2(geo.Ranks, "ranks"),
 	}
 }
 
@@ -54,21 +56,28 @@ type Coord struct {
 
 // Decode splits a physical address into DRAM coordinates.
 func (m *AddrMap) Decode(addr uint64) Coord {
+	var c Coord
+	m.decode(addr, &c)
+	return c
+}
+
+// decode is Decode into caller-owned storage: Enqueue decodes straight
+// into the request's queue slot. The bank field holds Bank*BankGroups +
+// Group, and BankGroups is a power of two (it divides the power-of-two
+// bank count), so the split is a mask and a shift.
+func (m *AddrMap) decode(addr uint64, c *Coord) {
 	take := func(n int) int {
 		v := addr & (1<<uint(n) - 1)
 		addr >>= uint(n)
 		return int(v)
 	}
-	var c Coord
 	c.Offset = take(m.offBits)
 	c.Col = take(m.colBits)
 	c.Channel = take(m.chBits)
-	bank := take(m.bankBits)
-	c.Group = bank % m.geo.BankGroups
-	c.Bank = bank / m.geo.BankGroups
+	c.Group = take(m.groupBits)
+	c.Bank = take(m.bankBits - m.groupBits)
 	c.Rank = take(m.rankBits)
 	c.Row = int(addr)
-	return c
 }
 
 // Channel extracts just the channel field of addr without a full Decode —

@@ -46,6 +46,7 @@ func benchStream(n int) []Request {
 // depth: prefill to ~depth, then one enqueue + one service per iteration.
 func benchServiceLoop(b *testing.B, s scheduler, depth int, reqs []Request) {
 	j := 0
+	var comp Completion
 	next := func() Request {
 		r := reqs[j%len(reqs)]
 		j++
@@ -55,7 +56,7 @@ func benchServiceLoop(b *testing.B, s scheduler, depth int, reqs []Request) {
 	for i := 0; i < depth; i++ {
 		r := next()
 		if !s.CanAccept(r.IsWrite) {
-			s.ServiceOne()
+			s.ServiceOne(&comp)
 		}
 		if s.CanAccept(r.IsWrite) {
 			s.Enqueue(r)
@@ -66,10 +67,10 @@ func benchServiceLoop(b *testing.B, s scheduler, depth int, reqs []Request) {
 	for i := 0; i < b.N; i++ {
 		r := next()
 		for !s.CanAccept(r.IsWrite) {
-			s.ServiceOne()
+			s.ServiceOne(&comp)
 		}
 		s.Enqueue(r)
-		s.ServiceOne()
+		s.ServiceOne(&comp)
 	}
 }
 
@@ -116,17 +117,18 @@ func BenchmarkControllerPrepareAheadReference(b *testing.B) {
 func BenchmarkControllerEnqueue(b *testing.B) {
 	c := NewController(dram.NewDevice(dram.DDR4_2400()), DefaultConfig())
 	reqs := benchStream(4096)
+	var comp Completion
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := reqs[i%len(reqs)]
 		r.Arrival = c.Now()
 		for !c.CanAccept(r.IsWrite) {
-			c.ServiceOne()
+			c.ServiceOne(&comp)
 		}
 		c.Enqueue(r)
 		if c.Pending() > 8 {
-			c.ServiceOne()
+			c.ServiceOne(&comp)
 		}
 	}
 }

@@ -22,7 +22,8 @@ type Request struct {
 	Arrival dram.Cycle
 }
 
-// Completion reports a serviced request.
+// Completion reports a serviced request. ServiceOne writes it into
+// caller-owned storage.
 type Completion struct {
 	Req       Request
 	IssueAt   dram.Cycle // column command issue (final attempt when retried)
@@ -296,19 +297,24 @@ func (c *Controller) CanAccept(isWrite bool) bool {
 	return c.readQ.n < c.cfg.ReadQueueCap
 }
 
-// Enqueue adds a request, decoding its address exactly once. Callers must
-// respect CanAccept.
+// Enqueue adds a request, written straight into its queue slot with its
+// address decoded there exactly once (r itself travels in registers).
+// Callers must respect CanAccept.
 func (c *Controller) Enqueue(r Request) {
 	if !c.CanAccept(r.IsWrite) {
 		panic("mc: enqueue past queue capacity")
 	}
-	co := c.amap.Decode(r.Addr)
-	bank := int32(c.dev.BankIndex(co.Rank, co.Group, co.Bank))
+	q := &c.readQ
 	if r.IsWrite {
-		c.writeQ.push(r, co, bank, c.seq)
-	} else {
-		c.readQ.push(r, co, bank, c.seq)
+		q = &c.writeQ
 	}
+	i := q.take()
+	e := &q.slots[i]
+	e.req = r
+	c.amap.decode(r.Addr, &e.co)
+	e.bank = int32(c.dev.BankIndex(e.co.Rank, e.co.Group, e.co.Bank))
+	e.seq = c.seq
+	q.link(i)
 	c.seq++
 	if occ := c.Pending(); occ > c.Stats.MaxQueueOccupancy {
 		c.Stats.MaxQueueOccupancy = occ
@@ -321,7 +327,7 @@ func (c *Controller) Enqueue(r Request) {
 		}
 	}
 	if c.Trace != nil {
-		c.Trace.ReqEnqueued(r.Arrival, r, bank, c.Pending())
+		c.Trace.ReqEnqueued(e.req.Arrival, e.req, e.bank, c.Pending())
 	}
 }
 
@@ -329,11 +335,12 @@ func (c *Controller) Enqueue(r Request) {
 func (c *Controller) Now() dram.Cycle { return c.now }
 
 // ServiceOne advances the controller until it completes one request and
-// returns its completion. It returns ok=false when no requests are queued.
-func (c *Controller) ServiceOne() (Completion, bool) {
+// writes its completion to *comp. It returns false, leaving *comp as it
+// was, when no requests are queued.
+func (c *Controller) ServiceOne(comp *Completion) bool {
 	q := c.pickQueue()
 	if q == nil {
-		return Completion{}, false
+		return false
 	}
 	slot := c.frFCFS(q)
 	// Unlink first, then service through a pointer: remove only relinks
@@ -351,7 +358,7 @@ func (c *Controller) ServiceOne() (Completion, bool) {
 	}
 	c.serviceRefresh()
 	c.prepareAhead(q, e)
-	comp := c.access(e)
+	c.access(e, comp)
 	if e.req.IsWrite {
 		c.Stats.Writes++
 	} else {
@@ -366,9 +373,9 @@ func (c *Controller) ServiceOne() (Completion, bool) {
 	}
 	c.Stats.BusCycleOfLastAccess = comp.DataEnd
 	if c.Trace != nil {
-		c.Trace.ReqCompleted(comp, e.bank)
+		c.Trace.ReqCompleted(*comp, e.bank)
 	}
-	return comp, true
+	return true
 }
 
 // pickQueue decides between the read queue and the write queue: reads
@@ -529,9 +536,9 @@ func (c *Controller) prepareAhead(q *reqQueue, current *entry) {
 	for _, i := range cands[:n] {
 		e := &q.slots[i]
 		if _, open := c.dev.OpenRowAt(int(e.bank)); open {
-			c.issue(dram.Command{Kind: dram.CmdPRE, Rank: e.co.Rank, Group: e.co.Group, Bank: e.co.Bank})
+			c.precharge(e)
 		}
-		c.issue(dram.Command{Kind: dram.CmdACT, Rank: e.co.Rank, Group: e.co.Group, Bank: e.co.Bank, Row: e.co.Row, GangRanks: e.req.Gang})
+		c.activate(e)
 	}
 }
 
@@ -579,68 +586,95 @@ func (c *Controller) bankCandidate(q *reqQueue, bank int32) int32 {
 func (c *Controller) serviceRefresh() {
 	for r := 0; r < c.ranks; r++ {
 		for c.dev.RefreshDue(r) <= c.now {
-			c.issue(dram.Command{Kind: dram.CmdREF, Rank: r})
+			at := c.dev.Refresh(r, c.now)
+			if c.Audit != nil {
+				c.Audit.Record(dram.Command{Kind: dram.CmdREF, Rank: r}, at)
+			}
+			c.Stats.IssuedCommands++
 			c.Stats.Refreshes++
 		}
 	}
 }
 
-// issue sends one command to the device at its earliest legal time and
-// returns that time. The controller's `now` ratchets per serviced request,
-// so bank-local command order is always preserved; prepared-ahead ACTs may
-// land at later times than a subsequently issued column command to another
-// bank, exactly as on a real C/A bus.
-func (c *Controller) issue(cmd dram.Command) dram.Cycle {
-	at, _ := c.dev.IssueEarliest(cmd, c.now)
+// The device commands below go out at their earliest legal cycle >= now.
+// The controller's `now` ratchets per serviced request, so bank-local
+// command order is always preserved; prepared-ahead ACTs may land at later
+// times than a subsequently issued column command to another bank, exactly
+// as on a real C/A bus. A Command value is built only for an attached
+// Audit.
+
+// precharge closes e's bank.
+func (c *Controller) precharge(e *entry) {
+	at := c.dev.Precharge(int(e.bank), c.now)
 	if c.Audit != nil {
-		c.Audit.Record(cmd, at)
+		c.Audit.Record(dram.Command{Kind: dram.CmdPRE, Rank: e.co.Rank, Group: e.co.Group, Bank: e.co.Bank}, at)
 	}
 	c.Stats.IssuedCommands++
-	return at
+}
+
+// activate opens e's row in its bank (ganged when e is).
+func (c *Controller) activate(e *entry) {
+	at := c.dev.Activate(int(e.bank), e.co.Row, e.req.Gang, c.now)
+	if c.Audit != nil {
+		c.Audit.Record(dram.Command{
+			Kind: dram.CmdACT, Rank: e.co.Rank, Group: e.co.Group, Bank: e.co.Bank,
+			Row: e.co.Row, GangRanks: e.req.Gang,
+		}, at)
+	}
+	c.Stats.IssuedCommands++
+}
+
+// column issues e's column access in mode and returns the device's
+// results.
+func (c *Controller) column(e *entry, mode dram.IOMode) (at, dataStart, dataEnd dram.Cycle, verdict dram.BurstVerdict) {
+	r, co := &e.req, &e.co
+	var switched bool
+	at, dataStart, dataEnd, switched, verdict = c.dev.Column(int(e.bank), co.Row, co.Col, r.IsWrite, mode, r.Gang, c.now)
+	if c.Audit != nil {
+		kind := dram.CmdRD
+		if r.IsWrite {
+			kind = dram.CmdWR
+		}
+		c.Audit.Record(dram.Command{
+			Kind: kind, Rank: co.Rank, Group: co.Group, Bank: co.Bank,
+			Row: co.Row, Col: co.Col, Mode: mode, GangRanks: r.Gang,
+		}, at)
+	}
+	c.Stats.IssuedCommands++
+	if switched {
+		c.Stats.ModeSwitches++
+	}
+	return at, dataStart, dataEnd, verdict
 }
 
 // access performs the PRE/ACT/column sequence for one request, using the
-// coordinates decoded at Enqueue.
-func (c *Controller) access(e *entry) Completion {
-	r, co := &e.req, e.co
-	comp := Completion{Req: *r}
-
+// coordinates decoded at Enqueue, and writes its completion to *comp.
+func (c *Controller) access(e *entry, comp *Completion) {
+	r := &e.req
+	var hit, empty bool
 	openRow, open := c.dev.OpenRowAt(int(e.bank))
 	switch {
-	case open && openRow == co.Row:
-		comp.RowHit = true
+	case open && openRow == e.co.Row:
+		hit = true
 		c.Stats.RowHits++
 	case open:
 		c.Stats.RowMisses++
-		c.issue(dram.Command{Kind: dram.CmdPRE, Rank: co.Rank, Group: co.Group, Bank: co.Bank})
-		c.issue(dram.Command{Kind: dram.CmdACT, Rank: co.Rank, Group: co.Group, Bank: co.Bank, Row: co.Row, GangRanks: r.Gang})
+		c.precharge(e)
+		c.activate(e)
 	default:
-		comp.RowEmpty = true
+		empty = true
 		c.Stats.RowEmpties++
-		c.issue(dram.Command{Kind: dram.CmdACT, Rank: co.Rank, Group: co.Group, Bank: co.Bank, Row: co.Row, GangRanks: r.Gang})
+		c.activate(e)
 	}
 
-	kind := dram.CmdRD
-	if r.IsWrite {
-		kind = dram.CmdWR
-	}
 	mode := dram.ModeX4
 	if r.Stride {
 		mode = dram.ModeStride0 + dram.IOMode(r.Lane%4)
 	}
-	cmd := dram.Command{
-		Kind: kind, Rank: co.Rank, Group: co.Group, Bank: co.Bank,
-		Row: co.Row, Col: co.Col, Mode: mode, GangRanks: r.Gang,
-	}
-	at, res := c.dev.IssueEarliest(cmd, c.now)
-	if c.Audit != nil {
-		c.Audit.Record(cmd, at)
-	}
-	c.Stats.IssuedCommands++
-	if res.ModeSwitched {
-		c.Stats.ModeSwitches++
-	}
-	if res.Fault == dram.BurstUncorrectable && !r.IsWrite {
+	at, dataStart, dataEnd, verdict := c.column(e, mode)
+	var retries uint8
+	var poisoned bool
+	if verdict == dram.BurstUncorrectable && !r.IsWrite {
 		// Bounded retry: re-issue the column read — a retry is a fresh
 		// burst, so transient faults are re-drawn while persistent faults
 		// recur — and poison the completion when the budget runs out
@@ -653,17 +687,10 @@ func (c *Controller) access(e *entry) Completion {
 		for attempt < c.cfg.MaxRetries {
 			attempt++
 			c.Stats.Retries++
-			comp.Retries++
+			retries++
 			c.now = at
-			at, res = c.dev.IssueEarliest(cmd, c.now)
-			if c.Audit != nil {
-				c.Audit.Record(cmd, at)
-			}
-			c.Stats.IssuedCommands++
-			if res.ModeSwitched {
-				c.Stats.ModeSwitches++
-			}
-			if res.Fault != dram.BurstUncorrectable {
+			at, dataStart, dataEnd, verdict = c.column(e, mode)
+			if verdict != dram.BurstUncorrectable {
 				break
 			}
 			// The final attempt's failure is reported by the poisoned
@@ -672,29 +699,27 @@ func (c *Controller) access(e *entry) Completion {
 				c.Trace.ReqFaulted(at, *r, e.bank, attempt, false)
 			}
 		}
-		if res.Fault == dram.BurstUncorrectable {
-			comp.Poisoned = true
+		if verdict == dram.BurstUncorrectable {
+			poisoned = true
 			c.Stats.Poisoned++
 			if c.Trace != nil {
 				c.Trace.ReqFaulted(at, *r, e.bank, attempt, true)
 			}
 		}
 	}
-	comp.IssueAt = at
-	comp.DataStart = res.DataStart
-	comp.DataEnd = res.DataEnd
+	*comp = Completion{
+		Req: *r, IssueAt: at, DataStart: dataStart, DataEnd: dataEnd,
+		RowHit: hit, RowEmpty: empty, Retries: retries, Poisoned: poisoned,
+	}
 	c.now = at
-	return comp
 }
 
 // Drain services every queued request and returns the completions.
 func (c *Controller) Drain() []Completion {
 	var out []Completion
-	for {
-		comp, ok := c.ServiceOne()
-		if !ok {
-			return out
-		}
+	var comp Completion
+	for c.ServiceOne(&comp) {
 		out = append(out, comp)
 	}
+	return out
 }

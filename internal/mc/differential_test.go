@@ -129,8 +129,9 @@ func bankSpreadStream(rng *rand.Rand, m *AddrMap, n int, gang bool) []Request {
 // completions agree byte for byte.
 func serviceBoth(t *testing.T, mix int, a, b scheduler) bool {
 	t.Helper()
-	ca, oka := a.ServiceOne()
-	cb, okb := b.ServiceOne()
+	var ca, cb Completion
+	oka := a.ServiceOne(&ca)
+	okb := b.ServiceOne(&cb)
 	if oka != okb {
 		t.Fatalf("mix %d: ServiceOne ok diverged: new=%v ref=%v", mix, oka, okb)
 	}

@@ -16,6 +16,7 @@ func zeroAllocServiceLoop(t *testing.T, c *Controller, label string) {
 	t.Helper()
 	reqs := benchStream(4096)
 	j := 0
+	var comp Completion
 	next := func() Request {
 		r := reqs[j%len(reqs)]
 		j++
@@ -25,7 +26,7 @@ func zeroAllocServiceLoop(t *testing.T, c *Controller, label string) {
 	for i := 0; i < 48; i++ {
 		r := next()
 		if !c.CanAccept(r.IsWrite) {
-			c.ServiceOne()
+			c.ServiceOne(&comp)
 		}
 		if c.CanAccept(r.IsWrite) {
 			c.Enqueue(r)
@@ -34,10 +35,10 @@ func zeroAllocServiceLoop(t *testing.T, c *Controller, label string) {
 	allocs := testing.AllocsPerRun(2000, func() {
 		r := next()
 		for !c.CanAccept(r.IsWrite) {
-			c.ServiceOne()
+			c.ServiceOne(&comp)
 		}
 		c.Enqueue(r)
-		c.ServiceOne()
+		c.ServiceOne(&comp)
 	})
 	if allocs != 0 {
 		t.Fatalf("%s: %.2f allocs/op, want 0", label, allocs)

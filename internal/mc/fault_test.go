@@ -117,7 +117,7 @@ func oneRead(t *testing.T, cfg Config, probe *scriptedProbe) (Completion, *Contr
 	rec := &recordingTracer{}
 	c.Trace = rec
 	c.Enqueue(Request{ID: 1, Addr: 0x4000})
-	comp, ok := c.ServiceOne()
+	comp, ok := serviceOne(c)
 	if !ok {
 		t.Fatal("ServiceOne serviced nothing")
 	}
@@ -238,7 +238,7 @@ func TestControllerWriteFaultNotRetried(t *testing.T) {
 	})
 	c := NewController(dev, DefaultConfig())
 	c.Enqueue(Request{ID: 1, Addr: 0x4000, IsWrite: true})
-	comp, ok := c.ServiceOne()
+	comp, ok := serviceOne(c)
 	if !ok {
 		t.Fatal("ServiceOne serviced nothing")
 	}

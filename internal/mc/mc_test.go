@@ -90,7 +90,7 @@ func TestLineAddr(t *testing.T) {
 func TestControllerSingleRead(t *testing.T) {
 	c := newTestController()
 	c.Enqueue(Request{ID: 1, Addr: 0x1000, Arrival: 0})
-	comp, ok := c.ServiceOne()
+	comp, ok := serviceOne(c)
 	if !ok {
 		t.Fatal("no completion")
 	}
@@ -139,7 +139,7 @@ func TestFRFCFSPrefersRowHit(t *testing.T) {
 	m := c.AddrMap()
 	// Open row 0 of bank (0,0,0) with request A.
 	c.Enqueue(Request{ID: 1, Addr: 0, Arrival: 0})
-	if _, ok := c.ServiceOne(); !ok {
+	if _, ok := serviceOne(c); !ok {
 		t.Fatal("A not serviced")
 	}
 	// B conflicts (row 1 same bank), C hits (row 0 col 5). B is older.
@@ -151,11 +151,11 @@ func TestFRFCFSPrefersRowHit(t *testing.T) {
 	cAddr := m.Encode(co)
 	c.Enqueue(Request{ID: 2, Addr: bAddr, Arrival: 1})
 	c.Enqueue(Request{ID: 3, Addr: cAddr, Arrival: 2})
-	first, _ := c.ServiceOne()
+	first, _ := serviceOne(c)
 	if first.Req.ID != 3 {
 		t.Fatalf("FR-FCFS serviced ID %d first, want the row hit (3)", first.Req.ID)
 	}
-	second, _ := c.ServiceOne()
+	second, _ := serviceOne(c)
 	if second.Req.ID != 2 {
 		t.Fatalf("conflict request starved")
 	}
@@ -168,7 +168,7 @@ func TestWriteQueueDrainHysteresis(t *testing.T) {
 		c.Enqueue(Request{ID: uint64(i), Addr: uint64(i) * 64, IsWrite: true, Arrival: 0})
 	}
 	c.Enqueue(Request{ID: 100, Addr: 0x100000, Arrival: 0})
-	first, _ := c.ServiceOne()
+	first, _ := serviceOne(c)
 	if !first.Req.IsWrite {
 		t.Fatal("drain mode should prioritize writes above high watermark")
 	}
@@ -176,7 +176,7 @@ func TestWriteQueueDrainHysteresis(t *testing.T) {
 	var sawRead bool
 	writesBeforeRead := 1
 	for {
-		comp, ok := c.ServiceOne()
+		comp, ok := serviceOne(c)
 		if !ok {
 			break
 		}
@@ -215,7 +215,7 @@ func TestControllerRefreshIssued(t *testing.T) {
 	cfg := dram.DDR4_2400()
 	// A request arriving after tREFI forces a refresh first.
 	c.Enqueue(Request{ID: 1, Addr: 0, Arrival: dram.Cycle(cfg.Timing.TREFI + 10)})
-	c.ServiceOne()
+	serviceOne(c)
 	if c.Stats.Refreshes == 0 {
 		t.Fatal("no refresh issued despite deadline")
 	}
@@ -254,13 +254,13 @@ func TestControllerAuditCleanUnderRandomLoad(t *testing.T) {
 		}
 		arrival += dram.Cycle(rng.Intn(20))
 		for !c.CanAccept(r.IsWrite) {
-			if _, ok := c.ServiceOne(); !ok {
+			if _, ok := serviceOne(c); !ok {
 				t.Fatal("queue full but nothing to service")
 			}
 		}
 		c.Enqueue(r)
 		if rng.Intn(3) == 0 {
-			c.ServiceOne()
+			serviceOne(c)
 		}
 	}
 	c.Drain()
@@ -294,7 +294,7 @@ func TestControllerConfigValidation(t *testing.T) {
 
 func TestServiceOneEmptyQueue(t *testing.T) {
 	c := newTestController()
-	if _, ok := c.ServiceOne(); ok {
+	if _, ok := serviceOne(c); ok {
 		t.Fatal("serviced from empty queue")
 	}
 }
@@ -302,7 +302,7 @@ func TestServiceOneEmptyQueue(t *testing.T) {
 func TestReadLatencyAccounting(t *testing.T) {
 	c := newTestController()
 	c.Enqueue(Request{ID: 1, Addr: 0, Arrival: 0})
-	comp, _ := c.ServiceOne()
+	comp, _ := serviceOne(c)
 	if c.Stats.TotalReadLatency != uint64(comp.DataEnd) {
 		t.Fatalf("latency %d, want %d", c.Stats.TotalReadLatency, comp.DataEnd)
 	}
@@ -316,7 +316,7 @@ func TestLatencyHistogram(t *testing.T) {
 		c.Enqueue(Request{ID: uint64(i), Addr: uint64(i) * 4096, Arrival: dram.Cycle(i * 2)})
 		if i%8 == 7 {
 			for c.Pending() > 4 {
-				c.ServiceOne()
+				serviceOne(c)
 			}
 		}
 	}
@@ -390,7 +390,7 @@ func TestStarvationGuard(t *testing.T) {
 			m := c.AddrMap()
 			// Open row 0 of bank 0.
 			c.Enqueue(Request{ID: 0, Addr: 0, Arrival: 0})
-			c.ServiceOne()
+			serviceOne(c)
 			// The victim: row 1 of the same bank, enqueued early.
 			co := m.Decode(0)
 			co.Row = 1
@@ -402,7 +402,7 @@ func TestStarvationGuard(t *testing.T) {
 				co.Row = 0
 				co.Col = i % 32
 				c.Enqueue(Request{ID: uint64(i), Addr: m.Encode(co), Arrival: c.Now()})
-				comp, _ := c.ServiceOne()
+				comp, _ := serviceOne(c)
 				if comp.Req.ID == 1 {
 					servicedVictimAt = i
 					break
@@ -420,4 +420,11 @@ func TestStarvationGuard(t *testing.T) {
 			}
 		})
 	}
+}
+
+// serviceOne is ServiceOne returning the completion.
+func serviceOne(c scheduler) (Completion, bool) {
+	var comp Completion
+	ok := c.ServiceOne(&comp)
+	return comp, ok
 }

@@ -83,32 +83,36 @@ func newReqQueue(capacity, banks int) reqQueue {
 	return q
 }
 
-// push appends a decoded request at the queue tail and indexes it under
-// its bank (at the bank list's tail, so bank lists share the queue's
-// enqueue — and, while sorted, arrival — order). Callers must respect
-// capacity (Controller.CanAccept).
-func (q *reqQueue) push(req Request, co Coord, bank int32, seq uint64) {
+// take pops a free slot for Enqueue to fill (req, co, bank, seq) in place
+// before link. Callers must respect capacity (Controller.CanAccept).
+func (q *reqQueue) take() int32 {
 	i := q.free
 	if i == nilSlot {
 		panic("mc: reqQueue overflow")
 	}
 	q.free = q.slots[i].next
-	if q.n > 0 && req.Arrival < q.lastArrival {
+	return i
+}
+
+// link appends the filled slot i at the queue tail and indexes it under its
+// bank (at the bank list's tail, so bank lists share the queue's enqueue —
+// and, while sorted, arrival — order).
+func (q *reqQueue) link(i int32) {
+	e := &q.slots[i]
+	if q.n > 0 && e.req.Arrival < q.lastArrival {
 		q.sorted = false
 	}
-	q.lastArrival = req.Arrival
-	q.slots[i] = entry{
-		req: req, co: co, bank: bank, seq: seq,
-		prev: q.tail, next: nilSlot,
-		bankPrev: q.bankTail[bank], bankNext: nilSlot,
-	}
+	q.lastArrival = e.req.Arrival
+	bank := e.bank
+	e.prev, e.next = q.tail, nilSlot
+	e.bankPrev, e.bankNext = q.bankTail[bank], nilSlot
 	if q.tail != nilSlot {
 		q.slots[q.tail].next = i
 	} else {
 		q.head = i
 	}
 	q.tail = i
-	if pv := q.slots[i].bankPrev; pv != nilSlot {
+	if pv := e.bankPrev; pv != nilSlot {
 		q.slots[pv].bankNext = i
 	} else {
 		q.bankHead[bank] = i

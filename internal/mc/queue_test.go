@@ -45,7 +45,7 @@ func TestReqQueueOrderAndBankIndex(t *testing.T) {
 		}
 		if q.n < 16 && (q.n == 0 || rng.Intn(2) == 0) {
 			bank := int32(rng.Intn(banks))
-			q.push(Request{ID: nextID}, Coord{}, bank, nextID)
+			push(&q, Request{ID: nextID}, Coord{}, bank, nextID)
 			model = append(model, modelEntry{nextID, bank})
 			nextID++
 		} else {
@@ -97,7 +97,7 @@ func TestReqQueueCapacityReuse(t *testing.T) {
 	q := newReqQueue(4, 2)
 	for round := 0; round < 100; round++ {
 		for i := 0; i < 4; i++ {
-			q.push(Request{ID: uint64(i)}, Coord{}, int32(i%2), uint64(i))
+			push(&q, Request{ID: uint64(i)}, Coord{}, int32(i%2), uint64(i))
 		}
 		if q.n != 4 {
 			t.Fatalf("n=%d", q.n)
@@ -117,14 +117,14 @@ func TestReqQueueCapacityReuse(t *testing.T) {
 
 func TestReqQueueOverflowPanics(t *testing.T) {
 	q := newReqQueue(2, 1)
-	q.push(Request{}, Coord{}, 0, 0)
-	q.push(Request{}, Coord{}, 0, 1)
+	push(&q, Request{}, Coord{}, 0, 0)
+	push(&q, Request{}, Coord{}, 0, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("overflow accepted")
 		}
 	}()
-	q.push(Request{}, Coord{}, 0, 2)
+	push(&q, Request{}, Coord{}, 0, 2)
 }
 
 func TestAddrMapChannelAgreesWithDecode(t *testing.T) {
@@ -162,8 +162,17 @@ func TestEnqueueDecodesOnce(t *testing.T) {
 			t.Fatalf("stored bank %d, want %d", e.bank, want)
 		}
 		if c.Pending() > 16 {
-			c.ServiceOne()
-			c.ServiceOne()
+			serviceOne(c)
+			serviceOne(c)
 		}
 	}
+}
+
+// push enqueues a decoded request the way Enqueue does: take a slot, fill
+// it in place, link it.
+func push(q *reqQueue, req Request, co Coord, bank int32, seq uint64) {
+	i := q.take()
+	e := &q.slots[i]
+	e.req, e.co, e.bank, e.seq = req, co, bank, seq
+	q.link(i)
 }

@@ -81,7 +81,16 @@ func (c *referenceController) Enqueue(r Request) {
 
 func (c *referenceController) Now() dram.Cycle { return c.now }
 
-func (c *referenceController) ServiceOne() (Completion, bool) {
+// ServiceOne adapts serviceOne to the Controller's signature.
+func (c *referenceController) ServiceOne(out *Completion) bool {
+	comp, ok := c.serviceOne()
+	if ok {
+		*out = comp
+	}
+	return ok
+}
+
+func (c *referenceController) serviceOne() (Completion, bool) {
 	q := c.pickQueue()
 	if q == nil {
 		return Completion{}, false
@@ -281,7 +290,7 @@ func (c *referenceController) access(r *Request) Completion {
 func (c *referenceController) Drain() []Completion {
 	var out []Completion
 	for {
-		comp, ok := c.ServiceOne()
+		comp, ok := c.serviceOne()
 		if !ok {
 			return out
 		}
@@ -293,7 +302,7 @@ func (c *referenceController) Drain() []Completion {
 // both implementations.
 type scheduler interface {
 	Enqueue(Request)
-	ServiceOne() (Completion, bool)
+	ServiceOne(*Completion) bool
 	CanAccept(bool) bool
 	Pending() int
 	Now() dram.Cycle

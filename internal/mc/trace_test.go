@@ -13,6 +13,7 @@ func TestServiceOneZeroAllocsTraceDisabled(t *testing.T) {
 	c := NewController(dram.NewDevice(dram.DDR4_2400()), DefaultConfig())
 	reqs := benchStream(4096)
 	j := 0
+	var comp Completion
 	next := func() Request {
 		r := reqs[j%len(reqs)]
 		j++
@@ -22,7 +23,7 @@ func TestServiceOneZeroAllocsTraceDisabled(t *testing.T) {
 	for i := 0; i < 48; i++ {
 		r := next()
 		if !c.CanAccept(r.IsWrite) {
-			c.ServiceOne()
+			c.ServiceOne(&comp)
 		}
 		if c.CanAccept(r.IsWrite) {
 			c.Enqueue(r)
@@ -31,10 +32,10 @@ func TestServiceOneZeroAllocsTraceDisabled(t *testing.T) {
 	allocs := testing.AllocsPerRun(2000, func() {
 		r := next()
 		for !c.CanAccept(r.IsWrite) {
-			c.ServiceOne()
+			c.ServiceOne(&comp)
 		}
 		c.Enqueue(r)
-		c.ServiceOne()
+		c.ServiceOne(&comp)
 	})
 	if allocs != 0 {
 		t.Fatalf("service loop with tracing disabled: %.2f allocs/op, want 0", allocs)
@@ -86,12 +87,12 @@ func TestTracerLifecycleOrdering(t *testing.T) {
 		r := reqs[i]
 		r.Arrival = c.Now()
 		for !c.CanAccept(r.IsWrite) {
-			c.ServiceOne()
+			serviceOne(c)
 		}
 		c.Enqueue(r)
 		enqueued++
 		if c.Pending() > 24 {
-			c.ServiceOne()
+			serviceOne(c)
 		}
 	}
 	c.Drain()

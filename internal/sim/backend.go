@@ -159,21 +159,23 @@ func (b *backEnd) issue(op missOp) {
 	line := uint64(d.Mem.Geometry.LineBytes)
 	switch op.kind {
 	case opLine:
-		b.enqueue(b.memOpRequest(cache.MemOp{Addr: op.addr, IsWrite: op.write, Sectored: op.sectored}, 0, false), op.clock)
+		r := b.memOpRequest(cache.MemOp{Addr: op.addr, IsWrite: op.write, Sectored: op.sectored}, 0, false)
+		b.enqueue(&r, op.clock)
 		if !op.write {
 			b.regularFills++
 			// Embedded ECC displaces data in every page, so regular
 			// fills periodically drag their check-bit line along.
 			if p := d.ECCRegularPeriod; p > 0 && b.regularFills%uint64(p) == 0 {
-				b.enqueue(mc.Request{Addr: op.addr + line}, op.clock)
+				b.enqueue(&mc.Request{Addr: op.addr + line}, op.clock)
 			}
 		}
 	case opWriteback:
-		b.enqueue(b.memOpRequest(cache.MemOp{Addr: op.addr, IsWrite: true, Sectored: op.sectored}, int(op.lane), d.Gran.Gang), op.clock)
+		r := b.memOpRequest(cache.MemOp{Addr: op.addr, IsWrite: true, Sectored: op.sectored}, int(op.lane), d.Gran.Gang)
+		b.enqueue(&r, op.clock)
 	case opGather:
 		// RC-NVM-bit's sub-field gather needs SubFieldSplit column bursts.
 		for i := 0; i < d.SubFieldSplit; i++ {
-			b.enqueue(mc.Request{
+			b.enqueue(&mc.Request{
 				Addr:   op.addr + uint64(i)*line,
 				Stride: true,
 				Lane:   int(op.lane),
@@ -183,12 +185,12 @@ func (b *backEnd) issue(op missOp) {
 		b.strideFetches++
 		if p := d.ECCReadPeriod; p > 0 && b.strideFetches%uint64(p) == 0 {
 			// Embedded-ECC companion read (GS-DRAM-ecc) ...
-			b.enqueue(mc.Request{Addr: op.addr + line}, op.clock)
+			b.enqueue(&mc.Request{Addr: op.addr + line}, op.clock)
 			// ... and, for a store, the ECC line's read-modify-write.
 			if op.write && d.ECCWriteRMW {
 				base := op.addr + 2*line
-				b.enqueue(mc.Request{Addr: base}, op.clock)
-				b.enqueue(mc.Request{Addr: base, IsWrite: true}, op.clock)
+				b.enqueue(&mc.Request{Addr: base}, op.clock)
+				b.enqueue(&mc.Request{Addr: base, IsWrite: true}, op.clock)
 			}
 		}
 	}
@@ -213,10 +215,10 @@ func (b *backEnd) memOpRequest(op cache.MemOp, lane int, gang bool) mc.Request {
 // timeline paces its channel.
 func (b *backEnd) serviceOne() bool {
 	n := b.sys.Channels()
+	var comp mc.Completion
 	for i := 0; i < n; i++ {
 		ctrl := b.sys.controllers[(b.nextChan+i)%n]
-		comp, ok := ctrl.ServiceOne()
-		if !ok {
+		if !ctrl.ServiceOne(&comp) {
 			continue
 		}
 		b.nextChan = (b.nextChan + i + 1) % n
@@ -264,9 +266,10 @@ func (b *backEnd) recordSample(at int64) {
 	})
 }
 
-// enqueue pushes one request, arriving at front-end clock `clock`, to its
-// channel, applying window and queue back-pressure.
-func (b *backEnd) enqueue(r mc.Request, clock dram.Cycle) {
+// enqueue stamps *r with its ID and its arrival at front-end clock `clock`
+// and hands it to its channel's controller, applying window and queue
+// back-pressure.
+func (b *backEnd) enqueue(r *mc.Request, clock dram.Cycle) {
 	ctrl := b.sys.controllers[b.sys.channelOf(r.Addr)]
 	for !ctrl.CanAccept(r.IsWrite) {
 		if !b.serviceOne() {
@@ -285,9 +288,9 @@ func (b *backEnd) enqueue(r mc.Request, clock dram.Cycle) {
 	b.nextID++
 	r.Arrival = b.t0 + clock
 	if b.sys.TraceSink != nil {
-		b.sys.TraceSink.Add(trace.FromRequest(r))
+		b.sys.TraceSink.Add(trace.FromRequest(*r))
 	}
-	ctrl.Enqueue(r)
+	ctrl.Enqueue(*r)
 }
 
 // finishAt drains the controllers and builds the run statistics for a run

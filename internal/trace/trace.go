@@ -206,7 +206,8 @@ func Replay(t *Trace, c *mc.Controller) ([]mc.Completion, error) {
 // can report how far a failed replay got.
 func ReplayObserved(t *Trace, c *mc.Controller, obs func(mc.Completion)) ([]mc.Completion, error) {
 	comps := make([]mc.Completion, 0, len(t.Records))
-	take := func(comp mc.Completion) {
+	var comp mc.Completion
+	take := func() {
 		if obs != nil {
 			obs(comp)
 		}
@@ -214,19 +215,15 @@ func ReplayObserved(t *Trace, c *mc.Controller, obs func(mc.Completion)) ([]mc.C
 	}
 	for i, rec := range t.Records {
 		for !c.CanAccept(rec.IsWrite) {
-			comp, ok := c.ServiceOne()
-			if !ok {
+			if !c.ServiceOne(&comp) {
 				return comps, fmt.Errorf("trace: record %d: controller at capacity with nothing to service", i)
 			}
-			take(comp)
+			take()
 		}
 		c.Enqueue(rec.Request(uint64(i)))
 	}
-	for {
-		comp, ok := c.ServiceOne()
-		if !ok {
-			return comps, nil
-		}
-		take(comp)
+	for c.ServiceOne(&comp) {
+		take()
 	}
+	return comps, nil
 }
