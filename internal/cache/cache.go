@@ -110,7 +110,6 @@ type Cache struct {
 	setShift uint
 	lruShift uint // bit offset of the least recently used way in set.order
 	secShift uint // log2 of the sector size: a power-of-two line splits into power-of-two sectors
-	hitLat   int
 	Stats    Stats
 
 	// dirtySets has bit idx set once set idx may hold dirty sectors, so a
@@ -136,7 +135,6 @@ func New(cfg Config) *Cache {
 		setShift: uint(bits.TrailingZeros(uint(nSets))),
 		lruShift: 8 * uint(cfg.Ways-1),
 		secShift: uint(bits.TrailingZeros(uint(cfg.LineBytes / cfg.Sectors))),
-		hitLat:   cfg.HitLatency,
 	}
 }
 
@@ -149,11 +147,10 @@ func (c *Cache) peek(idx int) *set {
 	return &c.backing[off-1]
 }
 
-// set returns set idx's record, carving it from the backing on first use.
-func (c *Cache) set(idx int) *set {
-	if s := c.peek(idx); s != nil {
-		return s
-	}
+// carve gives the untouched set idx its record in the backing. Growing
+// the backing moves every record, so it invalidates the sets of this
+// level's earlier probes.
+func (c *Cache) carve(idx int) *set {
 	n := len(c.backing)
 	if n == cap(c.backing) {
 		nb := make([]set, n, min(max(4*n, 64), len(c.setOff)))
@@ -219,29 +216,42 @@ type Eviction struct {
 	Sectored bool
 }
 
-// probe is one lookup of a line: its set, its tag and the way holding it
-// (-1 when the line is absent). A probe stays valid until the level's set
-// changes, so Hierarchy.Access fills a missed level through the probe it
-// took on the way down instead of locating and scanning the set again.
+// probe is one lookup of a line: its set record (nil while the set is
+// untouched), its set index, its tag and the way holding it (-1 when the
+// line is absent). A probe stays valid until the level's set changes or
+// the level carves a set, so Hierarchy.Access fills a missed level through
+// the probe it took on the way down instead of locating and scanning the
+// set again.
 type probe struct {
+	s   *set
 	idx int
 	tag uint32
 	way int
 }
 
-// lookup locates addr's line.
+// lookup locates addr's line. It compares all eight tags without a
+// branch: each comparison yields one bit of a match bitmap, which live
+// masks down to the valid ways (a dead way may hold a stale tag); a line
+// lives in at most one valid way.
 func (c *Cache) lookup(addr uint64) probe {
 	idx, tag := c.locate(addr)
-	p := probe{idx: idx, tag: tag, way: -1}
-	if s := c.peek(idx); s != nil {
-		for live := s.live; live != 0; live &= live - 1 {
-			if w := bits.TrailingZeros8(live); s.tag[w] == tag {
-				p.way = w
-				break
-			}
+	p := probe{s: c.peek(idx), idx: idx, tag: tag, way: -1}
+	if s := p.s; s != nil {
+		m := tagEq(s.tag[0], tag) | tagEq(s.tag[1], tag)<<1 |
+			tagEq(s.tag[2], tag)<<2 | tagEq(s.tag[3], tag)<<3 |
+			tagEq(s.tag[4], tag)<<4 | tagEq(s.tag[5], tag)<<5 |
+			tagEq(s.tag[6], tag)<<6 | tagEq(s.tag[7], tag)<<7
+		if m &= uint64(s.live); m != 0 {
+			p.way = bits.TrailingZeros64(m)
 		}
 	}
 	return p
+}
+
+// tagEq is 1 when a == b and 0 otherwise, computed without a branch: a^b
+// fits in 32 bits, so subtracting 1 borrows into bit 63 only from zero.
+func tagEq(a, b uint32) uint64 {
+	return (uint64(a^b) - 1) >> 63
 }
 
 // Access probes the level for [addr, addr+size). On a line miss the caller
@@ -262,7 +272,7 @@ func (c *Cache) access(addr uint64, size int, write bool) (probe, Outcome) {
 		c.Stats.Misses++
 		return p, LineMiss
 	}
-	s := c.peek(p.idx)
+	s := p.s
 	mask := uint8(c.sectorMask(addr, size))
 	if s.valid[p.way]&mask != mask {
 		c.Stats.SectorMisses++
@@ -288,7 +298,7 @@ func (c *Cache) Fill(addr uint64, sectors uint64, markDirty, sectored bool) (ev 
 
 // fill is Fill through a probe of the line: it widens the way the probe
 // found, or else replaces the set's first invalid way, else its least
-// recently used one.
+// recently used one. An untouched set is carved here, on its first fill.
 func (c *Cache) fill(p probe, sectors uint64, markDirty, sectored bool) (ev Eviction, evicted bool) {
 	if sectors>>c.cfg.Sectors != 0 {
 		panic(fmt.Sprintf("cache: %s: sector bitmap %#x exceeds %d sectors", c.cfg.Name, sectors, c.cfg.Sectors))
@@ -302,7 +312,10 @@ func (c *Cache) fill(p probe, sectors uint64, markDirty, sectored bool) (ev Evic
 	if sectored {
 		strided = 1
 	}
-	s := c.set(p.idx)
+	s := p.s
+	if s == nil {
+		s = c.carve(p.idx)
+	}
 	if markDirty {
 		c.markDirty(p.idx)
 	}
@@ -368,7 +381,7 @@ func (c *Cache) Contains(addr uint64, size int) bool {
 		return false
 	}
 	mask := uint8(c.sectorMask(addr, size))
-	return c.peek(p.idx).valid[p.way]&mask == mask
+	return p.s.valid[p.way]&mask == mask
 }
 
 // InvalidateAll clears the cache (used between experiment phases): every

@@ -21,9 +21,6 @@ type MemOp struct {
 type AccessResult struct {
 	// HitLevel is 1..len(levels) for a cache hit, 0 for a miss to memory.
 	HitLevel int
-	// Latency is the CPU-cycle cost of the levels traversed (memory time
-	// is added by the simulator from the controller's completion).
-	Latency int
 	// MemOps lists line fills and writebacks that must go to memory. It is
 	// the hierarchy's scratch: valid until the next hierarchy call.
 	MemOps []MemOp
@@ -74,13 +71,13 @@ func (h *Hierarchy) LLC() *Cache { return h.levels[len(h.levels)-1] }
 // the touched sectors (the sector-cache behaviour of Section 5.1).
 //
 // Every missed level is filled through the probe it took on the way down.
-// The levels fill bottom-up and a fill only pushes evictions further down,
-// so a level's set is unchanged between its probe and its fill.
+// The levels fill bottom-up and a fill only pushes evictions (and carves
+// sets) further down, so a level's set, and its record's place in the
+// level's backing, are unchanged between its probe and its fill.
 func (h *Hierarchy) Access(addr uint64, size int, write, sectored bool) AccessResult {
 	res := AccessResult{MemOps: h.ops[:0]}
 	fillFrom := len(h.levels) - 1 // deepest missed level
 	for i, lvl := range h.levels {
-		res.Latency += lvl.hitLat
 		var out Outcome
 		h.probes[i], out = lvl.access(addr, size, write)
 		if out == Hit {
@@ -213,7 +210,7 @@ func (c *Cache) forDirty(f func(s *set, idx, w int)) {
 // sectors.
 func (c *Cache) dirtyLine(addr uint64) bool {
 	p := c.lookup(addr)
-	return p.way >= 0 && c.peek(p.idx).dirty[p.way] != 0
+	return p.way >= 0 && p.s.dirty[p.way] != 0
 }
 
 // InvalidateAll clears every level.

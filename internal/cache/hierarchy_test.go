@@ -21,15 +21,19 @@ func TestHierarchyMissFillsAllLevels(t *testing.T) {
 	if len(res.MemOps) != 1 || res.MemOps[0].IsWrite {
 		t.Fatalf("cold access memops: %+v", res.MemOps)
 	}
-	if res.Latency != 4+12+38 {
-		t.Fatalf("miss latency %d, want full traversal", res.Latency)
+	for i := 0; i < h.Levels(); i++ {
+		if st := h.Level(i).Stats; st.Misses != 1 || st.FillsFromBelow != 1 {
+			t.Fatalf("level %d: %d misses, %d fills; a cold miss traverses and fills every level", i+1, st.Misses, st.FillsFromBelow)
+		}
 	}
 	res = h.Access(0x1000, 8, false, false)
 	if res.HitLevel != 1 || len(res.MemOps) != 0 {
 		t.Fatalf("second access: %+v", res)
 	}
-	if res.Latency != 4 {
-		t.Fatalf("L1 hit latency %d", res.Latency)
+	for i := 1; i < h.Levels(); i++ {
+		if st := h.Level(i).Stats; st.Hits != 0 || st.Misses != 1 {
+			t.Fatalf("level %d probed by an L1 hit: %+v", i+1, st)
+		}
 	}
 }
 

@@ -35,7 +35,6 @@ type refCache struct {
 	lineBits uint
 	setShift uint
 	secBytes int
-	hitLat   int
 	clock    uint64
 	Stats    Stats
 }
@@ -64,7 +63,6 @@ func newRefCache(cfg Config) *refCache {
 		lineBits: lineBits,
 		setShift: setShift,
 		secBytes: cfg.LineBytes / cfg.Sectors,
-		hitLat:   cfg.HitLatency,
 	}
 }
 
@@ -300,7 +298,6 @@ func (h *refHierarchy) Access(addr uint64, size int, write, sectored bool) Acces
 	res := AccessResult{MemOps: h.ops[:0]}
 	hitAt := 0
 	for i, lvl := range h.levels {
-		res.Latency += lvl.hitLat
 		switch lvl.Access(addr, size, write) {
 		case Hit:
 			hitAt = i + 1

@@ -8,31 +8,13 @@ import (
 	"sam/internal/mc"
 )
 
-// Txn is one CPU-visible memory touch the executor generates. The cache
-// decides hit or miss; Group describes how a miss is served when the design
-// fetches strided groups instead of single lines.
+// Txn is one line-sized (or smaller) touch of a whole-record read or
+// write. Record traffic never gathers, so a miss on a Txn is a plain line
+// fill; field accesses go through Field and Gather instead.
 type Txn struct {
-	Addr     uint64
-	Size     int
-	Write    bool
-	Sectored bool
-
-	// The gather coordinates: a strided field access keeps its placer,
-	// record and field, and Group builds the StrideGroup only when asked —
-	// a cache hit never reaches memory, so it never pays for the gather.
-	p          *Placer
-	rec, field int32
-}
-
-// Group returns the strided gather serving a miss of this transaction, or
-// nil when the access is a plain line fill. It is built on request into the
-// placer's scratch, so it is valid only until the next Group or field call
-// on the same Placer; callers consume it synchronously, once per miss.
-func (t Txn) Group() *StrideGroup {
-	if t.p == nil {
-		return nil
-	}
-	return t.p.strideGroup(int(t.rec), int(t.field))
+	Addr  uint64
+	Size  int
+	Write bool
 }
 
 // StrideGroup describes the memory-side strided fetch serving a miss: one
@@ -76,11 +58,16 @@ type Placer struct {
 	// layouts themselves stay sized by the construction-time Schema.
 	live *imdb.Table
 
-	// Gather and transaction scratch. Txn.Group builds into scratchGroup and
+	// gathers is whether a miss on a field access is served by a strided
+	// gather: the design supports stride and the table is not a column
+	// store.
+	gathers bool
+
+	// Gather and transaction scratch. Gather builds into scratchGroup and
 	// ReadRecord/WriteRecord return scratchTxns, so both are valid only until
-	// the next call on this Placer — the engine consumes each Txn
-	// synchronously, which is the contract that lets field and record access
-	// be allocation-free.
+	// the next call on this Placer — the engine consumes each synchronously,
+	// which is the contract that lets field and record access be
+	// allocation-free.
 	scratchGroup   StrideGroup
 	scratchMembers []int
 	scratchTxns    []Txn
@@ -99,6 +86,7 @@ func NewPlacer(d *Design, schema imdb.Schema, slot int, colStore bool) *Placer {
 		base:      uint64(slot) * slotBytes,
 		lineBytes: d.Mem.Geometry.LineBytes,
 		rowBytes:  d.Mem.Geometry.RowBytes,
+		gathers:   d.SupportsStride() && !colStore,
 	}
 	p.bankShift, p.rowShift = mc.NewAddrMap(d.Mem.Geometry).BankRowShifts()
 	if schema.RecordBytes() > p.rowBytes {
@@ -248,9 +236,20 @@ func (p *Placer) appendGroupMembers(members []int, rec int) []int {
 	return members
 }
 
-// strideGroup builds the gather serving field accesses of rec's alignment
-// group: the same field sector of the group's records in one burst.
-func (p *Placer) strideGroup(rec, field int) *StrideGroup {
+// Field returns the CPU-visible address of field of record rec — what the
+// cache is indexed by — and whether a miss on it is served by a strided
+// gather (Gather) rather than a plain line fill. A field access is
+// imdb.FieldBytes wide.
+func (p *Placer) Field(rec, field int) (addr uint64, gathers bool) {
+	return p.canonAddr(rec, field), p.gathers
+}
+
+// Gather builds the strided gather serving a field-access miss of rec's
+// alignment group: the same field sector of the group's records in one
+// burst. Only a miss reaches memory, so only a miss asks for it, and only
+// on a placer whose Field reports that it gathers. The group is the
+// placer's scratch, valid until the next Gather call.
+func (p *Placer) Gather(rec, field int) *StrideGroup {
 	g := &p.scratchGroup
 	*g = StrideGroup{
 		Lane:   (fieldOffset(field) / p.D.Gran.SectorBytes) % 4,
@@ -291,27 +290,6 @@ func (p *Placer) strideGroup(rec, field int) *StrideGroup {
 	}
 	return g
 }
-
-// fieldTxn builds the transaction for one field access.
-func (p *Placer) fieldTxn(rec, field int, write bool) Txn {
-	t := Txn{
-		Addr:  p.canonAddr(rec, field),
-		Size:  imdb.FieldBytes,
-		Write: write,
-	}
-	if p.D.SupportsStride() && !p.ColStore {
-		t.Sectored = true
-		t.p, t.rec, t.field = p, int32(rec), int32(field)
-	}
-	return t
-}
-
-// ReadField returns the transaction reading one field.
-func (p *Placer) ReadField(rec, field int) Txn { return p.fieldTxn(rec, field, false) }
-
-// WriteField returns the transaction writing one field (sstore path on
-// strided designs).
-func (p *Placer) WriteField(rec, field int) Txn { return p.fieldTxn(rec, field, true) }
 
 // recordTxns covers a whole record line by line (row-wise access).
 func (p *Placer) recordTxns(rec int, write bool) []Txn {

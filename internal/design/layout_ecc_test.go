@@ -80,7 +80,7 @@ func TestStrideGroupFillsCodewordProperty(t *testing.T) {
 		// Keep the whole alignment group in range so the group is full.
 		rec := int(recU) % (schema.Records - d.Gran.Reach*p.recordsPerRowPublicTestHook())
 
-		g := p.strideGroup(rec, field)
+		g := p.Gather(rec, field)
 		if g.Lane < 0 || g.Lane >= 4 {
 			t.Logf("lane %d out of range", g.Lane)
 			return false

@@ -13,12 +13,18 @@ func taPlacer(kind Kind, records int) *Placer {
 	return NewPlacer(New(kind, Options{}), imdb.Ta(records), 0, false)
 }
 
+// fieldAddr is the address of field of record rec under p.
+func fieldAddr(p *Placer, rec, field int) uint64 {
+	addr, _ := p.Field(rec, field)
+	return addr
+}
+
 func TestSeqLayoutAddresses(t *testing.T) {
 	p := taPlacer(Baseline, 1024)
-	if a := p.ReadField(0, 0).Addr; a != 0 {
+	if a := fieldAddr(p, 0, 0); a != 0 {
 		t.Fatalf("record 0 field 0 at %x", a)
 	}
-	if a := p.ReadField(2, 3).Addr; a != 2*1024+24 {
+	if a := fieldAddr(p, 2, 3); a != 2*1024+24 {
 		t.Fatalf("record 2 field 3 at %x, want %x", a, 2*1024+24)
 	}
 }
@@ -28,7 +34,7 @@ func TestSeqLayoutInjective(t *testing.T) {
 	seen := map[uint64]bool{}
 	for r := 0; r < 256; r++ {
 		for f := 0; f < 128; f += 7 {
-			a := p.ReadField(r, f).Addr
+			a := fieldAddr(p, r, f)
 			if seen[a] {
 				t.Fatalf("address collision at rec %d field %d", r, f)
 			}
@@ -41,13 +47,13 @@ func TestColStoreLayout(t *testing.T) {
 	d := New(Ideal, Options{})
 	p := NewPlacer(d, imdb.Ta(1024), 0, true)
 	// Same field of consecutive records is contiguous.
-	a0 := p.ReadField(0, 5).Addr
-	a1 := p.ReadField(1, 5).Addr
+	a0 := fieldAddr(p, 0, 5)
+	a1 := fieldAddr(p, 1, 5)
 	if a1-a0 != imdb.FieldBytes {
 		t.Fatalf("column store stride = %d, want %d", a1-a0, imdb.FieldBytes)
 	}
 	// Different fields are a full column apart.
-	b := p.ReadField(0, 6).Addr
+	b := fieldAddr(p, 0, 6)
 	if b-a0 != 1024*imdb.FieldBytes {
 		t.Fatalf("column gap = %d", b-a0)
 	}
@@ -57,7 +63,7 @@ func TestSlotSeparation(t *testing.T) {
 	d := New(Baseline, Options{})
 	p0 := NewPlacer(d, imdb.Ta(1024), 0, false)
 	p1 := NewPlacer(d, imdb.Tb(1024), 1, false)
-	if p0.ReadField(1023, 127).Addr >= p1.ReadField(0, 0).Addr {
+	if fieldAddr(p0, 1023, 127) >= fieldAddr(p1, 0, 0) {
 		t.Fatal("table slots overlap")
 	}
 }
@@ -122,13 +128,12 @@ func TestStrideGroupsPartitionRecords(t *testing.T) {
 
 func TestStrideGroupFillsMatchSectors(t *testing.T) {
 	p := taPlacer(SAMEn, 1024)
-	txn := p.ReadField(16, 10) // f10: byte 80 of the record
-	if !txn.Sectored || txn.Group() == nil {
-		t.Fatal("strided design should emit sectored group transactions")
+	if _, gathers := p.Field(16, 10); !gathers { // f10: byte 80 of the record
+		t.Fatal("strided design should gather field misses")
 	}
 	// All 8 members' f10 sectors must be covered by the fills.
 	covered := map[uint64]uint64{}
-	for _, f := range txn.Group().Fills {
+	for _, f := range p.Gather(16, 10).Fills {
 		covered[f.LineAddr] |= f.Sectors
 	}
 	for _, m := range p.appendGroupMembers(nil, 16) {
@@ -146,12 +151,12 @@ func TestStrideGroupDegeneratesForTinyRecords(t *testing.T) {
 	// line's worth of sectors.
 	d := New(SAMEn, Options{})
 	p := NewPlacer(d, imdb.Schema{Name: "T", Fields: 1, Records: 256}, 0, false)
-	txn := p.ReadField(0, 0)
-	if len(txn.Group().Fills) != 1 {
-		t.Fatalf("tiny records: %d fills, want 1", len(txn.Group().Fills))
+	g := p.Gather(0, 0)
+	if len(g.Fills) != 1 {
+		t.Fatalf("tiny records: %d fills, want 1", len(g.Fills))
 	}
-	if txn.Group().Fills[0].Sectors != 0xFF {
-		t.Fatalf("tiny records: sector mask %x, want all 8", txn.Group().Fills[0].Sectors)
+	if g.Fills[0].Sectors != 0xFF {
+		t.Fatalf("tiny records: sector mask %x, want all 8", g.Fills[0].Sectors)
 	}
 }
 
@@ -162,10 +167,10 @@ func TestStripeLayoutRowSwitchCadence(t *testing.T) {
 	p := NewPlacer(d, imdb.Tb(4096), 0, false)
 	am := mc.NewAddrMap(d.Mem.Geometry)
 	chunk := d.ChunkRecords
-	prev := am.Decode(p.ReadField(0, 0).Addr)
+	prev := am.Decode(fieldAddr(p, 0, 0))
 	switches := 0
 	for rec := 1; rec < 256; rec++ {
-		co := am.Decode(p.ReadField(rec, 0).Addr)
+		co := am.Decode(fieldAddr(p, rec, 0))
 		if co.Row != prev.Row {
 			switches++
 			if rec%chunk != 0 {
@@ -185,9 +190,9 @@ func TestStripeLayoutSameBankWithinStripe(t *testing.T) {
 	am := mc.NewAddrMap(d.Mem.Geometry)
 	// All records of one stripe share a bank (the paper's "multiple rows in
 	// the same bank").
-	first := am.Decode(p.ReadField(0, 0).Addr)
+	first := am.Decode(fieldAddr(p, 0, 0))
 	for rec := 1; rec < p.recordsPerStripe && rec < 4096; rec++ {
-		co := am.Decode(p.ReadField(rec, 0).Addr)
+		co := am.Decode(fieldAddr(p, rec, 0))
 		if co.Rank != first.Rank || co.Group != first.Group || co.Bank != first.Bank {
 			t.Fatalf("record %d left the stripe bank", rec)
 		}
@@ -202,13 +207,13 @@ func TestStripeColumnAddressesDisjointFromRowAddresses(t *testing.T) {
 	am := mc.NewAddrMap(d.Mem.Geometry)
 	rowRows := map[int]bool{}
 	for rec := 0; rec < 2048; rec += 17 {
-		rowRows[am.Decode(p.ReadField(rec, 0).Addr).Row] = true
+		rowRows[am.Decode(fieldAddr(p, rec, 0)).Row] = true
 	}
 	for rec := 0; rec < 2048; rec += 17 {
-		g := p.ReadField(rec, 3).Group()
-		if g == nil {
+		if _, gathers := p.Field(rec, 3); !gathers {
 			t.Fatal("column engine without group")
 		}
+		g := p.Gather(rec, 3)
 		if rowRows[am.Decode(g.ReqAddr).Row] {
 			t.Fatalf("column-direction row collides with data row at rec %d", rec)
 		}
@@ -223,7 +228,7 @@ func TestStripeFieldSwitchChangesColumnRow(t *testing.T) {
 	p := NewPlacer(d, imdb.Ta(2048), 0, false)
 	am := mc.NewAddrMap(d.Mem.Geometry)
 	rowOf := func(field int) int {
-		return am.Decode(p.ReadField(64, field).Group().ReqAddr).Row
+		return am.Decode(p.Gather(64, field).ReqAddr).Row
 	}
 	if rowOf(3) != rowOf(4) {
 		t.Fatal("f3 and f4 share a record line; their gathers should share a column row")
@@ -274,7 +279,7 @@ func TestLaneAssignment(t *testing.T) {
 	// should spread over the four Sx4_n modes.
 	lanes := map[int]bool{}
 	for f := 0; f < 8; f++ {
-		lanes[p.ReadField(0, f).Group().Lane] = true
+		lanes[p.Gather(0, f).Lane] = true
 	}
 	if len(lanes) < 2 {
 		t.Fatalf("lane assignment degenerate: %v", lanes)
@@ -299,7 +304,7 @@ func TestOversizeRecordPanics(t *testing.T) {
 func TestSubFieldSplitBursts(t *testing.T) {
 	bit := taPlacer(RCNVMBit, 256)
 	wd := taPlacer(RCNVMWd, 256)
-	if bit.ReadField(0, 3).Group().Bursts != 2*wd.ReadField(0, 3).Group().Bursts {
+	if bit.Gather(0, 3).Bursts != 2*wd.Gather(0, 3).Bursts {
 		t.Fatal("RC-NVM-bit should need twice the column bursts per gather")
 	}
 }
@@ -332,10 +337,10 @@ func TestGatherAgreesWithDesignLayout(t *testing.T) {
 	lb, reach := uint64(d.Mem.Geometry.LineBytes), uint64(d.Gran.Reach)
 	const field = 5
 	for _, rec := range []int{0, 7, 64, 200} {
-		g := p.ReadField(rec, field).Group()
-		if g == nil {
+		if _, gathers := p.Field(rec, field); !gathers {
 			t.Fatal("no gather group")
 		}
+		g := p.Gather(rec, field)
 		if len(g.Fills) != int(reach) {
 			t.Fatalf("rec %d: design gathers %d lines, the remap packs %d", rec, len(g.Fills), reach)
 		}

@@ -110,19 +110,22 @@ func scanAddrs(p *Placer, records int, fields []int) [][]uint64 {
 		end := min(start+100, records)
 		for _, f := range fields {
 			for rec := start; rec < end; rec++ {
-				out[rec] = append(out[rec], p.ReadField(rec, f).Addr)
+				addr, _ := p.Field(rec, f)
+				out[rec] = append(out[rec], addr)
 			}
 		}
 		for rec := start; rec < end; rec += 3 {
-			out[rec] = append(out[rec], p.WriteField(rec, fields[len(fields)-1]).Addr)
+			addr, _ := p.Field(rec, fields[len(fields)-1])
+			out[rec] = append(out[rec], addr)
 		}
 	}
 	return out
 }
 
 // placerRecordBytes serializes everything the placer yields for one record:
-// its scan addresses, every sampled field's read and write transaction and
-// the read's gather, then the whole-record read and write transactions.
+// its scan addresses, every sampled field's read and write access with the
+// gather serving a miss, then the whole-record read and write
+// transactions.
 func placerRecordBytes(b []byte, p *Placer, rec int, fields []int, scanned []uint64) []byte {
 	u := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
 	for _, a := range scanned {
@@ -135,12 +138,14 @@ func placerRecordBytes(b []byte, p *Placer, rec int, fields []int, scanned []uin
 			u(0)
 		}
 	}
-	txn := func(t Txn) {
-		u(t.Addr)
-		u(uint64(t.Size))
-		bit(t.Write)
-		bit(t.Sectored)
-		g := t.Group()
+	// access serializes one access in the layout the golden was taken in:
+	// address, size, write, then the gather flag twice (the transaction's
+	// sectored flag and whether it carried a gather) and the gather.
+	access := func(addr uint64, size int, write bool, g *StrideGroup) {
+		u(addr)
+		u(uint64(size))
+		bit(write)
+		bit(g != nil)
 		bit(g != nil)
 		if g == nil {
 			return
@@ -156,14 +161,19 @@ func placerRecordBytes(b []byte, p *Placer, rec int, fields []int, scanned []uin
 		}
 	}
 	for _, f := range fields {
-		txn(p.ReadField(rec, f))
-		txn(p.WriteField(rec, f))
+		addr, gathers := p.Field(rec, f)
+		var g *StrideGroup
+		if gathers {
+			g = p.Gather(rec, f)
+		}
+		access(addr, imdb.FieldBytes, false, g)
+		access(addr, imdb.FieldBytes, true, g)
 	}
 	for _, t := range p.ReadRecord(rec) {
-		txn(t)
+		access(t.Addr, t.Size, t.Write, nil)
 	}
 	for _, t := range p.WriteRecord(rec) {
-		txn(t)
+		access(t.Addr, t.Size, t.Write, nil)
 	}
 	return b
 }

@@ -78,11 +78,6 @@ type Command struct {
 	GangRanks bool
 }
 
-// BankID flattens (rank, group, bank) into a per-channel bank index.
-func (c Command) BankID(g Geometry) int {
-	return (c.Rank*g.BankGroups+c.Group)*g.BanksPerGroup + c.Bank
-}
-
 // String renders the command for traces and error messages.
 func (c Command) String() string {
 	switch c.Kind {

@@ -412,13 +412,19 @@ func TestCommandStrings(t *testing.T) {
 	}
 }
 
+// TestBankIDFlattening checks that Device.BankIndex, the flat bank index
+// the controller and device share, is a bijection onto [0, NumBanks).
 func TestBankIDFlattening(t *testing.T) {
+	d := NewDevice(testCfg())
 	g := testCfg().Geometry
 	seen := map[int]bool{}
 	for r := 0; r < g.Ranks; r++ {
 		for grp := 0; grp < g.BankGroups; grp++ {
 			for b := 0; b < g.BanksPerGroup; b++ {
-				id := Command{Rank: r, Group: grp, Bank: b}.BankID(g)
+				id := d.BankIndex(r, grp, b)
+				if id < 0 || id >= d.NumBanks() {
+					t.Fatalf("bank index %d outside [0, %d)", id, d.NumBanks())
+				}
 				if seen[id] {
 					t.Fatalf("duplicate bank id %d", id)
 				}

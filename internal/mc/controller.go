@@ -431,9 +431,18 @@ func (c *Controller) frFCFS(q *reqQueue) int32 {
 		}
 	}
 	// Starvation guard: an over-aged oldest read preempts the hit scan.
-	if o := &q.slots[oldest]; !o.req.IsWrite && o.req.Arrival <= c.now-starvationLimit {
+	o := &q.slots[oldest]
+	if !o.req.IsWrite && o.req.Arrival <= c.now-starvationLimit {
 		c.Stats.StarvationBreaks++
 		return oldest
+	}
+	// The oldest entry is the minimum of the whole queue in (Arrival, seq),
+	// so when it has arrived and hits its bank's open row it is also the
+	// minimum of the hit candidates: pass 1 would pick it.
+	if o.req.Arrival <= c.now {
+		if row, open := c.dev.OpenRowAt(int(o.bank)); open && row == o.co.Row {
+			return oldest
+		}
 	}
 	// Pass 1: arrived row hits, oldest first, via the occupied-bank index.
 	// The pick is the minimum of a strict (Arrival, seq) total order over
@@ -707,10 +716,12 @@ func (c *Controller) access(e *entry, comp *Completion) {
 			}
 		}
 	}
-	*comp = Completion{
-		Req: *r, IssueAt: at, DataStart: dataStart, DataEnd: dataEnd,
-		RowHit: hit, RowEmpty: empty, Retries: retries, Poisoned: poisoned,
-	}
+	// Field by field: a composite literal would zero and copy a whole
+	// Completion per request.
+	comp.Req = *r
+	comp.IssueAt, comp.DataStart, comp.DataEnd = at, dataStart, dataEnd
+	comp.RowHit, comp.RowEmpty = hit, empty
+	comp.Retries, comp.Poisoned = retries, poisoned
 	c.now = at
 }
 

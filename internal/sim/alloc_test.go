@@ -31,14 +31,14 @@ func TestStridedReadsZeroAllocs(t *testing.T) {
 	fields := func() {
 		for _, f := range []int{imdb.PredicateField, 9} {
 			for rec := 0; rec < records; rec++ {
-				e.do(pl.ReadField(rec, f))
+				e.field(pl, rec, f, false)
 			}
 		}
 		l.flush()
 	}
 	rows := func() {
 		for rec := 0; rec < records; rec += 7 {
-			e.doAll(pl.ReadRecord(rec))
+			e.record(pl.ReadRecord(rec))
 		}
 		l.flush()
 	}
@@ -64,4 +64,42 @@ func TestStridedReadsZeroAllocs(t *testing.T) {
 			t.Errorf("%s: the measured sweeps never hit", c.name)
 		}
 	}
+}
+
+// BenchmarkFieldScan times the front end's field-access path alone, in ns
+// per field: a warm 4-channel baseline system reads the predicate field
+// f10 of every Tb record once per op through engine.field. Tb has
+// SmallWorkload's 16Ki records (core.SmallWorkload; sim cannot import
+// core), 2 MB that fit in the LLC, so after the untimed warm-up sweep
+// every read misses L1 and L2, hits the LLC and refills both — the path of
+// a warm HTAP query.
+func BenchmarkFieldScan(b *testing.B) {
+	const records = 16 << 10
+	d := design.New(design.Baseline, design.Options{})
+	d.Mem.Geometry.Channels = 4
+	s := NewSystem(d)
+	s.AddTable(imdb.NewTable(imdb.Tb(records), 0xDA7ABA5E+1), false)
+	pl := s.placers["Tb"]
+	be := newBackEnd(s)
+	l := s.streamLog(&be)
+	e := newLogEngine(s, l)
+	sweep := func() {
+		for rec := 0; rec < records; rec++ {
+			e.field(pl, rec, imdb.PredicateField, false)
+		}
+		l.flush()
+	}
+	sweep()
+	llc := s.Hierarchy.LLC()
+	misses := llc.Stats.Misses
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
+	}
+	b.StopTimer()
+	if llc.Stats.Misses != misses {
+		b.Fatalf("warm sweeps missed the LLC %d times", llc.Stats.Misses-misses)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/field")
 }

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"sam/internal/cache"
 	"sam/internal/cpu"
 	"sam/internal/design"
 	"sam/internal/dram"
+	"sam/internal/imdb"
 )
 
 // engine is a run's front end: it drives one workload's transactions
@@ -89,8 +91,10 @@ func (e *engine) spend(busCycles float64) {
 // emit writes op to the log at every clock.
 func (e *engine) emit(op missOp) { e.log.append(op, e.clocks) }
 
-// do executes one transaction: cache access, miss handling (regular or
-// strided group fetch), and writeback traffic.
+// field executes one field access of record rec through placer p: the
+// hierarchy access, its charge to the clocks, and the miss — a plain line
+// fill, or the placer's strided gather when the design gathers the field.
+// Every field read and write of the executor takes this one call.
 //
 // Latency handling: the core is out-of-order and the scans touch
 // independent records, so access latency overlaps across the miss window;
@@ -98,21 +102,19 @@ func (e *engine) emit(op missOp) { e.log.append(op, e.clocks) }
 // clock, through System.fieldCost. No memory timing reaches that clock: a
 // miss adds only the cache latencies it traversed and, on a design without
 // critical-word-first delivery, the burst's extra serialization (charges).
-func (e *engine) do(t design.Txn) {
-	res := e.sys.Hierarchy.Access(t.Addr, t.Size, t.Write, t.Sectored)
+func (e *engine) field(p *design.Placer, rec, field int, write bool) {
+	addr, gathers := p.Field(rec, field)
+	res := e.sys.Hierarchy.Access(addr, imdb.FieldBytes, write, gathers)
 	e.spend(e.sys.fieldCost[res.HitLevel])
 	if res.HitLevel > 0 {
 		return
 	}
-	// Only a miss reaches memory, so only a miss builds the gather.
-	g := t.Group()
-	if g == nil {
-		// Plain line fill (plus any writebacks the fill displaced).
-		for _, op := range res.MemOps {
-			e.emit(missOp{kind: opLine, addr: op.Addr, write: op.IsWrite, sectored: op.Sectored})
-		}
+	if !gathers {
+		e.emitLines(res.MemOps)
 		return
 	}
+	// Only a miss reaches memory, so only a miss builds the gather.
+	g := p.Gather(rec, field)
 
 	// Strided group fetch: replace the access's own fill request with the
 	// group request(s); keep writeback ops.
@@ -126,7 +128,7 @@ func (e *engine) do(t design.Txn) {
 	for i := range e.clocks {
 		e.clocks[i].add(e.charges[i])
 	}
-	e.emit(missOp{kind: opGather, addr: g.ReqAddr, write: t.Write, lane: lane})
+	e.emit(missOp{kind: opGather, addr: g.ReqAddr, write: write, lane: lane})
 	// Sibling fills: the burst delivered the same sector of every line in
 	// the group.
 	for _, op := range e.sys.Hierarchy.FillLines(g.Fills, true) {
@@ -134,10 +136,23 @@ func (e *engine) do(t design.Txn) {
 	}
 }
 
-// doAll executes a transaction batch.
-func (e *engine) doAll(ts []design.Txn) {
+// record executes the line transactions of a whole-record read or write.
+// Record traffic never gathers: a miss is a plain line fill plus any
+// writebacks it displaced.
+func (e *engine) record(ts []design.Txn) {
 	for _, t := range ts {
-		e.do(t)
+		res := e.sys.Hierarchy.Access(t.Addr, t.Size, t.Write, false)
+		e.spend(e.sys.fieldCost[res.HitLevel])
+		if res.HitLevel == 0 {
+			e.emitLines(res.MemOps)
+		}
+	}
+}
+
+// emitLines writes a plain miss's line fill and writebacks to the log.
+func (e *engine) emitLines(ops []cache.MemOp) {
+	for _, op := range ops {
+		e.emit(missOp{kind: opLine, addr: op.Addr, write: op.IsWrite, sectored: op.Sectored})
 	}
 }
 

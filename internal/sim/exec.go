@@ -177,13 +177,13 @@ func (e *engine) forEachMatchBatch(plan *sql.Plan, visit func(matches []int)) er
 				stop = start + rem
 			}
 			for rec := start; rec < stop; rec++ {
-				e.doAll(pl.ReadRecord(rec))
+				e.record(pl.ReadRecord(rec))
 			}
 		} else {
 			// Column-at-a-time predicate reads.
 			for _, f := range plan.PredFields {
 				for rec := start; rec < end; rec++ {
-					e.do(pl.ReadField(rec, f))
+					e.field(pl, rec, f, false)
 				}
 			}
 		}
@@ -233,7 +233,7 @@ func (s *System) runScan(p *sql.Plan, e *engine) (*QueryResult, error) {
 		if p.WholeRecord {
 			for _, rec := range matches {
 				if !p.FullScan {
-					e.doAll(pl.ReadRecord(rec))
+					e.record(pl.ReadRecord(rec))
 				}
 				res.Rows++
 				for f := 0; f < t.Fields(); f++ {
@@ -245,7 +245,7 @@ func (s *System) runScan(p *sql.Plan, e *engine) (*QueryResult, error) {
 		// Column-at-a-time projection over the batch's matches.
 		for _, f := range p.ProjFields {
 			for _, rec := range matches {
-				e.do(pl.ReadField(rec, f))
+				e.field(pl, rec, f, false)
 			}
 		}
 		for _, rec := range matches {
@@ -297,7 +297,7 @@ func (s *System) runUpdate(p *sql.Plan, e *engine) (*QueryResult, error) {
 		// Column-at-a-time writes (the sstore path on strided designs).
 		for _, set := range p.Sets {
 			for _, rec := range matches {
-				e.do(pl.WriteField(rec, set.Field))
+				e.field(pl, rec, set.Field, true)
 				t.SetValue(rec, set.Field, set.Value)
 			}
 		}
@@ -325,7 +325,7 @@ func (s *System) runInsert(p *sql.Plan, e *engine) (*QueryResult, error) {
 		row[0] = p.InsertValues[0] + uint64(i) // distinct rows
 		rec := t.Append(row)
 		e.spend(s.matchCost)
-		e.doAll(pl.WriteRecord(rec))
+		e.record(pl.WriteRecord(rec))
 		res.Rows++
 	}
 	return res, nil
@@ -377,7 +377,7 @@ func (s *System) runJoin(p *sql.Plan, e *engine) (*QueryResult, error) {
 		}
 		for _, f := range innerFields {
 			for rec := start; rec < end; rec++ {
-				e.do(plIn.ReadField(rec, f))
+				e.field(plIn, rec, f, false)
 			}
 		}
 		for rec := start; rec < end; rec++ {
@@ -403,7 +403,7 @@ func (s *System) runJoin(p *sql.Plan, e *engine) (*QueryResult, error) {
 		}
 		for _, f := range outerFields {
 			for rec := start; rec < end; rec++ {
-				e.do(plOut.ReadField(rec, f))
+				e.field(plOut, rec, f, false)
 			}
 		}
 		for rec := start; rec < end; rec++ {
