@@ -8,11 +8,14 @@ build:
 test:
 	$(GO) test ./...
 
-# vet runs go vet and fails on any file gofmt would change.
+# vet runs go vet, fails on any file gofmt would change, and fails when a
+# declaration under internal/ is reached by no program (scripts/deadcode,
+# with its allowlist in scripts/deadcode/allow.txt).
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
+	$(GO) run ./scripts/deadcode
 
 # race runs the whole tree under the race detector.
 race:

@@ -148,7 +148,7 @@ func BenchmarkFig13Power(b *testing.B) {
 					b.Fatal(err)
 				}
 				mw = r.Stats.PowerMW.Total()
-				eff = sim.EnergyEfficiency(base.Stats, r.Stats)
+				eff = base.Stats.Energy.Total() / r.Stats.Energy.Total()
 			}
 			b.ReportMetric(mw, "mW")
 			b.ReportMetric(eff, "energy-eff")

@@ -5,8 +5,6 @@
 // comparison bars of Fig. 14c.
 package area
 
-import "fmt"
-
 // SubarrayTracks describes M2 routing of one DRAM subarray in the Rambus
 // model the paper cites: a 512-row subarray routes 128 global wordlines
 // plus 12 tracks for four differential local data-line pairs and four
@@ -120,16 +118,6 @@ func All() []Overhead {
 	return []Overhead{
 		RCNVMBit(), RCNVMWord(), GSDRAM(), GSDRAMecc(), SAMSub(), SAMIO(), SAMEn(),
 	}
-}
-
-// Lookup finds a design's overhead by name.
-func Lookup(design string) (Overhead, error) {
-	for _, o := range All() {
-		if o.Design == design {
-			return o, nil
-		}
-	}
-	return Overhead{}, fmt.Errorf("area: unknown design %q", design)
 }
 
 // TimingInflation returns the factor by which array timing parameters grow

@@ -72,18 +72,6 @@ func TestMetalLayers(t *testing.T) {
 	}
 }
 
-func TestLookup(t *testing.T) {
-	for _, name := range []string{"SAM-sub", "SAM-IO", "SAM-en", "GS-DRAM", "GS-DRAM-ecc", "RC-NVM-bit", "RC-NVM-wd"} {
-		o, err := Lookup(name)
-		if err != nil || o.Design != name {
-			t.Errorf("lookup %q: %v", name, err)
-		}
-	}
-	if _, err := Lookup("nonsense"); err == nil {
-		t.Error("unknown design accepted")
-	}
-}
-
 func TestTimingInflation(t *testing.T) {
 	if f := TimingInflation(SAMSub()); !approx(f, 1.072, 0.002) {
 		t.Fatalf("SAM-sub inflation %v, want ~1.072", f)

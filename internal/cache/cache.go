@@ -97,7 +97,7 @@ func (s *set) touch(w int) {
 
 // Cache is one level. Sets are allocated lazily: the directory maps each
 // set index to its record inside one flat, pointer-free backing slice,
-// carved out on the set's first Fill. Building (and flushing) a large,
+// carved out on the set's first fill. Building (and flushing) a large,
 // mostly untouched level therefore costs the int32 directory only, not
 // SizeBytes/LineBytes lines of zeroed backing, and the GC never scans
 // per-set slice headers.
@@ -157,8 +157,6 @@ func (c *Cache) carve(idx int) *set {
 		copy(nb, c.backing)
 		c.backing = nb
 	}
-	// Append a whole fresh record: InvalidateAll retracts len but keeps
-	// cap, so a re-exposed slot may hold stale state.
 	c.backing = append(c.backing, set{order: freshOrder})
 	c.setOff[idx] = int32(n) + 1
 	return &c.backing[n]
@@ -166,9 +164,6 @@ func (c *Cache) carve(idx int) *set {
 
 // Config returns the level configuration.
 func (c *Cache) Config() Config { return c.cfg }
-
-// SectorBytes returns the sector granularity.
-func (c *Cache) SectorBytes() int { return 1 << c.secShift }
 
 // locate splits addr into its set index and tag. Tags are 32 bits wide,
 // which covers addresses below 2^(32+lineBits+setBits).
@@ -254,15 +249,10 @@ func tagEq(a, b uint32) uint64 {
 	return (uint64(a^b) - 1) >> 63
 }
 
-// Access probes the level for [addr, addr+size). On a line miss the caller
-// must Fill before the data is usable; on a sector miss the line exists but
-// the touched sectors are invalid. Write hits mark sectors dirty.
-func (c *Cache) Access(addr uint64, size int, write bool) Outcome {
-	_, out := c.access(addr, size, write)
-	return out
-}
-
-// access is Access returning its probe as well.
+// access probes the level for [addr, addr+size) and returns the probe it
+// took. On a line miss the caller must fill before the data is usable; on a
+// sector miss the line exists but the touched sectors are invalid. Write
+// hits mark sectors dirty.
 func (c *Cache) access(addr uint64, size int, write bool) (probe, Outcome) {
 	if size <= 0 || uint64(size) > uint64(c.cfg.LineBytes)-(addr&(1<<c.lineBits-1)) {
 		panic(fmt.Sprintf("cache: access [%x,+%d) crosses a line boundary", addr, size))
@@ -288,17 +278,12 @@ func (c *Cache) access(addr uint64, size int, write bool) (probe, Outcome) {
 	return p, Hit
 }
 
-// Fill installs (or widens) the line containing addr with the given sector
-// bitmap, returning an eviction if a victim was displaced. markDirty sets
-// the filled sectors dirty (write-allocate); sectored tags the line as
-// strided-filled.
-func (c *Cache) Fill(addr uint64, sectors uint64, markDirty, sectored bool) (ev Eviction, evicted bool) {
-	return c.fill(c.lookup(addr), sectors, markDirty, sectored)
-}
-
-// fill is Fill through a probe of the line: it widens the way the probe
-// found, or else replaces the set's first invalid way, else its least
-// recently used one. An untouched set is carved here, on its first fill.
+// fill installs (or widens) the line of probe p with the given sector
+// bitmap, returning the victim it displaced and whether that victim was
+// dirty. It widens the way the probe found, or else replaces the set's
+// first invalid way, else its least recently used one. An untouched set
+// is carved here, on its first fill. markDirty sets the filled sectors
+// dirty (write-allocate); sectored tags the line as strided-filled.
 func (c *Cache) fill(p probe, sectors uint64, markDirty, sectored bool) (ev Eviction, evicted bool) {
 	if sectors>>c.cfg.Sectors != 0 {
 		panic(fmt.Sprintf("cache: %s: sector bitmap %#x exceeds %d sectors", c.cfg.Name, sectors, c.cfg.Sectors))
@@ -371,26 +356,6 @@ func (c *Cache) victim(s *set) int {
 		return w
 	}
 	return int(s.order >> c.lruShift & 0xff)
-}
-
-// Contains reports whether the full sector mask for [addr,addr+size) is
-// resident and valid.
-func (c *Cache) Contains(addr uint64, size int) bool {
-	p := c.lookup(addr)
-	if p.way < 0 {
-		return false
-	}
-	mask := uint8(c.sectorMask(addr, size))
-	return p.s.valid[p.way]&mask == mask
-}
-
-// InvalidateAll clears the cache (used between experiment phases): every
-// set returns to the untouched state and the backing is retracted for
-// reuse.
-func (c *Cache) InvalidateAll() {
-	clear(c.setOff)
-	clear(c.dirtySets)
-	c.backing = c.backing[:0]
 }
 
 // FullSectorMask returns the bitmap covering every sector of a line.

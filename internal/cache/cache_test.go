@@ -12,6 +12,17 @@ func smallCache(sectors int) *Cache {
 	})
 }
 
+// contains reports whether the full sector mask for [addr,addr+size) is
+// resident and valid.
+func contains(c *Cache, addr uint64, size int) bool {
+	p := c.lookup(addr)
+	if p.way < 0 {
+		return false
+	}
+	mask := uint8(c.sectorMask(addr, size))
+	return p.s.valid[p.way]&mask == mask
+}
+
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{SizeBytes: 0, LineBytes: 64, Ways: 4, Sectors: 1},
@@ -38,13 +49,13 @@ func TestConfigValidation(t *testing.T) {
 // panic rather than alias or truncate.
 func TestOutOfRangePanics(t *testing.T) {
 	c := smallCache(4) // 64B lines, 16 sets: 10 bits below the tag
-	c.Fill(1<<42-64, 0b1111, false, false)
-	if !c.Contains(1<<42-64, 8) {
+	c.fill(c.lookup(1<<42-64), 0b1111, false, false)
+	if !contains(c, 1<<42-64, 8) {
 		t.Fatal("line with the widest tag not resident")
 	}
 	for name, f := range map[string]func(){
-		"tag":     func() { c.Access(1<<42, 8, false) },
-		"sectors": func() { c.Fill(0x1000, 0b10000, false, true) },
+		"tag":     func() { c.access(1<<42, 8, false) },
+		"sectors": func() { c.fill(c.lookup(0x1000), 0b10000, false, true) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -59,29 +70,29 @@ func TestOutOfRangePanics(t *testing.T) {
 
 func TestMissThenHit(t *testing.T) {
 	c := smallCache(1)
-	if got := c.Access(0x1000, 8, false); got != LineMiss {
+	if _, got := c.access(0x1000, 8, false); got != LineMiss {
 		t.Fatalf("first access = %v, want LineMiss", got)
 	}
-	c.Fill(0x1000, c.FullSectorMask(), false, false)
-	if got := c.Access(0x1000, 8, false); got != Hit {
+	c.fill(c.lookup(0x1000), c.FullSectorMask(), false, false)
+	if _, got := c.access(0x1000, 8, false); got != Hit {
 		t.Fatalf("after fill = %v, want Hit", got)
 	}
-	if got := c.Access(0x1038, 8, false); got != Hit {
+	if _, got := c.access(0x1038, 8, false); got != Hit {
 		t.Fatalf("same line different offset = %v, want Hit", got)
 	}
 }
 
 func TestSectorMiss(t *testing.T) {
 	c := smallCache(4)
-	c.Fill(0x1000, 0b0001, false, true) // only sector 0 valid
-	if got := c.Access(0x1000, 8, false); got != Hit {
+	c.fill(c.lookup(0x1000), 0b0001, false, true) // only sector 0 valid
+	if _, got := c.access(0x1000, 8, false); got != Hit {
 		t.Fatalf("sector 0 = %v, want Hit", got)
 	}
-	if got := c.Access(0x1010, 8, false); got != SectorMiss {
+	if _, got := c.access(0x1010, 8, false); got != SectorMiss {
 		t.Fatalf("sector 1 = %v, want SectorMiss", got)
 	}
-	c.Fill(0x1010, 0b0010, false, true)
-	if got := c.Access(0x1010, 8, false); got != Hit {
+	c.fill(c.lookup(0x1010), 0b0010, false, true)
+	if _, got := c.access(0x1010, 8, false); got != Hit {
 		t.Fatalf("sector 1 after widen = %v, want Hit", got)
 	}
 	if c.Stats.SectorMisses != 1 {
@@ -91,13 +102,13 @@ func TestSectorMiss(t *testing.T) {
 
 func TestAccessSpanningSectors(t *testing.T) {
 	c := smallCache(4)
-	c.Fill(0x1000, 0b0011, false, true)
+	c.fill(c.lookup(0x1000), 0b0011, false, true)
 	// [0x100c, 0x1014) touches sectors 0 and 1, both valid.
-	if got := c.Access(0x100c, 8, false); got != Hit {
+	if _, got := c.access(0x100c, 8, false); got != Hit {
 		t.Fatalf("cross-sector access = %v, want Hit", got)
 	}
 	// [0x101c, 0x1024) touches sectors 1 and 2; 2 invalid.
-	if got := c.Access(0x101c, 8, false); got != SectorMiss {
+	if _, got := c.access(0x101c, 8, false); got != SectorMiss {
 		t.Fatalf("cross into invalid sector = %v, want SectorMiss", got)
 	}
 }
@@ -109,7 +120,7 @@ func TestAccessCrossingLinePanics(t *testing.T) {
 			t.Fatal("line-crossing access did not panic")
 		}
 	}()
-	c.Access(0x103c, 16, false)
+	c.access(0x103c, 16, false)
 }
 
 func TestLRUEviction(t *testing.T) {
@@ -118,21 +129,21 @@ func TestLRUEviction(t *testing.T) {
 	base := uint64(0)
 	step := uint64(64 * 16)
 	for i := uint64(0); i < 4; i++ {
-		c.Fill(base+i*step, 1, false, false)
+		c.fill(c.lookup(base+i*step), 1, false, false)
 	}
 	// Touch line 0 so line 1 is LRU.
-	c.Access(base, 8, false)
-	ev, dirty := c.Fill(base+4*step, 1, false, false)
+	c.access(base, 8, false)
+	ev, dirty := c.fill(c.lookup(base+4*step), 1, false, false)
 	if dirty {
 		t.Fatal("clean eviction flagged dirty")
 	}
 	if ev.LineAddr != base+1*step {
 		t.Fatalf("evicted %x, want LRU line %x", ev.LineAddr, base+step)
 	}
-	if c.Contains(base+step, 8) {
+	if contains(c, base+step, 8) {
 		t.Fatal("evicted line still present")
 	}
-	if !c.Contains(base, 8) {
+	if !contains(c, base, 8) {
 		t.Fatal("recently used line evicted")
 	}
 }
@@ -141,11 +152,11 @@ func TestDirtyEvictionCarriesSectorShape(t *testing.T) {
 	c := smallCache(4)
 	base := uint64(0)
 	step := uint64(64 * 16)
-	c.Fill(base, 0b0100, true, true) // strided dirty sector 2
+	c.fill(c.lookup(base), 0b0100, true, true) // strided dirty sector 2
 	for i := uint64(1); i < 4; i++ {
-		c.Fill(base+i*step, c.FullSectorMask(), false, false)
+		c.fill(c.lookup(base+i*step), c.FullSectorMask(), false, false)
 	}
-	ev, dirty := c.Fill(base+4*step, c.FullSectorMask(), false, false)
+	ev, dirty := c.fill(c.lookup(base+4*step), c.FullSectorMask(), false, false)
 	if !dirty {
 		t.Fatal("dirty line evicted silently")
 	}
@@ -156,12 +167,12 @@ func TestDirtyEvictionCarriesSectorShape(t *testing.T) {
 
 func TestWriteMarksDirty(t *testing.T) {
 	c := smallCache(4)
-	c.Fill(0x2000, c.FullSectorMask(), false, false)
-	c.Access(0x2010, 8, true)
+	c.fill(c.lookup(0x2000), c.FullSectorMask(), false, false)
+	c.access(0x2010, 8, true)
 	// Evict it and check dirty bitmap has sector 1.
 	step := uint64(64 * 16)
 	for i := uint64(1); i <= 4; i++ {
-		c.Fill(0x2000+i*step, c.FullSectorMask(), false, false)
+		c.fill(c.lookup(0x2000+i*step), c.FullSectorMask(), false, false)
 	}
 	if c.Stats.DirtyEvictions != 1 {
 		t.Fatalf("dirty evictions = %d", c.Stats.DirtyEvictions)
@@ -173,13 +184,13 @@ func TestEvictionAddressReconstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	step := uint64(64 * 16)
 	for trial := 0; trial < 100; trial++ {
-		c.InvalidateAll()
+		c = smallCache(1)
 		addr := uint64(rng.Intn(1<<20)) &^ 63
-		c.Fill(addr, 1, true, false)
+		c.fill(c.lookup(addr), 1, true, false)
 		var ev Eviction
 		var got bool
 		for i := uint64(1); i <= 4 && !got; i++ {
-			ev, got = c.Fill(addr+i*step, 1, false, false)
+			ev, got = c.fill(c.lookup(addr+i*step), 1, false, false)
 		}
 		if !got {
 			t.Fatal("victim never evicted")
@@ -187,14 +198,5 @@ func TestEvictionAddressReconstruction(t *testing.T) {
 		if ev.LineAddr != addr {
 			t.Fatalf("reconstructed %x, want %x", ev.LineAddr, addr)
 		}
-	}
-}
-
-func TestInvalidateAll(t *testing.T) {
-	c := smallCache(1)
-	c.Fill(0x3000, 1, false, false)
-	c.InvalidateAll()
-	if c.Contains(0x3000, 8) {
-		t.Fatal("line survived invalidate")
 	}
 }

@@ -213,13 +213,6 @@ func (c *Cache) dirtyLine(addr uint64) bool {
 	return p.way >= 0 && p.s.dirty[p.way] != 0
 }
 
-// InvalidateAll clears every level.
-func (h *Hierarchy) InvalidateAll() {
-	for _, l := range h.levels {
-		l.InvalidateAll()
-	}
-}
-
 // lineAddr exposes line alignment for MemOps.
 func (c *Cache) lineAddr(addr uint64) uint64 {
 	return addr &^ (1<<c.lineBits - 1)

@@ -97,8 +97,6 @@ func (c *refCache) set(idx int) []refLine {
 	}
 	c.backing = c.backing[:base+w]
 	s := c.backing[base : base+w]
-	// InvalidateAll retracts len but keeps cap, so re-exposed lines may hold
-	// stale state.
 	clear(s)
 	c.setOff[idx] = int32(base) + 1
 	return s
@@ -236,14 +234,6 @@ func (c *refCache) Contains(addr uint64, size int) bool {
 		}
 	}
 	return false
-}
-
-// InvalidateAll clears the cache (used between experiment phases): every
-// set returns to the untouched state and the backing is retracted for
-// reuse.
-func (c *refCache) InvalidateAll() {
-	clear(c.setOff)
-	c.backing = c.backing[:0]
 }
 
 // FullSectorMask returns the bitmap covering every sector of a line.
@@ -437,13 +427,6 @@ func (h *refHierarchy) FlushDirty() []MemOp {
 		}
 	}
 	return out
-}
-
-// InvalidateAll clears every level.
-func (h *refHierarchy) InvalidateAll() {
-	for _, l := range h.levels {
-		l.InvalidateAll()
-	}
 }
 
 // lineAddr exposes line alignment for MemOps.

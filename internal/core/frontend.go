@@ -13,30 +13,6 @@ import (
 	"sam/internal/sim"
 )
 
-// FrontEndKey fingerprints exactly what the run's front end — executor,
-// cache hierarchy, stride gathers and core clock — reads, up to its
-// critical-word delivery: the placer geometry, the stripe layout
-// (ColumnEngine, ChunkRecords, and the stripe's row count), the store,
-// the bus clock, the core and cache parameters, the tables and the query,
-// and, only when a gather can fire, the strided granularity's reach and
-// sector size and the sector-cache geometry. Runs with equal keys issue
-// the same miss log (sim.MissLog), at one clock per critical-word
-// variant, so one recording replays exactly into each of their memory
-// back ends. Everything else about a design — timing, stride and gang
-// flags, SubFieldSplit, embedded ECC, power, faults — is the back end's
-// (BackEndKey).
-func (s RunSpec) FrontEndKey() string { return s.sharing().front }
-
-// BackEndKey fingerprints what the run's memory back end reads besides the
-// front-end stream: the memory geometry (channel count included), timing
-// and bus clock, the regular power terms, the embedded-ECC period of
-// regular fills, the fault model (with the burst scheme and ECC presence
-// when faults are on), and, only when a gather can fire, the strided
-// granularity, the I/O-mode, sub-field-split and embedded-ECC gather
-// terms, the stride power terms and the critical-word clock the back end
-// is fed. Runs with equal front-end and back-end keys are one simulation.
-func (s RunSpec) BackEndKey() string { return s.sharing().back }
-
 // sharing is how runGrid shares a spec's work: its front-end and back-end
 // keys, and the clock variant its front end ticks.
 type sharing struct {
@@ -66,6 +42,18 @@ func (s RunSpec) sharing() sharing {
 	return sh
 }
 
+// frontEndKey fingerprints exactly what the run's front end — executor,
+// cache hierarchy, stride gathers and core clock — reads, up to its
+// critical-word delivery: the placer geometry, the stripe layout
+// (ColumnEngine, ChunkRecords, and the stripe's row count), the store,
+// the bus clock, the core and cache parameters, the tables and the query,
+// and, only when a gather can fire, the strided granularity's reach and
+// sector size and the sector-cache geometry. Runs with equal keys issue
+// the same miss log (sim.MissLog), at one clock per critical-word
+// variant, so one recording replays exactly into each of their memory
+// back ends. Everything else about a design — timing, stride and gang
+// flags, SubFieldSplit, embedded ECC, power, faults — is the back end's
+// (backEndKey).
 func (s RunSpec) frontEndKey(d *design.Design, gathers bool) string {
 	f := memo.NewFingerprint("frontend")
 	f.Str("geometry", fmt.Sprintf("%+v", d.Mem.Geometry)).
@@ -89,6 +77,14 @@ func (s RunSpec) frontEndKey(d *design.Design, gathers bool) string {
 	return f.Sum()
 }
 
+// backEndKey fingerprints what the run's memory back end reads besides the
+// front-end stream: the memory geometry (channel count included), timing
+// and bus clock, the regular power terms, the embedded-ECC period of
+// regular fills, the fault model (with the burst scheme and ECC presence
+// when faults are on), and, only when a gather can fire, the strided
+// granularity, the I/O-mode, sub-field-split and embedded-ECC gather
+// terms, the stride power terms and the critical-word clock the back end
+// is fed. Runs with equal front-end and back-end keys are one simulation.
 func (s RunSpec) backEndKey(d *design.Design, gathers bool, clock sim.ClockVariant) string {
 	p := d.Power
 	f := memo.NewFingerprint("backend")
@@ -214,8 +210,8 @@ func (t *frontEnds) release(key string) {
 // runGrid is the one runner behind every figure: it runs each spec of
 // rows through the memo under its Key and returns the results indexed like
 // rows. A memo hit skips the simulation entirely. Specs with equal
-// FrontEndKey, anywhere in the grid, share one recorded miss log, and
-// specs with equal FrontEndKey and BackEndKey share one result. Within
+// front-end keys, anywhere in the grid, share one recorded miss log, and
+// specs with equal front-end and back-end keys share one result. Within
 // each row, the specs that start a front-end class run first, then those
 // that replay one, then those that take another's result, so a spec
 // rarely waits on work in flight, and only about one row's logs are alive

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -180,7 +181,7 @@ func TestFrontEndKeySound(t *testing.T) {
 			byKey[r.sh.front] = r
 			continue
 		}
-		if first.log.Digest() != r.log.Digest() {
+		if !reflect.DeepEqual(first.log, r.log) {
 			t.Errorf("%s: %v %+v and %v %+v share a front-end key but not a front end",
 				r.spec.Query.Name, first.spec.Design, first.spec.Options, r.spec.Design, r.spec.Options)
 		}
@@ -200,7 +201,7 @@ func TestFrontEndKeySound(t *testing.T) {
 	camp := DefaultReliabilityCampaign()
 	classes := map[string]bool{}
 	for i, cell := range camp.Cells() {
-		classes[camp.spec(cell, i).FrontEndKey()] = true
+		classes[camp.spec(cell, i).sharing().front] = true
 	}
 	if n := len(classes); n != 4 {
 		t.Errorf("the reliability campaign's %d cells fall into %d front-end classes, want 4", len(camp.Cells()), n)

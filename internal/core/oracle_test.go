@@ -245,6 +245,16 @@ func checkOracle(t *testing.T, what string, got, want *sim.QueryResult) {
 	}
 }
 
+// mustParse parses src or fails the test.
+func mustParse(t *testing.T, src string) sql.Stmt {
+	t.Helper()
+	stmt, err := sql.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stmt
+}
+
 // TestReferenceOracleRandomQueries is the differential against the
 // reference evaluator: random dialect queries (genQuery) on a generated
 // table, each run on the baseline's column-at-a-time plan and on a
@@ -263,7 +273,7 @@ func TestReferenceOracleRandomQueries(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		query := genQuery(rng, schema.Fields)
-		stmt := sql.MustParse(query)
+		stmt := mustParse(t, query)
 		ref := imdb.NewTable(schema, 0xFEED)
 		want, err := refEval(stmt, nil, map[string]*imdb.Table{"T": ref})
 		if err != nil {
@@ -300,7 +310,7 @@ func TestReferenceOracleRandomQueries(t *testing.T) {
 func TestReferenceOracleBenchmark(t *testing.T) {
 	w := Workload{TaRecords: 512, TbRecords: 1024, Seed: SmallWorkload().Seed}
 	for _, q := range Benchmark() {
-		stmt := sql.MustParse(q.SQL)
+		stmt := mustParse(t, q.SQL)
 		if _, ok := stmt.(*sql.InsertStmt); ok {
 			continue
 		}
@@ -332,7 +342,7 @@ func TestReferenceJoinFiltersRefused(t *testing.T) {
 		"SELECT Ta.f3, Tb.f4 FROM Ta, Tb WHERE Ta.f10 = Tb.f10 AND Ta.f10 > 2",
 		"SELECT Ta.f3, Tb.f4 FROM Ta, Tb WHERE Ta.f10 = Tb.f10 LIMIT 5",
 	} {
-		if _, err := refEval(sql.MustParse(q), nil, tables); err == nil || strings.HasPrefix(err.Error(), "reference:") {
+		if _, err := refEval(mustParse(t, q), nil, tables); err == nil || strings.HasPrefix(err.Error(), "reference:") {
 			t.Errorf("%q: reference error %v, want Compile's refusal", q, err)
 		}
 	}

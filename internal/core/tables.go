@@ -48,23 +48,6 @@ func Table1() *stats.Table {
 	return tb
 }
 
-// Table1Derived cross-checks a few Table 1 marks against the quantitative
-// models (used by tests: the matrix must agree with the constructed
-// designs).
-func Table1Derived() map[string]map[string]bool {
-	out := map[string]map[string]bool{}
-	for _, k := range []design.Kind{design.RCNVMBit, design.RCNVMWd, design.GSDRAM, design.SAMSub, design.SAMIO, design.SAMEn} {
-		d := design.New(k, design.Options{})
-		out[k.String()] = map[string]bool{
-			"reliability":         d.HasECC,
-			"critical-word-first": !d.NoCriticalWordFirst,
-			"low-area":            d.Area.Area() < 0.01,
-			"mode-switch":         d.ModeSwitch,
-		}
-	}
-	return out
-}
-
 // Table2 dumps the simulated system parameters.
 func Table2() *stats.Table {
 	tb := stats.NewTable("component", "parameter", "value")

@@ -1,13 +1,14 @@
 // Package cpu models the processor side of Table 2 at the fidelity the
-// evaluation needs: four 4 GHz cores sharing one memory channel, each with
-// a window of outstanding misses (memory-level parallelism) and small
-// per-operation compute costs. Records are partitioned across cores, so
-// compute throughput scales with the core count while the memory channel
-// does not — which is exactly why the paper runs multiple cores: it keeps
-// the IMDB scans memory-bound.
+// evaluation needs: four 4 GHz cores sharing one memory channel, with a
+// window of outstanding misses (memory-level parallelism) and small
+// per-operation compute costs. The front end runs the query as one serial
+// stream: each core's compute cost is divided by Cores, and one aggregate
+// miss window of MissWindow x Cores requests stands for the four cores'
+// windows. So compute throughput scales with the core count while the
+// memory channel does not, which keeps the IMDB scans memory-bound as the
+// paper's multiple cores do. Four real request streams are an open item
+// (ROADMAP, "Four cores, four request streams").
 package cpu
-
-import "fmt"
 
 // Params describe the cores.
 type Params struct {
@@ -39,17 +40,6 @@ func Default() Params {
 	}
 }
 
-// Validate checks the parameters.
-func (p Params) Validate() error {
-	if p.ClockGHz <= 0 || p.Cores < 1 || p.MissWindow < 1 {
-		return fmt.Errorf("cpu: invalid core parameters %+v", p)
-	}
-	if p.ComputePerField < 0 || p.ComputePerMatch < 0 || p.LatencyOverlap < 0 || p.LatencyOverlap > 1 {
-		return fmt.Errorf("cpu: invalid cost parameters %+v", p)
-	}
-	return nil
-}
-
 // BusCyclesPer converts CPU cycles of work into bus cycles of aggregate
 // throughput across the cores.
 func (p Params) BusCyclesPer(cpuCycles, busMHz float64) float64 {
@@ -67,24 +57,4 @@ func (p Params) WindowSize() int {
 		cores = 1
 	}
 	return p.MissWindow * cores
-}
-
-// ISA extension of Section 5.1.2: the sload/sstore instructions that put
-// the memory system into stride mode for one access. The simulator's
-// transaction stream uses these as markers; a real implementation would
-// encode them in the instruction set.
-type StrideOp int
-
-// Stride operations.
-const (
-	SLoad StrideOp = iota
-	SStore
-)
-
-// String names the operation mnemonic.
-func (op StrideOp) String() string {
-	if op == SStore {
-		return "sstore"
-	}
-	return "sload"
 }

@@ -5,27 +5,6 @@ import (
 	"testing"
 )
 
-func TestDefaultValid(t *testing.T) {
-	if err := Default().Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestValidation(t *testing.T) {
-	bad := []Params{
-		{ClockGHz: 0, Cores: 4, MissWindow: 16},
-		{ClockGHz: 4, Cores: 0, MissWindow: 16},
-		{ClockGHz: 4, Cores: 4, MissWindow: 0},
-		{ClockGHz: 4, Cores: 4, MissWindow: 16, LatencyOverlap: 2},
-		{ClockGHz: 4, Cores: 4, MissWindow: 16, ComputePerField: -1},
-	}
-	for i, p := range bad {
-		if p.Validate() == nil {
-			t.Errorf("bad params %d accepted", i)
-		}
-	}
-}
-
 func TestBusCyclesConversion(t *testing.T) {
 	p := Default()
 	// 4 CPU cycles at 4 GHz = 1 ns = 1.2 bus cycles at 1200 MHz, split
@@ -54,11 +33,5 @@ func TestWindowSize(t *testing.T) {
 	p.Cores = 0
 	if p.WindowSize() != 16 {
 		t.Fatal("zero cores should clamp to one")
-	}
-}
-
-func TestStrideOpNames(t *testing.T) {
-	if SLoad.String() != "sload" || SStore.String() != "sstore" {
-		t.Fatal("ISA mnemonic names (Section 5.1.2)")
 	}
 }

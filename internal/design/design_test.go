@@ -1,10 +1,12 @@
 package design
 
 import (
+	"fmt"
 	"testing"
 
 	"sam/internal/dram"
 	"sam/internal/ecc"
+	"sam/internal/power"
 )
 
 func TestKindStrings(t *testing.T) {
@@ -33,13 +35,58 @@ func TestGranularityDefaults(t *testing.T) {
 	}
 }
 
+// validatePower checks that a power model's electrical, timing and scaling
+// terms are in range.
+func validatePower(m power.Model) error {
+	if m.VDD <= 0 || m.Chips <= 0 || m.ClockMHz <= 0 {
+		return fmt.Errorf("power: bad electrical params in %q", m.Name)
+	}
+	if m.TRC <= 0 || m.TBL <= 0 {
+		return fmt.Errorf("power: bad timing params in %q", m.Name)
+	}
+	if m.ActChipFraction <= 0 || m.ActChipFraction > 1 {
+		return fmt.Errorf("power: ActChipFraction %v out of (0,1]", m.ActChipFraction)
+	}
+	if m.BackgroundScale <= 0 {
+		return fmt.Errorf("power: BackgroundScale %v not positive", m.BackgroundScale)
+	}
+	return nil
+}
+
+func TestPowerModelValidation(t *testing.T) {
+	m := power.DDR4Model(18)
+	if err := validatePower(m); err != nil {
+		t.Fatalf("default model invalid: %v", err)
+	}
+	bad := m
+	bad.VDD = 0
+	if validatePower(bad) == nil {
+		t.Error("zero VDD accepted")
+	}
+	bad = m
+	bad.ActChipFraction = 0
+	if validatePower(bad) == nil {
+		t.Error("zero ActChipFraction accepted")
+	}
+	bad = m
+	bad.BackgroundScale = -1
+	if validatePower(bad) == nil {
+		t.Error("negative BackgroundScale accepted")
+	}
+	bad = m
+	bad.TRC = 0
+	if validatePower(bad) == nil {
+		t.Error("zero tRC accepted")
+	}
+}
+
 func TestDesignConstruction(t *testing.T) {
 	for _, k := range append([]Kind{Baseline, Ideal}, AllEvaluated()...) {
 		d := New(k, Options{})
 		if err := d.Mem.Validate(); err != nil {
 			t.Errorf("%v: invalid memory config: %v", k, err)
 		}
-		if err := d.Power.Validate(); err != nil {
+		if err := validatePower(d.Power); err != nil {
 			t.Errorf("%v: invalid power model: %v", k, err)
 		}
 		if d.SubFieldSplit < 1 {

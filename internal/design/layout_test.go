@@ -160,6 +160,13 @@ func TestStrideGroupDegeneratesForTinyRecords(t *testing.T) {
 	}
 }
 
+// bankRow reads an address's rank-major bank index and its row through
+// the map's field positions, which TestAddrMapBankRowShifts pins.
+func bankRow(am *mc.AddrMap, addr uint64) (bank, row int) {
+	bankShift, rowShift := am.BankRowShifts()
+	return int(addr>>bankShift) & (1<<(rowShift-bankShift) - 1), int(addr >> rowShift)
+}
+
 func TestStripeLayoutRowSwitchCadence(t *testing.T) {
 	// Column-engine layouts switch DRAM rows every ChunkRecords records —
 	// the Qs penalty knob. Verify via decoded coordinates.
@@ -167,17 +174,17 @@ func TestStripeLayoutRowSwitchCadence(t *testing.T) {
 	p := NewPlacer(d, imdb.Tb(4096), 0, false)
 	am := mc.NewAddrMap(d.Mem.Geometry)
 	chunk := d.ChunkRecords
-	prev := am.Decode(fieldAddr(p, 0, 0))
+	_, prev := bankRow(am, fieldAddr(p, 0, 0))
 	switches := 0
 	for rec := 1; rec < 256; rec++ {
-		co := am.Decode(fieldAddr(p, rec, 0))
-		if co.Row != prev.Row {
+		_, row := bankRow(am, fieldAddr(p, rec, 0))
+		if row != prev {
 			switches++
 			if rec%chunk != 0 {
 				t.Fatalf("row switch at record %d, not a multiple of chunk %d", rec, chunk)
 			}
 		}
-		prev = co
+		prev = row
 	}
 	if switches == 0 {
 		t.Fatal("no row switches observed in stripe layout")
@@ -190,10 +197,9 @@ func TestStripeLayoutSameBankWithinStripe(t *testing.T) {
 	am := mc.NewAddrMap(d.Mem.Geometry)
 	// All records of one stripe share a bank (the paper's "multiple rows in
 	// the same bank").
-	first := am.Decode(fieldAddr(p, 0, 0))
+	first, _ := bankRow(am, fieldAddr(p, 0, 0))
 	for rec := 1; rec < p.recordsPerStripe && rec < 4096; rec++ {
-		co := am.Decode(fieldAddr(p, rec, 0))
-		if co.Rank != first.Rank || co.Group != first.Group || co.Bank != first.Bank {
+		if bank, _ := bankRow(am, fieldAddr(p, rec, 0)); bank != first {
 			t.Fatalf("record %d left the stripe bank", rec)
 		}
 	}
@@ -207,14 +213,15 @@ func TestStripeColumnAddressesDisjointFromRowAddresses(t *testing.T) {
 	am := mc.NewAddrMap(d.Mem.Geometry)
 	rowRows := map[int]bool{}
 	for rec := 0; rec < 2048; rec += 17 {
-		rowRows[am.Decode(fieldAddr(p, rec, 0)).Row] = true
+		_, row := bankRow(am, fieldAddr(p, rec, 0))
+		rowRows[row] = true
 	}
 	for rec := 0; rec < 2048; rec += 17 {
 		if _, gathers := p.Field(rec, 3); !gathers {
 			t.Fatal("column engine without group")
 		}
 		g := p.Gather(rec, 3)
-		if rowRows[am.Decode(g.ReqAddr).Row] {
+		if _, row := bankRow(am, g.ReqAddr); rowRows[row] {
 			t.Fatalf("column-direction row collides with data row at rec %d", rec)
 		}
 	}
@@ -228,7 +235,8 @@ func TestStripeFieldSwitchChangesColumnRow(t *testing.T) {
 	p := NewPlacer(d, imdb.Ta(2048), 0, false)
 	am := mc.NewAddrMap(d.Mem.Geometry)
 	rowOf := func(field int) int {
-		return am.Decode(p.Gather(64, field).ReqAddr).Row
+		_, row := bankRow(am, p.Gather(64, field).ReqAddr)
+		return row
 	}
 	if rowOf(3) != rowOf(4) {
 		t.Fatal("f3 and f4 share a record line; their gathers should share a column row")

@@ -11,11 +11,9 @@ import (
 // the simulator's debug mode) run it to catch scheduler bugs — invariant 6
 // in DESIGN.md.
 type Auditor struct {
-	cfg      Config
-	history  []timedCommand
-	checked  int // history length already validated
-	capacity int // max retained commands; 0 = unbounded
-	dropped  uint64
+	cfg     Config
+	history []timedCommand
+	checked int // history length already validated
 	// Violations collects human-readable protocol violations (populated by
 	// Ok / Validate).
 	Violations []string
@@ -31,41 +29,9 @@ func NewAuditor(cfg Config) *Auditor {
 	return &Auditor{cfg: cfg}
 }
 
-// SetCapacity bounds the retained history to at most n commands so
-// long-running audited simulations don't grow memory without limit. When
-// the bound is hit, the oldest quarter (at least one command) is discarded
-// in a batch — amortized O(1) per Record — and validation / History cover
-// only the retained window. n <= 0 restores the unbounded default, which
-// the differential tests rely on for exact stream comparison.
-func (a *Auditor) SetCapacity(n int) {
-	if n < 0 {
-		n = 0
-	}
-	a.capacity = n
-}
-
-// Dropped reports how many commands the capacity bound has discarded.
-func (a *Auditor) Dropped() uint64 { return a.dropped }
-
 // Record logs one issued command. Commands may be recorded in any order;
 // validation sorts by issue time.
 func (a *Auditor) Record(cmd Command, at Cycle) {
-	if a.capacity > 0 && len(a.history) >= a.capacity {
-		drop := len(a.history) - a.capacity + 1
-		if batch := a.capacity / 4; batch > drop {
-			drop = batch
-		}
-		if drop > len(a.history) {
-			drop = len(a.history)
-		}
-		a.history = append(a.history[:0], a.history[drop:]...)
-		a.dropped += uint64(drop)
-		if a.checked > drop {
-			a.checked -= drop
-		} else {
-			a.checked = 0
-		}
-	}
 	a.history = append(a.history, timedCommand{cmd, at})
 }
 

@@ -298,9 +298,10 @@ type BurstProbe interface {
 // rank), issues the command at its earliest legal cycle and returns its
 // results as scalars. Every timing rule lives once, in the kind's earliest
 // function (actEarliest, preEarliest, colEarliest, refEarliest), and every
-// state change once, in its entry point. EarliestIssue and Issue,
-// which take a Command, are wrappers over the same code. A Command value
-// is built on the per-kind path only for an attached Trace or Probe.
+// state change once, in its entry point. EarliestIssue, which takes a
+// Command, wraps the same earliest functions for reference schedulers. A
+// Command value is built on the per-kind path only for an attached Trace
+// or Probe.
 type Device struct {
 	cfg   Config
 	ranks []rankState
@@ -384,14 +385,6 @@ func NewDevice(cfg Config) *Device {
 
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
-
-// RankMode returns rank r's current I/O mode.
-func (d *Device) RankMode(r int) IOMode { return d.ranks[r].mode }
-
-// BankOpenRow returns (row, true) if the addressed bank has an open row.
-func (d *Device) BankOpenRow(rank, group, bank int) (int, bool) {
-	return d.OpenRowAt(d.BankIndex(rank, group, bank))
-}
 
 // RefreshDue reports the next refresh deadline for a rank.
 func (d *Device) RefreshDue(rank int) Cycle { return d.ranks[rank].refDueAt }
@@ -791,8 +784,8 @@ func (d *Device) EarliestIssue(cmd Command, now Cycle) Cycle {
 	}
 }
 
-// IssueResult reports the consequences of a command issued through Issue,
-// and is what a CmdTracer sees.
+// IssueResult reports the consequences of one issued command, and is what
+// a CmdTracer sees.
 type IssueResult struct {
 	// DataStart/DataEnd bound the data burst on the bus (RD/WR only);
 	// DataEnd is exclusive.
@@ -804,34 +797,4 @@ type IssueResult struct {
 	// Fault is the Probe's ruling on the data burst (RD/WR only); BurstOK
 	// whenever no probe is attached.
 	Fault BurstVerdict
-}
-
-// Issue applies cmd at cycle at through the kind's entry point. It panics
-// when the command is illegal (issued before EarliestIssue, or structurally
-// invalid): a caller that picks its own cycle must consult EarliestIssue
-// first, and a violation is a simulator bug, not a runtime condition.
-func (d *Device) Issue(cmd Command, at Cycle) IssueResult {
-	if e := d.EarliestIssue(cmd, at); e > at {
-		panic(fmt.Sprintf("dram: %v issued at %d, legal at %d", cmd, at, e))
-	}
-	// Legal at `at` means the earliest cycle >= at is at itself, so each
-	// entry point issues at exactly that cycle.
-	t := &d.cfg.Timing
-	switch cmd.Kind {
-	case CmdACT:
-		d.Activate(d.BankIndex(cmd.Rank, cmd.Group, cmd.Bank), cmd.Row, cmd.GangRanks, at)
-		return IssueResult{Done: at + Cycle(t.TRCD)}
-	case CmdPRE:
-		d.Precharge(d.BankIndex(cmd.Rank, cmd.Group, cmd.Bank), at)
-		return IssueResult{Done: at + Cycle(t.TRP)}
-	case CmdRD, CmdWR:
-		var res IssueResult
-		_, res.DataStart, res.DataEnd, res.ModeSwitched, res.Fault = d.Column(
-			d.BankIndex(cmd.Rank, cmd.Group, cmd.Bank), cmd.Row, cmd.Col, cmd.Kind == CmdWR, cmd.Mode, cmd.GangRanks, at)
-		res.Done = res.DataEnd
-		return res
-	default: // CmdREF; EarliestIssue rejected every other kind
-		d.Refresh(cmd.Rank, at)
-		return IssueResult{Done: d.ranks[cmd.Rank].refUntil}
-	}
 }

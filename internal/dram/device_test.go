@@ -1,11 +1,47 @@
 package dram
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
 func testCfg() Config { return DDR4_2400() }
+
+// Issue applies cmd at cycle at through the kind's entry point. It panics
+// when the command is illegal (issued before EarliestIssue, or structurally
+// invalid): a test that picks its own cycle must consult EarliestIssue
+// first, and a violation is a simulator bug, not a runtime condition.
+func (d *Device) Issue(cmd Command, at Cycle) IssueResult {
+	if e := d.EarliestIssue(cmd, at); e > at {
+		panic(fmt.Sprintf("dram: %v issued at %d, legal at %d", cmd, at, e))
+	}
+	// Legal at `at` means the earliest cycle >= at is at itself, so each
+	// entry point issues at exactly that cycle.
+	t := &d.cfg.Timing
+	switch cmd.Kind {
+	case CmdACT:
+		d.Activate(d.BankIndex(cmd.Rank, cmd.Group, cmd.Bank), cmd.Row, cmd.GangRanks, at)
+		return IssueResult{Done: at + Cycle(t.TRCD)}
+	case CmdPRE:
+		d.Precharge(d.BankIndex(cmd.Rank, cmd.Group, cmd.Bank), at)
+		return IssueResult{Done: at + Cycle(t.TRP)}
+	case CmdRD, CmdWR:
+		var res IssueResult
+		_, res.DataStart, res.DataEnd, res.ModeSwitched, res.Fault = d.Column(
+			d.BankIndex(cmd.Rank, cmd.Group, cmd.Bank), cmd.Row, cmd.Col, cmd.Kind == CmdWR, cmd.Mode, cmd.GangRanks, at)
+		res.Done = res.DataEnd
+		return res
+	default: // CmdREF; EarliestIssue rejected every other kind
+		d.Refresh(cmd.Rank, at)
+		return IssueResult{Done: d.ranks[cmd.Rank].refUntil}
+	}
+}
+
+// BankOpenRow returns (row, true) if the addressed bank has an open row.
+func (d *Device) BankOpenRow(rank, group, bank int) (int, bool) {
+	return d.OpenRowAt(d.BankIndex(rank, group, bank))
+}
 
 func TestConfigValidate(t *testing.T) {
 	for _, cfg := range []Config{DDR4_2400(), RRAM()} {
@@ -186,8 +222,8 @@ func TestModeSwitchCostsTRTR(t *testing.T) {
 		t.Fatalf("stride burst data at %d, want >= %d (prev end %d + tRTR)",
 			res.DataStart, r2end+Cycle(cfg.Timing.TRTR), r2end)
 	}
-	if d.RankMode(0) != ModeStride2 {
-		t.Fatalf("rank mode = %v after switch", d.RankMode(0))
+	if d.ranks[0].mode != ModeStride2 {
+		t.Fatalf("rank mode = %v after switch", d.ranks[0].mode)
 	}
 	_ = r1
 	// Switching back also costs tRTR and counts.
@@ -469,8 +505,8 @@ func TestGangedModeSwitchCoversBothRanks(t *testing.T) {
 		t.Fatal("gang switch not reported")
 	}
 	for r := 0; r < cfg.Geometry.Ranks; r++ {
-		if d.RankMode(r) != ModeStride1 {
-			t.Fatalf("rank %d mode %v after ganged switch", r, d.RankMode(r))
+		if d.ranks[r].mode != ModeStride1 {
+			t.Fatalf("rank %d mode %v after ganged switch", r, d.ranks[r].mode)
 		}
 	}
 	if d.Stats.GangedBursts != 1 {

@@ -1,10 +1,53 @@
 package dram
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// The x4 path and the 4-bit interleaved MUX below are the halves of the
+// Fig. 7 datapath that only the functional models in these tests drive:
+// the rank model reads regular columns through them, and the Section 4.4
+// checks pin the nibble interleave.
+
+// LoadRegular loads one 32-bit column word (the chip's share of one
+// cacheline burst) into buffer 0, the x4 path.
+func (io *IOBuffer) LoadRegular(word [BufBytes]byte) {
+	io.Buf[0] = word
+}
+
+// SerializeRegular returns the 32 bits the four DQs emit over eight beats
+// in x4 mode: buffer 0, all lanes.
+func (io *IOBuffer) SerializeRegular() [BufBytes]byte {
+	return io.Buf[0]
+}
+
+// SerializeStrideFine returns the 16 bits two DQs emit for 4-bit strided
+// granularity (Section 4.4): the interleaved MUX pairs lanes (2k, 2k+1) and
+// picks the high or low nibble of each, so four 4-bit symbols — one per
+// buffer-pair position — travel on two DQs in one burst.
+//
+// pair selects which lane pair (0 or 1), hi selects the nibble. The two
+// returned bytes are the two DQs' eight beats each.
+func (io *IOBuffer) SerializeStrideFine(pair int, hi bool) [2]byte {
+	if pair < 0 || pair*2+1 >= LanesPerBuf {
+		panic(fmt.Sprintf("dram: lane pair %d out of range", pair))
+	}
+	nib := func(b byte) byte {
+		if hi {
+			return b >> 4
+		}
+		return b & 0xF
+	}
+	var out [2]byte
+	// DQ 0 carries buffers 0,1; DQ 1 carries buffers 2,3 — two 4-bit
+	// symbols per DQ, interleaved between the paired lanes.
+	out[0] = nib(io.Buf[0][pair*2]) | nib(io.Buf[1][pair*2+1])<<4
+	out[1] = nib(io.Buf[2][pair*2]) | nib(io.Buf[3][pair*2+1])<<4
+	return out
+}
 
 func randWords(rng *rand.Rand) [NumIOBuffers][BufBytes]byte {
 	var w [NumIOBuffers][BufBytes]byte

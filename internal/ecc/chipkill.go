@@ -34,50 +34,6 @@ func NewBurst(chips int) *Burst {
 	return &Burst{Chips: make([][BytesPerChip]byte, chips)}
 }
 
-// Reset zeroes every chip plane, returning the burst to its freshly
-// allocated state. Decode mutates bursts in place (corrections) and fault
-// injection corrupts them, so any reuse path must Reset first — a recycled
-// burst otherwise leaks the previous transfer's fault pattern into the next
-// decode.
-func (b *Burst) Reset() {
-	for i := range b.Chips {
-		b.Chips[i] = [BytesPerChip]byte{}
-	}
-}
-
-// BurstPool is a free list of Bursts keyed by chip count, for steady-state
-// burst reuse on the fault-injection and rank-model hot paths. Get returns a
-// zeroed burst (recycled bursts carry the prior transfer's corruption, so
-// the Get path always Resets); Put recycles a burst of any geometry. The
-// pool is not goroutine-safe: like the codecs, one pool belongs to one
-// injector or rank model.
-type BurstPool struct {
-	free map[int][]*Burst
-}
-
-// Get returns an all-zero burst with the given chip count, reusing a
-// recycled one when available.
-func (p *BurstPool) Get(chips int) *Burst {
-	if list := p.free[chips]; len(list) > 0 {
-		b := list[len(list)-1]
-		p.free[chips] = list[:len(list)-1]
-		b.Reset()
-		return b
-	}
-	return NewBurst(chips)
-}
-
-// Put recycles a burst for a later Get of the same chip count.
-func (p *BurstPool) Put(b *Burst) {
-	if b == nil {
-		return
-	}
-	if p.free == nil {
-		p.free = make(map[int][]*Burst)
-	}
-	p.free[len(b.Chips)] = append(p.free[len(b.Chips)], b)
-}
-
 // checkBit validates a (chip, beat, dq) coordinate against the burst shape:
 // 8 beats and 4 DQs per chip, chip within the burst's rank width.
 func (b *Burst) checkBit(chip, beat, dq int) {
@@ -300,13 +256,6 @@ func (c *Chipkill) placeCodeword(b *Burst, j int, cw []byte) {
 			}
 		}
 	}
-}
-
-// extractCodeword reads codeword j back out of the burst into a fresh slice.
-func (c *Chipkill) extractCodeword(b *Burst, j int) []byte {
-	cw := make([]byte, c.Chips())
-	c.extractCodewordInto(cw, b, j)
-	return cw
 }
 
 // extractCodewordInto reads codeword j back out of the burst into cw

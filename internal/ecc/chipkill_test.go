@@ -157,8 +157,9 @@ func TestChipkillVariantLayoutIsTransposed(t *testing.T) {
 	b.SetBit(4, 3, 2, 1) // chip 4, beat 3, DQ 2
 	bad := 0
 	for j := 0; j < 4; j++ {
-		syn := c.rs.Syndromes(c.extractCodeword(b, j))
-		for _, s := range syn {
+		cw := make([]byte, c.Chips())
+		c.extractCodewordInto(cw, b, j)
+		for _, s := range syndromes(c.rs, cw) {
 			if s != 0 {
 				bad++
 				break

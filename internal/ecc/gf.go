@@ -38,9 +38,6 @@ func NewGF256() *GF256 {
 	return f
 }
 
-// Add returns a + b (XOR in characteristic 2).
-func (f *GF256) Add(a, b byte) byte { return a ^ b }
-
 // Mul returns a * b.
 func (f *GF256) Mul(a, b byte) byte {
 	if a == 0 || b == 0 {
@@ -60,24 +57,8 @@ func (f *GF256) Div(a, b byte) byte {
 	return f.exp[int(f.log[a])+255-int(f.log[b])]
 }
 
-// Inv returns the multiplicative inverse of a; it panics on zero.
-func (f *GF256) Inv(a byte) byte {
-	if a == 0 {
-		panic("ecc: GF(2^8) inverse of zero")
-	}
-	return f.exp[255-int(f.log[a])]
-}
-
 // Exp returns alpha^i for any non-negative i.
 func (f *GF256) Exp(i int) byte { return f.exp[i%255] }
-
-// Log returns log_alpha(a) in [0,255); it panics on zero.
-func (f *GF256) Log(a byte) int {
-	if a == 0 {
-		panic("ecc: GF(2^8) log of zero")
-	}
-	return int(f.log[a])
-}
 
 // Pow returns a^n.
 func (f *GF256) Pow(a byte, n int) byte {

@@ -98,14 +98,6 @@ func (r *RS) N() int { return r.n }
 // K returns the number of data symbols.
 func (r *RS) K() int { return r.k }
 
-// Encode appends n-k check symbols to the k data symbols and returns the
-// full n-symbol codeword (data first, systematic).
-func (r *RS) Encode(data []byte) []byte {
-	out := make([]byte, r.n)
-	r.EncodeInto(out, data)
-	return out
-}
-
 // EncodeInto writes the n-symbol codeword for data into out (len n)
 // without allocating.
 func (r *RS) EncodeInto(out, data []byte) {
@@ -130,14 +122,6 @@ func (r *RS) EncodeInto(out, data []byte) {
 	}
 }
 
-// Syndromes computes the n-k syndromes of a received word; all-zero means
-// the word is a valid codeword.
-func (r *RS) Syndromes(recv []byte) []byte {
-	syn := make([]byte, r.n-r.k)
-	r.syndromesInto(syn, recv)
-	return syn
-}
-
 // syndromesInto fills syn (len n-k) and reports whether every syndrome is
 // zero (a valid codeword).
 func (r *RS) syndromesInto(syn, recv []byte) (zero bool) {
@@ -159,14 +143,6 @@ func (r *RS) syndromesInto(syn, recv []byte) (zero bool) {
 		}
 	}
 	return zero
-}
-
-// Decode corrects recv in place (up to MaxCorrect symbol errors) and returns
-// the number of symbols corrected. It returns ErrDetected when the error
-// pattern exceeds the correction policy but is detectable.
-func (r *RS) Decode(recv []byte) (corrected int, err error) {
-	pos, err := r.decodeReport(recv)
-	return len(pos), err
 }
 
 // decodeReport is the scratch-backed decoder core. The returned positions

@@ -7,20 +7,41 @@ import (
 	"testing/quick"
 )
 
+// encode returns the codeword EncodeInto writes for data.
+func encode(r *RS, data []byte) []byte {
+	cw := make([]byte, r.N())
+	r.EncodeInto(cw, data)
+	return cw
+}
+
+// decode corrects recv in place through decodeReport, the decoder core the
+// chipkill codecs run, and returns how many symbols it corrected.
+func decode(r *RS, recv []byte) (corrected int, err error) {
+	pos, err := r.decodeReport(recv)
+	return len(pos), err
+}
+
+// syndromes returns the n-k syndromes of recv; all zero means a codeword.
+func syndromes(r *RS, recv []byte) []byte {
+	syn := make([]byte, r.N()-r.K())
+	r.syndromesInto(syn, recv)
+	return syn
+}
+
 func TestRSEncodeProducesValidCodeword(t *testing.T) {
 	rs := NewRS(18, 16, 1)
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		data := make([]byte, 16)
 		rng.Read(data)
-		cw := rs.Encode(data)
+		cw := encode(rs, data)
 		if len(cw) != 18 {
 			t.Fatalf("codeword length %d, want 18", len(cw))
 		}
 		if !bytes.Equal(cw[:16], data) {
 			t.Fatal("code is not systematic")
 		}
-		for i, s := range rs.Syndromes(cw) {
+		for i, s := range syndromes(rs, cw) {
 			if s != 0 {
 				t.Fatalf("syndrome %d nonzero for fresh codeword", i)
 			}
@@ -34,11 +55,11 @@ func TestRSCorrectsSingleSymbol(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		data := make([]byte, 16)
 		rng.Read(data)
-		cw := rs.Encode(data)
+		cw := encode(rs, data)
 		orig := append([]byte(nil), cw...)
 		pos := rng.Intn(18)
 		cw[pos] ^= byte(1 + rng.Intn(255))
-		n, err := rs.Decode(cw)
+		n, err := decode(rs, cw)
 		if err != nil {
 			t.Fatalf("trial %d: decode failed: %v", trial, err)
 		}
@@ -61,12 +82,12 @@ func TestRSDetectsDoubleSymbolUnderPolicy(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		data := make([]byte, 32)
 		rng.Read(data)
-		cw := rs.Encode(data)
+		cw := encode(rs, data)
 		p1 := rng.Intn(36)
 		p2 := (p1 + 1 + rng.Intn(35)) % 36
 		cw[p1] ^= byte(1 + rng.Intn(255))
 		cw[p2] ^= byte(1 + rng.Intn(255))
-		_, err := rs.Decode(cw)
+		_, err := decode(rs, cw)
 		if err != ErrDetected {
 			t.Fatalf("trial %d: double-symbol error not detected (err=%v)", trial, err)
 		}
@@ -79,13 +100,13 @@ func TestRSFullPowerCorrectsTwoSymbols(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		data := make([]byte, 32)
 		rng.Read(data)
-		cw := rs.Encode(data)
+		cw := encode(rs, data)
 		orig := append([]byte(nil), cw...)
 		p1 := rng.Intn(36)
 		p2 := (p1 + 1 + rng.Intn(35)) % 36
 		cw[p1] ^= byte(1 + rng.Intn(255))
 		cw[p2] ^= byte(1 + rng.Intn(255))
-		n, err := rs.Decode(cw)
+		n, err := decode(rs, cw)
 		if err != nil {
 			t.Fatalf("trial %d: decode failed: %v", trial, err)
 		}
@@ -101,8 +122,8 @@ func TestRSFullPowerCorrectsTwoSymbols(t *testing.T) {
 func TestRSZeroErrorFastPath(t *testing.T) {
 	rs := NewRS(18, 16, 1)
 	data := make([]byte, 16)
-	cw := rs.Encode(data)
-	n, err := rs.Decode(cw)
+	cw := encode(rs, data)
+	n, err := decode(rs, cw)
 	if n != 0 || err != nil {
 		t.Fatalf("clean codeword: n=%d err=%v", n, err)
 	}
@@ -111,13 +132,13 @@ func TestRSZeroErrorFastPath(t *testing.T) {
 func TestRSPropertyRoundTrip(t *testing.T) {
 	rs := NewRS(18, 16, 1)
 	f := func(data [16]byte, pos uint8, flip byte) bool {
-		cw := rs.Encode(data[:])
+		cw := encode(rs, data[:])
 		if flip == 0 {
-			n, err := rs.Decode(cw)
+			n, err := decode(rs, cw)
 			return n == 0 && err == nil && bytes.Equal(cw[:16], data[:])
 		}
 		cw[int(pos)%18] ^= flip
-		n, err := rs.Decode(cw)
+		n, err := decode(rs, cw)
 		return err == nil && n == 1 && bytes.Equal(cw[:16], data[:])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -145,7 +166,7 @@ func TestRSEncodeLengthValidation(t *testing.T) {
 			t.Error("Encode with wrong length did not panic")
 		}
 	}()
-	rs.Encode(make([]byte, 10))
+	encode(rs, make([]byte, 10))
 }
 
 func BenchmarkRSEncodeSSC(b *testing.B) {
@@ -156,18 +177,18 @@ func BenchmarkRSEncodeSSC(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rs.Encode(data)
+		encode(rs, data)
 	}
 }
 
 func BenchmarkRSDecodeSingleError(b *testing.B) {
 	rs := NewRS(18, 16, 1)
 	data := make([]byte, 16)
-	cw := rs.Encode(data)
+	cw := encode(rs, data)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cw[5] ^= 0x42
-		if _, err := rs.Decode(cw); err != nil {
+		if _, err := decode(rs, cw); err != nil {
 			b.Fatal(err)
 		}
 	}

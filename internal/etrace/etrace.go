@@ -179,9 +179,6 @@ func (b *Buffer) Dropped() uint64 {
 	return n
 }
 
-// Capacity returns the per-channel ring bound.
-func (b *Buffer) Capacity() int { return b.cap }
-
 // Events returns the retained events, each channel's oldest-first, channels
 // concatenated in index order. Within a channel the sequence is exact
 // emission order; across channels events interleave by channel block, so

@@ -21,8 +21,8 @@ func TestRingOverflowDropsOldest(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		ct.ReqScheduled(dram.Cycle(i), mc.Request{ID: uint64(i)}, 0)
 	}
-	if b.Len() != 8 || b.Capacity() != 8 {
-		t.Fatalf("Len=%d Cap=%d, want 8/8", b.Len(), b.Capacity())
+	if b.Len() != 8 || b.cap != 8 {
+		t.Fatalf("Len=%d Cap=%d, want 8/8", b.Len(), b.cap)
 	}
 	if b.Dropped() != 12 {
 		t.Fatalf("Dropped=%d, want 12", b.Dropped())
@@ -133,7 +133,13 @@ func driveStack(t *testing.T, buf *Buffer, audit bool) (*mc.Controller, *dram.De
 		}
 		ctrl.Enqueue(r)
 	}
-	comps = append(comps, ctrl.Drain()...)
+	for {
+		var comp mc.Completion
+		if !ctrl.ServiceOne(&comp) {
+			break
+		}
+		comps = append(comps, comp)
+	}
 	return ctrl, dev, comps
 }
 

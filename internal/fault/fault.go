@@ -163,9 +163,6 @@ func New(cfg Config, scheme ecc.Scheme, hasECC bool) *Injector {
 	return in
 }
 
-// Config returns the injector's configuration.
-func (in *Injector) Config() Config { return in.cfg }
-
 // Reset rewinds the injector for a fresh run under a new configuration,
 // keeping every workspace (codec scratch, burst, counters slice) so repeated
 // sweep points and campaign cells reuse one injector per channel instead of

@@ -54,17 +54,11 @@ type Coord struct {
 	Offset  int // byte offset within the line
 }
 
-// Decode splits a physical address into DRAM coordinates.
-func (m *AddrMap) Decode(addr uint64) Coord {
-	var c Coord
-	m.decode(addr, &c)
-	return c
-}
-
-// decode is Decode into caller-owned storage: Enqueue decodes straight
-// into the request's queue slot. The bank field holds Bank*BankGroups +
-// Group, and BankGroups is a power of two (it divides the power-of-two
-// bank count), so the split is a mask and a shift.
+// decode splits a physical address into DRAM coordinates, written into
+// caller-owned storage: Enqueue decodes straight into the request's queue
+// slot. The bank field holds Bank*BankGroups + Group, and BankGroups is a
+// power of two (it divides the power-of-two bank count), so the split is
+// a mask and a shift.
 func (m *AddrMap) decode(addr uint64, c *Coord) {
 	take := func(n int) int {
 		v := addr & (1<<uint(n) - 1)
@@ -80,22 +74,11 @@ func (m *AddrMap) decode(addr uint64, c *Coord) {
 	c.Row = int(addr)
 }
 
-// Channel extracts just the channel field of addr without a full Decode —
+// Channel extracts just the channel field of addr without a full decode —
 // the per-request routing lookup the simulator performs on every enqueue.
 func (m *AddrMap) Channel(addr uint64) int {
 	shift := m.offBits + m.colBits
 	return int((addr >> uint(shift)) & (1<<uint(m.chBits) - 1))
-}
-
-// Encode is the inverse of Decode.
-func (m *AddrMap) Encode(c Coord) uint64 {
-	addr := uint64(c.Row)
-	addr = addr<<uint(m.rankBits) | uint64(c.Rank)
-	addr = addr<<uint(m.bankBits) | uint64(c.Bank*m.geo.BankGroups+c.Group)
-	addr = addr<<uint(m.chBits) | uint64(c.Channel)
-	addr = addr<<uint(m.colBits) | uint64(c.Col)
-	addr = addr<<uint(m.offBits) | uint64(c.Offset)
-	return addr
 }
 
 // BankRowShifts returns the bit positions of the bank and row fields. The
@@ -106,11 +89,3 @@ func (m *AddrMap) BankRowShifts() (bank, row uint) {
 	bank = uint(m.offBits + m.colBits + m.chBits)
 	return bank, bank + uint(m.bankBits+m.rankBits)
 }
-
-// LineAddr clears the intra-line offset.
-func (m *AddrMap) LineAddr(addr uint64) uint64 {
-	return addr &^ (1<<uint(m.offBits) - 1)
-}
-
-// LineBytes returns the cacheline size the map was built for.
-func (m *AddrMap) LineBytes() int { return m.geo.LineBytes }

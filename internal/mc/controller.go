@@ -279,13 +279,6 @@ func (c *Controller) SetMaxRetries(n int) {
 	c.cfg.MaxRetries = n
 }
 
-// AddrMap exposes the controller's address mapping.
-func (c *Controller) AddrMap() *AddrMap { return c.amap }
-
-// Config returns the controller's current configuration (including any
-// SetMaxRetries adjustment).
-func (c *Controller) Config() Config { return c.cfg }
-
 // Pending returns the number of queued requests.
 func (c *Controller) Pending() int { return c.readQ.n + c.writeQ.n }
 
@@ -330,9 +323,6 @@ func (c *Controller) Enqueue(r Request) {
 		c.Trace.ReqEnqueued(e.req.Arrival, e.req, e.bank, c.Pending())
 	}
 }
-
-// Now returns the controller's current time.
-func (c *Controller) Now() dram.Cycle { return c.now }
 
 // ServiceOne advances the controller until it completes one request and
 // writes its completion to *comp. It returns false, leaving *comp as it
@@ -723,14 +713,4 @@ func (c *Controller) access(e *entry, comp *Completion) {
 	comp.RowHit, comp.RowEmpty = hit, empty
 	comp.Retries, comp.Poisoned = retries, poisoned
 	c.now = at
-}
-
-// Drain services every queued request and returns the completions.
-func (c *Controller) Drain() []Completion {
-	var out []Completion
-	var comp Completion
-	for c.ServiceOne(&comp) {
-		out = append(out, comp)
-	}
-	return out
 }

@@ -77,16 +77,6 @@ func TestAddrMapRejectsNonPowerOfTwo(t *testing.T) {
 	NewAddrMap(g)
 }
 
-func TestLineAddr(t *testing.T) {
-	m := NewAddrMap(dram.DDR4_2400().Geometry)
-	if m.LineAddr(0x12345) != 0x12340 {
-		t.Fatalf("line addr = %x", m.LineAddr(0x12345))
-	}
-	if m.LineBytes() != 64 {
-		t.Fatal("line bytes")
-	}
-}
-
 func TestControllerSingleRead(t *testing.T) {
 	c := newTestController()
 	c.Enqueue(Request{ID: 1, Addr: 0x1000, Arrival: 0})

@@ -159,7 +159,7 @@ func (c *referenceController) frFCFS(q []*Request) int {
 			continue
 		}
 		co := c.amap.Decode(r.Addr)
-		if row, open := c.dev.BankOpenRow(co.Rank, co.Group, co.Bank); open && row == co.Row {
+		if row, open := c.bankOpenRow(co); open && row == co.Row {
 			if best == -1 || r.Arrival < bestArrival {
 				best, bestArrival = i, r.Arrival
 			}
@@ -190,7 +190,7 @@ func (c *referenceController) prepareAhead(q []*Request, current *Request) {
 		if co.Rank == cur.Rank && co.Group == cur.Group && co.Bank == cur.Bank {
 			continue
 		}
-		row, open := c.dev.BankOpenRow(co.Rank, co.Group, co.Bank)
+		row, open := c.bankOpenRow(co)
 		if open && row == co.Row {
 			continue
 		}
@@ -230,9 +230,31 @@ func (c *referenceController) serviceRefresh() {
 	}
 }
 
+// bankOpenRow returns (row, true) if co's bank has an open row.
+func (c *referenceController) bankOpenRow(co Coord) (int, bool) {
+	return c.dev.OpenRowAt(c.dev.BankIndex(co.Rank, co.Group, co.Bank))
+}
+
+// issueAt applies cmd at cycle at, which must be legal, through the
+// device's entry point for the command's kind.
+func (c *referenceController) issueAt(cmd dram.Command, at dram.Cycle) (dataStart, dataEnd dram.Cycle, switched bool) {
+	bank := c.dev.BankIndex(cmd.Rank, cmd.Group, cmd.Bank)
+	switch cmd.Kind {
+	case dram.CmdACT:
+		c.dev.Activate(bank, cmd.Row, cmd.GangRanks, at)
+	case dram.CmdPRE:
+		c.dev.Precharge(bank, at)
+	case dram.CmdRD, dram.CmdWR:
+		_, dataStart, dataEnd, switched, _ = c.dev.Column(bank, cmd.Row, cmd.Col, cmd.Kind == dram.CmdWR, cmd.Mode, cmd.GangRanks, at)
+	case dram.CmdREF:
+		c.dev.Refresh(cmd.Rank, at)
+	}
+	return dataStart, dataEnd, switched
+}
+
 func (c *referenceController) issue(cmd dram.Command) dram.Cycle {
 	at := c.dev.EarliestIssue(cmd, c.now)
-	c.dev.Issue(cmd, at)
+	c.issueAt(cmd, at)
 	if c.Audit != nil {
 		c.Audit.Record(cmd, at)
 	}
@@ -244,7 +266,7 @@ func (c *referenceController) access(r *Request) Completion {
 	co := c.amap.Decode(r.Addr)
 	comp := Completion{Req: *r}
 
-	openRow, open := c.dev.BankOpenRow(co.Rank, co.Group, co.Bank)
+	openRow, open := c.bankOpenRow(co)
 	switch {
 	case open && openRow == co.Row:
 		comp.RowHit = true
@@ -272,17 +294,17 @@ func (c *referenceController) access(r *Request) Completion {
 		Row: co.Row, Col: co.Col, Mode: mode, GangRanks: r.Gang,
 	}
 	at := c.dev.EarliestIssue(cmd, c.now)
-	res := c.dev.Issue(cmd, at)
+	dataStart, dataEnd, switched := c.issueAt(cmd, at)
 	if c.Audit != nil {
 		c.Audit.Record(cmd, at)
 	}
 	c.Stats.IssuedCommands++
-	if res.ModeSwitched {
+	if switched {
 		c.Stats.ModeSwitches++
 	}
 	comp.IssueAt = at
-	comp.DataStart = res.DataStart
-	comp.DataEnd = res.DataEnd
+	comp.DataStart = dataStart
+	comp.DataEnd = dataEnd
 	c.now = at
 	return comp
 }
@@ -313,3 +335,42 @@ type scheduler interface {
 
 func (c *Controller) stats() *Stats          { return &c.Stats }
 func (c *referenceController) stats() *Stats { return &c.Stats }
+
+// The rest of the scheduler surface on Controller: accessors and a drain
+// loop that only these tests use.
+
+func (c *Controller) Now() dram.Cycle { return c.now }
+
+func (c *Controller) AddrMap() *AddrMap { return c.amap }
+
+// Drain services every queued request and returns the completions.
+func (c *Controller) Drain() []Completion {
+	var out []Completion
+	var comp Completion
+	for c.ServiceOne(&comp) {
+		out = append(out, comp)
+	}
+	return out
+}
+
+// The full-address codec of the map: the reference scheduler re-decodes
+// every queued address with it, and the tests build addresses from
+// coordinates.
+
+// Decode splits a physical address into DRAM coordinates.
+func (m *AddrMap) Decode(addr uint64) Coord {
+	var c Coord
+	m.decode(addr, &c)
+	return c
+}
+
+// Encode is the inverse of Decode.
+func (m *AddrMap) Encode(c Coord) uint64 {
+	addr := uint64(c.Row)
+	addr = addr<<uint(m.rankBits) | uint64(c.Rank)
+	addr = addr<<uint(m.bankBits) | uint64(c.Bank*m.geo.BankGroups+c.Group)
+	addr = addr<<uint(m.chBits) | uint64(c.Channel)
+	addr = addr<<uint(m.colBits) | uint64(c.Col)
+	addr = addr<<uint(m.offBits) | uint64(c.Offset)
+	return addr
+}

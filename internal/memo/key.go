@@ -43,7 +43,6 @@ const (
 	tagI64
 	tagF64
 	tagBool
-	tagBytes
 )
 
 // NewFingerprint starts a fingerprint salted with SchemaVersion plus the
@@ -115,13 +114,6 @@ func (f *Fingerprint) Bool(name string, v bool) *Fingerprint {
 	} else {
 		f.h.Write([]byte{0})
 	}
-	return f
-}
-
-// Bytes adds a named opaque byte field.
-func (f *Fingerprint) Bytes(name string, v []byte) *Fingerprint {
-	f.writeHeader(tagBytes, name)
-	f.writeStr(string(v))
 	return f
 }
 

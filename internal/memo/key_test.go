@@ -34,7 +34,6 @@ func TestFingerprintDistinguishesFields(t *testing.T) {
 	add("f64-negzero", base().F64("a", 0).F64("b", 1))
 	add("bool-true", base().Bool("a", true))
 	add("bool-false", base().Bool("a", false))
-	add("bytes", base().Bytes("a", []byte("x")))
 	add("order", base().Str("a", "x").Str("b", "y"))
 	add("order-swapped", base().Str("b", "y").Str("a", "x"))
 	// Concatenation ambiguity: name/value boundaries must be length-framed.

@@ -237,18 +237,6 @@ func (c *Cache[V]) Lookup(key string) (V, Outcome, bool) {
 	return zero, Miss, false
 }
 
-// Get returns the value for key from the in-process tier only, without
-// counting a lookup (a peek for tests and diagnostics).
-func (c *Cache[V]) Get(key string) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		return el.Value.(*entry[V]).val, true
-	}
-	var zero V
-	return zero, false
-}
-
 // Counters reads the instruments.
 func (c *Cache[V]) Counters() Counters {
 	c.mu.Lock()

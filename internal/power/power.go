@@ -9,8 +9,6 @@
 // idles near zero but pays heavily per write.
 package power
 
-import "fmt"
-
 // ChipCurrents holds per-chip IDD values in milliamps.
 type ChipCurrents struct {
 	IDD0  float64 // one-bank ACT/PRE cycle average
@@ -40,23 +38,6 @@ type Model struct {
 	// Timing inputs for per-command energy.
 	TRC, TBL, TRFC int // cycles
 	ClockMHz       float64
-}
-
-// Validate checks the model.
-func (m Model) Validate() error {
-	if m.VDD <= 0 || m.Chips <= 0 || m.ClockMHz <= 0 {
-		return fmt.Errorf("power: bad electrical params in %q", m.Name)
-	}
-	if m.TRC <= 0 || m.TBL <= 0 {
-		return fmt.Errorf("power: bad timing params in %q", m.Name)
-	}
-	if m.ActChipFraction <= 0 || m.ActChipFraction > 1 {
-		return fmt.Errorf("power: ActChipFraction %v out of (0,1]", m.ActChipFraction)
-	}
-	if m.BackgroundScale <= 0 {
-		return fmt.Errorf("power: BackgroundScale %v not positive", m.BackgroundScale)
-	}
-	return nil
 }
 
 // Activity is the command tally of one run.

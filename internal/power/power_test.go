@@ -5,33 +5,6 @@ import (
 	"testing"
 )
 
-func TestModelValidation(t *testing.T) {
-	m := DDR4Model(18)
-	if err := m.Validate(); err != nil {
-		t.Fatalf("default model invalid: %v", err)
-	}
-	bad := m
-	bad.VDD = 0
-	if bad.Validate() == nil {
-		t.Error("zero VDD accepted")
-	}
-	bad = m
-	bad.ActChipFraction = 0
-	if bad.Validate() == nil {
-		t.Error("zero ActChipFraction accepted")
-	}
-	bad = m
-	bad.BackgroundScale = -1
-	if bad.Validate() == nil {
-		t.Error("negative BackgroundScale accepted")
-	}
-	bad = m
-	bad.TRC = 0
-	if bad.Validate() == nil {
-		t.Error("zero tRC accepted")
-	}
-}
-
 func TestEnergyAdditivity(t *testing.T) {
 	// Invariant 10: the breakdown sums to the total, and activity is
 	// additive — E(a+b) = E(a) + E(b) with matching cycle counts.

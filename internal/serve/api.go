@@ -30,7 +30,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -88,12 +87,6 @@ func (e *RequestError) Error() string { return e.msg }
 // badf builds a RequestError.
 func badf(format string, args ...any) error {
 	return &RequestError{msg: fmt.Sprintf(format, args...)}
-}
-
-// IsRequestError reports whether err is a client-side submission defect.
-func IsRequestError(err error) bool {
-	var re *RequestError
-	return errors.As(err, &re)
 }
 
 // SubmitRequest is the POST /jobs body. Kind selects exactly one of the

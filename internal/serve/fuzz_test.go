@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -43,7 +44,8 @@ func FuzzSubmitRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := ParseSubmit(bytes.NewReader(data))
 		if err != nil {
-			if !IsRequestError(err) {
+			var re *RequestError
+			if !errors.As(err, &re) {
 				t.Fatalf("rejection is not a RequestError (would 500, want 400): %v", err)
 			}
 			return

@@ -53,11 +53,11 @@ func TestStridedReadsZeroAllocs(t *testing.T) {
 		c.sweep() // warm: grow every cache set and the scratch buffers once
 		l1, llc := s.Hierarchy.Level(0), s.Hierarchy.LLC()
 		hits, misses := l1.Stats.Hits, llc.Stats.Misses
-		reads := s.ChannelController(0).Stats.Reads
+		reads := s.controllers[0].Stats.Reads
 		if allocs := testing.AllocsPerRun(3, c.sweep); allocs != 0 {
 			t.Errorf("%s: %.1f allocs per sweep, want 0", c.name, allocs)
 		}
-		if llc.Stats.Misses == misses || s.ChannelController(0).Stats.Reads == reads {
+		if llc.Stats.Misses == misses || s.controllers[0].Stats.Reads == reads {
 			t.Errorf("%s: the measured sweeps never missed to memory", c.name)
 		}
 		if c.wantHits && l1.Stats.Hits == hits {

@@ -97,21 +97,17 @@ func newBackEnd(s *System) backEnd {
 	// on the same warm system genuinely fault-free (and allocation-free).
 	inject := s.Faults != nil && s.Faults.Active()
 	// The retry budget is controller state SetMaxRetries mutates in place,
-	// so it is re-applied on every run: a fault run always gets the model's
-	// configured budget — including 0, which means poison on the first DUE —
-	// and a fault-free run restores the default. Applying only positive
-	// budgets used to let a previous run's budget leak into later campaign
-	// points on a warm system.
-	retries := mc.DefaultConfig().MaxRetries
-	if inject {
-		retries = s.Faults.MaxRetries
-	}
+	// so every fault run applies its model's budget — including 0, which
+	// means poison on the first DUE. Applying only positive budgets used to
+	// let a previous run's budget leak into later campaign points on a warm
+	// system. A fault-free run leaves the budget alone: without a probe no
+	// read decodes as a DUE, so the budget is never read.
 	for ch := 0; ch < s.Channels(); ch++ {
-		s.controllers[ch].SetMaxRetries(retries)
 		if !inject {
 			s.devices[ch].Probe = nil
 			continue
 		}
+		s.controllers[ch].SetMaxRetries(s.Faults.MaxRetries)
 		cfg := *s.Faults
 		cfg.Seed = channelFaultSeed(s.Faults.Seed, ch)
 		if ch == len(s.runInjectors) {

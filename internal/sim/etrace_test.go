@@ -81,7 +81,7 @@ func TestEventTraceReconciles(t *testing.T) {
 	// 2. Command events equal the auditor history, channel by channel.
 	events := buf.Events()
 	for ch := 0; ch < s.Channels(); ch++ {
-		aud := s.ChannelController(ch).Audit
+		aud := s.controllers[ch].Audit
 		hist := aud.History() // before Ok: validation sorts in place
 		var i int
 		for _, e := range events {
@@ -151,19 +151,19 @@ func TestAttachEventTraceDetach(t *testing.T) {
 	buf := etrace.NewBuffer(16)
 	s.AttachEventTrace(buf, nil)
 	for ch := 0; ch < s.Channels(); ch++ {
-		if s.ChannelController(ch).Trace == nil || s.ChannelDevice(ch).Trace == nil {
+		if s.controllers[ch].Trace == nil || s.devices[ch].Trace == nil {
 			t.Fatalf("ch%d not wired", ch)
 		}
 	}
 	s.reset()
 	for ch := 0; ch < s.Channels(); ch++ {
-		if s.ChannelController(ch).Trace == nil {
+		if s.controllers[ch].Trace == nil {
 			t.Fatalf("ch%d wiring lost across reset", ch)
 		}
 	}
 	s.AttachEventTrace(nil, nil)
 	for ch := 0; ch < s.Channels(); ch++ {
-		if s.ChannelController(ch).Trace != nil || s.ChannelDevice(ch).Trace != nil {
+		if s.controllers[ch].Trace != nil || s.devices[ch].Trace != nil {
 			t.Fatalf("ch%d still wired after detach", ch)
 		}
 	}

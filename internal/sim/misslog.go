@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -76,23 +74,6 @@ func (l *MissLog) Bytes() int {
 		n += len(c)
 	}
 	return n
-}
-
-// Digest is the SHA-256 of the whole recorded stream — every operation
-// at every clock, the final clocks and the functional result — so two
-// runs with equal digests had equal front ends.
-func (l *MissLog) Digest() string {
-	enc, err := EncodeResult(&l.res)
-	if err != nil {
-		panic(err)
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "%v%v/", l.variants, l.ends)
-	for _, c := range l.chunks {
-		h.Write(c)
-	}
-	h.Write(enc)
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // The header byte's fields.

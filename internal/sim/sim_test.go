@@ -110,6 +110,17 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// auditOK reports whether every channel's command stream was protocol
+// clean; the system must have been built with Audit set.
+func auditOK(s *System) bool {
+	for _, c := range s.controllers {
+		if c.Audit != nil && !c.Audit.Ok() {
+			return false
+		}
+	}
+	return true
+}
+
 func TestProtocolAuditEndToEnd(t *testing.T) {
 	// Invariant 6 at system level: a full query run issues only legal
 	// command sequences, for a DRAM design and an NVM design.
@@ -126,8 +137,8 @@ func TestProtocolAuditEndToEnd(t *testing.T) {
 		if _, err := s.RunQuery("UPDATE Tb SET f3 = x WHERE f10 = y", sql.Params{"x": 5, "y": 3}); err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
-		if !s.ChannelController(0).Audit.Ok() {
-			t.Fatalf("%v: protocol violations; first: %s", k, s.ChannelController(0).Audit.Violations[0])
+		if !s.controllers[0].Audit.Ok() {
+			t.Fatalf("%v: protocol violations; first: %s", k, s.controllers[0].Audit.Violations[0])
 		}
 	}
 }
@@ -147,7 +158,7 @@ func TestEmbeddedECCReadSameRow(t *testing.T) {
 	}
 	type cell struct{ rank, group, bank, row, col int }
 	var gathers, companions []cell
-	for _, tc := range s.ChannelController(0).Audit.History() {
+	for _, tc := range s.controllers[0].Audit.History() {
 		c := tc.Cmd
 		if c.Kind != dram.CmdRD {
 			continue
@@ -198,7 +209,7 @@ func TestUpdateWritesBack(t *testing.T) {
 		t.Fatalf("update reported %d rows, table shows %d", r.Rows, checked)
 	}
 	// Write traffic must have reached memory (sstore path).
-	if s.ChannelDevice(0).Stats.StrideWrites == 0 && s.ChannelDevice(0).Stats.Writes == 0 {
+	if s.devices[0].Stats.StrideWrites == 0 && s.devices[0].Stats.Writes == 0 {
 		t.Fatal("no write bursts observed")
 	}
 }
@@ -220,7 +231,7 @@ func TestInsertAppendsRecords(t *testing.T) {
 	if before.Value(n, 1) != 8 {
 		t.Fatalf("inserted value wrong: %d", before.Value(n, 1))
 	}
-	if s.ChannelDevice(0).Stats.Writes == 0 {
+	if s.devices[0].Stats.Writes == 0 {
 		t.Fatal("insert produced no write bursts")
 	}
 }
@@ -338,14 +349,6 @@ func TestSpeedupAndEfficiencyHelpers(t *testing.T) {
 	if Speedup(a, RunStats{}) != 0 {
 		t.Fatal("zero-cycle speedup should be 0")
 	}
-	a.Energy.RdWr = 100
-	b.Energy.RdWr = 25
-	if EnergyEfficiency(a, b) != 4 {
-		t.Fatal("efficiency math")
-	}
-	if EnergyEfficiency(a, RunStats{}) != 0 {
-		t.Fatal("zero-energy efficiency should be 0")
-	}
 	if s := (RunStats{Cycles: 1200}).Seconds(1200); s != 1e-6 {
 		t.Fatalf("seconds conversion: %v", s)
 	}
@@ -356,19 +359,19 @@ func TestStrideDesignsUseStrideBursts(t *testing.T) {
 	if _, err := s.RunQuery("SELECT SUM(f9) FROM Ta WHERE f10 > x", sel25()); err != nil {
 		t.Fatal(err)
 	}
-	if s.ChannelDevice(0).Stats.StrideReads == 0 {
+	if s.devices[0].Stats.StrideReads == 0 {
 		t.Fatal("SAM design issued no stride bursts on a column scan")
 	}
-	if s.ChannelDevice(0).Stats.Reads > s.ChannelDevice(0).Stats.StrideReads/4 {
+	if s.devices[0].Stats.Reads > s.devices[0].Stats.StrideReads/4 {
 		t.Fatalf("too many regular reads (%d) alongside %d stride reads",
-			s.ChannelDevice(0).Stats.Reads, s.ChannelDevice(0).Stats.StrideReads)
+			s.devices[0].Stats.Reads, s.devices[0].Stats.StrideReads)
 	}
 
 	base := testSystem(design.Baseline, 512, 256, false)
 	if _, err := base.RunQuery("SELECT SUM(f9) FROM Ta WHERE f10 > x", sel25()); err != nil {
 		t.Fatal(err)
 	}
-	if base.ChannelDevice(0).Stats.StrideReads != 0 {
+	if base.devices[0].Stats.StrideReads != 0 {
 		t.Fatal("baseline must never issue stride bursts")
 	}
 }
@@ -381,7 +384,7 @@ func TestModeSwitchesAreRare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sw := s.ChannelDevice(0).Stats.ModeSwitches; sw*20 > r.Stats.MemRequests {
+	if sw := s.devices[0].Stats.ModeSwitches; sw*20 > r.Stats.MemRequests {
 		t.Fatalf("mode switches too frequent: %d for %d requests", sw, r.Stats.MemRequests)
 	}
 }
@@ -467,7 +470,7 @@ func TestMultiChannelScaling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !s.AuditOK() {
+		if !auditOK(s) {
 			t.Fatalf("%d channels: protocol violations", channels)
 		}
 		if s.Channels() != channels {

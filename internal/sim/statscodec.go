@@ -18,7 +18,7 @@ import (
 // deterministic, and float64 values round-trip bit-exactly (Go emits the
 // shortest representation that parses back to the same value). A decoded
 // result is therefore semantically identical to the encoded one: every
-// derived figure value (Speedup, EnergyEfficiency, table cells) is
+// derived figure value (speedups, energy ratios, table cells) is
 // bit-identical, which is what lets a warm cache reproduce byte-identical
 // figure output.
 //
@@ -57,20 +57,4 @@ func DecodeResult(b []byte) (*QueryResult, error) {
 		return nil, fmt.Errorf("sim: decoded envelope carries no result")
 	}
 	return env.Result, nil
-}
-
-// ResultsEquivalent reports whether two results are semantically equal:
-// equal under the stable encoding. This is the right equality for cache
-// verification — reflect.DeepEqual distinguishes nil from empty maps and
-// slices, which the encoding (correctly) does not.
-func ResultsEquivalent(a, b *QueryResult) (bool, error) {
-	ea, err := EncodeResult(a)
-	if err != nil {
-		return false, err
-	}
-	eb, err := EncodeResult(b)
-	if err != nil {
-		return false, err
-	}
-	return bytes.Equal(ea, eb), nil
 }

@@ -190,12 +190,6 @@ func (s *System) wireEventTrace() {
 // Channels returns the channel count.
 func (s *System) Channels() int { return len(s.controllers) }
 
-// ChannelController returns channel ch's controller.
-func (s *System) ChannelController(ch int) *mc.Controller { return s.controllers[ch] }
-
-// ChannelDevice returns channel ch's device.
-func (s *System) ChannelDevice(ch int) *dram.Device { return s.devices[ch] }
-
 // channelOf routes an address to its channel (a masked shift, not a full
 // coordinate decode — this sits on the per-request enqueue path).
 func (s *System) channelOf(addr uint64) int {
@@ -203,17 +197,6 @@ func (s *System) channelOf(addr uint64) int {
 		return 0
 	}
 	return s.route.Channel(addr)
-}
-
-// AuditOK reports whether every channel's command stream was protocol
-// clean (only meaningful with Audit set).
-func (s *System) AuditOK() bool {
-	for _, c := range s.controllers {
-		if c.Audit != nil && !c.Audit.Ok() {
-			return false
-		}
-	}
-	return true
 }
 
 // AddTable registers a table; colStore selects column-major placement (the
@@ -270,16 +253,6 @@ type RunStats struct {
 // Seconds converts the run length to wall-clock seconds at the bus clock.
 func (r RunStats) Seconds(clockMHz float64) float64 {
 	return float64(r.Cycles) / (clockMHz * 1e6)
-}
-
-// EnergyEfficiency returns work-per-energy relative to a reference run of
-// the same workload: (refEnergy/refTime) ... the paper's normalized energy
-// efficiency is simply E_ref / E_design for identical work.
-func EnergyEfficiency(ref, d RunStats) float64 {
-	if d.Energy.Total() == 0 {
-		return 0
-	}
-	return ref.Energy.Total() / d.Energy.Total()
 }
 
 // Speedup returns ref.Cycles / d.Cycles.

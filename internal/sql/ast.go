@@ -3,7 +3,6 @@ package sql
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // ColRef names a column, optionally table-qualified (Ta.f3). Fields follow
@@ -395,13 +394,4 @@ func (p *parser) parseInsert() (*InsertStmt, error) {
 		}
 	}
 	return ins, nil
-}
-
-// MustParse parses or panics (for embedding the fixed benchmark queries).
-func MustParse(src string) Stmt {
-	s, err := Parse(src)
-	if err != nil {
-		panic(fmt.Sprintf("sql: %v in %q", err, strings.TrimSpace(src)))
-	}
-	return s
 }

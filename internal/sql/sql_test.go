@@ -1,10 +1,20 @@
 package sql
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 )
+
+// mustParse parses or panics.
+func mustParse(src string) Stmt {
+	s, err := Parse(src)
+	if err != nil {
+		panic(fmt.Sprintf("sql: %v in %q", err, strings.TrimSpace(src)))
+	}
+	return s
+}
 
 func TestLexBasics(t *testing.T) {
 	toks, err := Lex("SELECT f3, f4 FROM Ta WHERE f10 > 42")
@@ -30,7 +40,7 @@ func TestLexRejectsGarbage(t *testing.T) {
 }
 
 func TestParseSimpleSelect(t *testing.T) {
-	s := MustParse("SELECT f3, f4 FROM Ta WHERE f10 > x").(*SelectStmt)
+	s := mustParse("SELECT f3, f4 FROM Ta WHERE f10 > x").(*SelectStmt)
 	if len(s.Items) != 2 || s.Items[0].Cols[0].Field != 3 || s.Items[1].Cols[0].Field != 4 {
 		t.Fatalf("items: %+v", s.Items)
 	}
@@ -46,25 +56,25 @@ func TestParseSimpleSelect(t *testing.T) {
 }
 
 func TestParseStarAndLimit(t *testing.T) {
-	s := MustParse("SELECT * FROM Ta LIMIT 1024").(*SelectStmt)
+	s := mustParse("SELECT * FROM Ta LIMIT 1024").(*SelectStmt)
 	if !s.Items[0].Star || s.Limit != 1024 {
 		t.Fatalf("%+v", s)
 	}
 }
 
 func TestParseAggregates(t *testing.T) {
-	s := MustParse("SELECT SUM(f9) FROM Ta WHERE f10 > x").(*SelectStmt)
+	s := mustParse("SELECT SUM(f9) FROM Ta WHERE f10 > x").(*SelectStmt)
 	if s.Items[0].Agg != "SUM" || s.Items[0].Cols[0].Field != 9 {
 		t.Fatalf("%+v", s.Items)
 	}
-	s = MustParse("SELECT AVG(f1), AVG(f7) FROM Ta WHERE f0 < x").(*SelectStmt)
+	s = mustParse("SELECT AVG(f1), AVG(f7) FROM Ta WHERE f0 < x").(*SelectStmt)
 	if len(s.Items) != 2 || s.Items[1].Agg != "AVG" || s.Items[1].Cols[0].Field != 7 {
 		t.Fatalf("%+v", s.Items)
 	}
 }
 
 func TestParseArithmetic(t *testing.T) {
-	s := MustParse("SELECT f1 + f2 + f5 FROM Ta WHERE f0 < x").(*SelectStmt)
+	s := mustParse("SELECT f1 + f2 + f5 FROM Ta WHERE f0 < x").(*SelectStmt)
 	if len(s.Items) != 1 || len(s.Items[0].Cols) != 3 {
 		t.Fatalf("%+v", s.Items)
 	}
@@ -74,7 +84,7 @@ func TestParseArithmetic(t *testing.T) {
 }
 
 func TestParseJoin(t *testing.T) {
-	s := MustParse("SELECT Ta.f3, Tb.f4 FROM Ta, Tb WHERE Ta.f1 > Tb.f1 AND Ta.f9 = Tb.f9").(*SelectStmt)
+	s := mustParse("SELECT Ta.f3, Tb.f4 FROM Ta, Tb WHERE Ta.f1 > Tb.f1 AND Ta.f9 = Tb.f9").(*SelectStmt)
 	if len(s.Tables) != 2 {
 		t.Fatalf("tables: %v", s.Tables)
 	}
@@ -87,7 +97,7 @@ func TestParseJoin(t *testing.T) {
 }
 
 func TestParseUpdate(t *testing.T) {
-	u := MustParse("UPDATE Tb SET f3 = x, f4 = y WHERE f10 = z").(*UpdateStmt)
+	u := mustParse("UPDATE Tb SET f3 = x, f4 = y WHERE f10 = z").(*UpdateStmt)
 	if u.Table != "Tb" || len(u.Sets) != 2 || u.Sets[1].Field != 4 {
 		t.Fatalf("%+v", u)
 	}
@@ -97,11 +107,11 @@ func TestParseUpdate(t *testing.T) {
 }
 
 func TestParseInsert(t *testing.T) {
-	i := MustParse("INSERT INTO Tb VALUES (f0, f1, f2)").(*InsertStmt)
+	i := mustParse("INSERT INTO Tb VALUES (f0, f1, f2)").(*InsertStmt)
 	if i.Table != "Tb" || len(i.Values) != 3 {
 		t.Fatalf("%+v", i)
 	}
-	i = MustParse("INSERT INTO Tb VALUES (1, 2, 300)").(*InsertStmt)
+	i = mustParse("INSERT INTO Tb VALUES (1, 2, 300)").(*InsertStmt)
 	if !i.Values[2].IsLit || i.Values[2].Lit != 300 {
 		t.Fatalf("%+v", i)
 	}
@@ -130,7 +140,7 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestCompileScan(t *testing.T) {
-	p, err := Compile(MustParse("SELECT f3, f4 FROM Ta WHERE f10 > x AND f10 < y"), Params{"x": 100, "y": 200})
+	p, err := Compile(mustParse("SELECT f3, f4 FROM Ta WHERE f10 > x AND f10 < y"), Params{"x": 100, "y": 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,13 +162,13 @@ func TestCompileScan(t *testing.T) {
 }
 
 func TestCompileUnboundParam(t *testing.T) {
-	if _, err := Compile(MustParse("SELECT f1 FROM Ta WHERE f2 > x"), nil); err == nil {
+	if _, err := Compile(mustParse("SELECT f1 FROM Ta WHERE f2 > x"), nil); err == nil {
 		t.Fatal("unbound parameter accepted")
 	}
 }
 
 func TestCompileAggregate(t *testing.T) {
-	p, err := Compile(MustParse("SELECT AVG(f1) FROM Tb WHERE f10 > x"), Params{"x": 7})
+	p, err := Compile(mustParse("SELECT AVG(f1) FROM Tb WHERE f10 > x"), Params{"x": 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +178,7 @@ func TestCompileAggregate(t *testing.T) {
 }
 
 func TestCompileArithmeticGroups(t *testing.T) {
-	p, err := Compile(MustParse("SELECT f1 + f2 + f3 FROM Ta WHERE f0 < x"), Params{"x": 5})
+	p, err := Compile(mustParse("SELECT f1 + f2 + f3 FROM Ta WHERE f0 < x"), Params{"x": 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +190,7 @@ func TestCompileArithmeticGroups(t *testing.T) {
 func TestCompileJoinNormalizesDirection(t *testing.T) {
 	// Predicate written inner-first must flip to outer-first with the
 	// comparison reversed.
-	p, err := Compile(MustParse("SELECT Ta.f3, Tb.f4 FROM Ta, Tb WHERE Tb.f1 < Ta.f1 AND Ta.f9 = Tb.f9"), nil)
+	p, err := Compile(mustParse("SELECT Ta.f3, Tb.f4 FROM Ta, Tb WHERE Tb.f1 < Ta.f1 AND Ta.f9 = Tb.f9"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,14 +203,14 @@ func TestCompileJoinNormalizesDirection(t *testing.T) {
 }
 
 func TestCompileUpdateAndInsert(t *testing.T) {
-	p, err := Compile(MustParse("UPDATE Tb SET f9 = x WHERE f10 = y"), Params{"x": 11, "y": 22})
+	p, err := Compile(mustParse("UPDATE Tb SET f9 = x WHERE f10 = y"), Params{"x": 11, "y": 22})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Kind != PlanUpdate || p.Sets[0].Value != 11 || p.Preds[0].Value != 22 {
 		t.Fatalf("%+v", p)
 	}
-	ins, err := Compile(MustParse("INSERT INTO Tb VALUES (5, 6)"), nil)
+	ins, err := Compile(mustParse("INSERT INTO Tb VALUES (5, 6)"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,18 +259,18 @@ func TestColRefString(t *testing.T) {
 }
 
 func TestParseNewAggregates(t *testing.T) {
-	s := MustParse("SELECT COUNT(f1), MIN(f2), MAX(f3) FROM Ta WHERE f0 < x").(*SelectStmt)
+	s := mustParse("SELECT COUNT(f1), MIN(f2), MAX(f3) FROM Ta WHERE f0 < x").(*SelectStmt)
 	if len(s.Items) != 3 || s.Items[0].Agg != "COUNT" || s.Items[1].Agg != "MIN" || s.Items[2].Agg != "MAX" {
 		t.Fatalf("%+v", s.Items)
 	}
-	star := MustParse("SELECT COUNT(*) FROM Tb").(*SelectStmt)
+	star := mustParse("SELECT COUNT(*) FROM Tb").(*SelectStmt)
 	if star.Items[0].Agg != "COUNT" || len(star.Items[0].Cols) != 0 {
 		t.Fatalf("%+v", star.Items[0])
 	}
 }
 
 func TestParseGroupBy(t *testing.T) {
-	s := MustParse("SELECT COUNT(*), AVG(f1) FROM Tb WHERE f9 > x GROUP BY f10").(*SelectStmt)
+	s := mustParse("SELECT COUNT(*), AVG(f1) FROM Tb WHERE f9 > x GROUP BY f10").(*SelectStmt)
 	if s.GroupBy == nil || s.GroupBy.Field != 10 {
 		t.Fatalf("group by: %+v", s.GroupBy)
 	}
@@ -270,7 +280,7 @@ func TestParseGroupBy(t *testing.T) {
 }
 
 func TestCompileGroupBy(t *testing.T) {
-	p, err := Compile(MustParse("SELECT COUNT(*), MAX(f3) FROM Tb GROUP BY f10"), nil)
+	p, err := Compile(mustParse("SELECT COUNT(*), MAX(f3) FROM Tb GROUP BY f10"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,11 +301,11 @@ func TestCompileGroupBy(t *testing.T) {
 		t.Fatal("grouping field not in projection set")
 	}
 	// No grouping on joins.
-	if _, err := Compile(MustParse("SELECT Ta.f1, Tb.f2 FROM Ta, Tb WHERE Ta.f3 = Tb.f3 GROUP BY f1"), nil); err == nil {
+	if _, err := Compile(mustParse("SELECT Ta.f1, Tb.f2 FROM Ta, Tb WHERE Ta.f3 = Tb.f3 GROUP BY f1"), nil); err == nil {
 		t.Fatal("GROUP BY on join accepted")
 	}
 	// Ungrouped plans mark GroupBy = -1.
-	scan, _ := Compile(MustParse("SELECT f1 FROM Ta"), nil)
+	scan, _ := Compile(mustParse("SELECT f1 FROM Ta"), nil)
 	if scan.GroupBy != -1 {
 		t.Fatal("scan GroupBy should be -1")
 	}
@@ -331,30 +341,30 @@ func TestCompileJoinErrors(t *testing.T) {
 		"SELECT Ta.f3, Tb.f4 FROM Ta, Tb WHERE Tb.f3 > x AND Ta.f10 = Tb.f10":  "single-table filter",
 		"SELECT Ta.f3, Tb.f4 FROM Ta, Tb WHERE Ta.f10 = Tb.f10 LIMIT 5":        "LIMIT",
 	} {
-		if _, err := Compile(MustParse(q), Params{"x": 1}); err == nil || !strings.Contains(err.Error(), construct) {
+		if _, err := Compile(mustParse(q), Params{"x": 1}); err == nil || !strings.Contains(err.Error(), construct) {
 			t.Errorf("%q: error %v, want one naming the %s", q, err, construct)
 		}
 	}
 	// Three tables.
-	if _, err := Compile(MustParse("SELECT f1 FROM Ta, Tb, Tc"), nil); err == nil {
+	if _, err := Compile(mustParse("SELECT f1 FROM Ta, Tb, Tc"), nil); err == nil {
 		t.Error("three-table FROM accepted")
 	}
 }
 
 func TestCompileInsertParamsAndErrors(t *testing.T) {
-	p, err := Compile(MustParse("INSERT INTO Tb VALUES (x, 2)"), Params{"x": 77})
+	p, err := Compile(mustParse("INSERT INTO Tb VALUES (x, 2)"), Params{"x": 77})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.InsertValues[0] != 77 {
 		t.Fatalf("param insert value: %v", p.InsertValues)
 	}
-	if _, err := Compile(MustParse("INSERT INTO Tb VALUES (y)"), nil); err == nil {
+	if _, err := Compile(mustParse("INSERT INTO Tb VALUES (y)"), nil); err == nil {
 		t.Error("unbound insert parameter accepted")
 	}
 	// Column placeholders (the paper's f0, f1, ... style) are deterministic.
-	a, _ := Compile(MustParse("INSERT INTO Tb VALUES (f0, f1)"), nil)
-	b, _ := Compile(MustParse("INSERT INTO Tb VALUES (f0, f1)"), nil)
+	a, _ := Compile(mustParse("INSERT INTO Tb VALUES (f0, f1)"), nil)
+	b, _ := Compile(mustParse("INSERT INTO Tb VALUES (f0, f1)"), nil)
 	for i := range a.InsertValues {
 		if a.InsertValues[i] != b.InsertValues[i] {
 			t.Fatal("placeholder values nondeterministic")

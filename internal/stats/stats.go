@@ -6,7 +6,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -25,9 +24,6 @@ func (c *Counter) Inc() { c.n++ }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n }
-
-// Reset sets the counter back to zero.
-func (c *Counter) Reset() { c.n = 0 }
 
 // Gauge tracks a value along with its running min/max/sum for averaging.
 type Gauge struct {
@@ -63,14 +59,6 @@ func (g *Gauge) Min() float64 { return g.min }
 
 // Max returns the largest sample seen, or 0 if none.
 func (g *Gauge) Max() float64 { return g.max }
-
-// Mean returns the arithmetic mean of all samples, or 0 if none.
-func (g *Gauge) Mean() float64 {
-	if g.samples == 0 {
-		return 0
-	}
-	return g.sum / float64(g.samples)
-}
 
 // Samples returns how many recorded (finite) samples Set has seen.
 func (g *Gauge) Samples() uint64 { return g.samples }
@@ -169,14 +157,6 @@ func Gmean(xs []float64) float64 {
 	return math.Exp(logSum / float64(n))
 }
 
-// Ratio returns a/b, or 0 when b is zero.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}
-
 // Table renders aligned plain-text tables for experiment output.
 type Table struct {
 	header []string
@@ -191,16 +171,6 @@ func NewTable(header ...string) *Table {
 // AddRow appends a row; cells may be fewer than the header width.
 func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
-}
-
-// AddRowf appends a row formatting every value with the given verb (e.g.
-// "%.2f") after the leading label.
-func (t *Table) AddRowf(label, verb string, vals ...float64) {
-	row := []string{label}
-	for _, v := range vals {
-		row = append(row, fmt.Sprintf(verb, v))
-	}
-	t.rows = append(t.rows, row)
 }
 
 // String renders the table with column alignment.

@@ -1,0 +1,5 @@
+package lib
+
+import "testing"
+
+func TestOnlyTest(t *testing.T) { T{}.OnlyTest() }
